@@ -2,7 +2,7 @@
 
 All numeric output uses 17 significant digits so CSV files round-trip to
 the exact in-memory doubles, and every command is deterministic for a
-fixed configuration (independent of QCS_THREADS).
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from typing import Optional
 
 import numpy as np
 
@@ -66,31 +65,17 @@ def _parse_window(raw: str) -> tuple[float, float, float, float]:
 
 def _coupling_params(args) -> sm.CouplingParams:
     model = args.model.upper()
+    if model in ("XXX", "XXZ") and args.j is None:
+        raise ValueError(f"{model} needs --j")
     if model == "XXX":
-        if args.j is None:
-            raise ValueError("XXX needs --j")
         return sm.CouplingParams.xxx(j=args.j, hbar=args.hbar)
     if model == "XXZ":
-        if args.j is None or (args.delta is None and args.jz is None):
-            raise ValueError("XXZ needs --j and one of --delta/--jz")
         return sm.CouplingParams.xxz(j=args.j, delta=args.delta, jz=args.jz, hbar=args.hbar)
     if model == "XYZ":
-        cartesian = args.jx is not None or args.jy is not None
-        sum_diff = args.j_plus is not None or args.j_minus is not None
-        if cartesian and sum_diff:
-            raise ValueError("give --jx/--jy or --j-plus/--j-minus, not both")
-        if sum_diff:
-            return sm.CouplingParams.xyz(
-                j_plus=args.j_plus or 0.0,
-                j_minus=args.j_minus or 0.0,
-                jz=args.jz or 0.0,
-                hbar=args.hbar,
-            )
-        if cartesian:
-            return sm.CouplingParams.xyz(
-                jx=args.jx or 0.0, jy=args.jy or 0.0, jz=args.jz or 0.0, hbar=args.hbar
-            )
-        raise ValueError("XYZ needs --jx/--jy or --j-plus/--j-minus")
+        return sm.CouplingParams.xyz(
+            jx=args.jx, jy=args.jy, jz=args.jz or 0.0,
+            j_plus=args.j_plus, j_minus=args.j_minus, hbar=args.hbar,
+        )
     raise ValueError(f"unknown model {args.model!r}")
 
 
@@ -153,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _infer_xxz_model(args):
-    """`surface --model xxz --j 1 --jz -2` style: fill delta from jz."""
-    if args.model.upper() == "XXZ" and args.delta is None and args.jz is not None:
-        if args.j in (None, 0.0):
-            raise ValueError("XXZ needs nonzero --j to infer delta from --jz")
-        args.delta = args.jz / args.j
-
-
 def cmd_state(args) -> int:
     psi = _parse_psi(args)
     sid = args.state.upper()
@@ -186,31 +163,18 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _surface_grids(args) -> tuple[sm.SurfaceGrid, Optional[np.ndarray]]:
-    """The requested surface plus, for the closed source, the direct residual."""
-    params = _coupling_params(args)
-    window = _parse_window(args.window)
-    grid = sm.energy_surface(
-        params, args.state, window=window, step=args.step, source=args.source, bonds=args.bonds
+def _surface(args, source: str, refine: bool) -> sm.SurfaceGrid:
+    params, window = _coupling_params(args), _parse_window(args.window)
+    return sm.energy_surface(
+        params, args.state, window, args.step, source=source, bonds=args.bonds, refine=refine
     )
-    residual = None
-    if args.source == "closed":
-        direct = sm.energy_surface(
-            params,
-            args.state,
-            window=window,
-            step=args.step,
-            source="direct",
-            bonds=args.bonds,
-            refine=False,
-        )
-        residual = grid.values - direct.values
-    return grid, residual
 
 
 def cmd_surface(args) -> int:
-    _infer_xxz_model(args)
-    grid, residual = _surface_grids(args)
+    grid = _surface(args, args.source, refine=False)
+    residual = None
+    if args.source == "closed":
+        residual = grid.values - _surface(args, "direct", refine=False).values
     with _open_output(args.output) as out:
         header = "x,y,energy" + (",closed_minus_direct" if residual is not None else "")
         out.write(header + "\n")
@@ -226,8 +190,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_extrema(args) -> int:
-    _infer_xxz_model(args)
-    grid, _ = _surface_grids(args)
+    grid = _surface(args, args.source, refine=True)
     with _open_output(args.output) as out:
         out.write("x,y,value,kind\n")
         for e in grid.extrema:

@@ -296,12 +296,14 @@ def stereo_project(s: SpherePoint) -> ComplexPoint:
 
     The north pole (0,0,1) maps to 0, the equator to the unit circle, and
     the south pole (0,0,-1) to INFINITY.  Equivalently psi =
-    tan(theta/2) e^{i phi}.
+    tan(theta/2) e^{i phi}.  Where z < 0, 1 + z cancels, so the equal
+    form (1-z)/(x-iy) is used there.
     """
-    denom = 1.0 + s.z
-    if denom == 0.0:
+    if s.z >= 0.0:
+        return ComplexPoint(complex(s.x, s.y) / (1.0 + s.z))
+    if s.x == 0.0 and s.y == 0.0:
         return INFINITY
-    return ComplexPoint(complex(s.x, s.y) / denom)
+    return ComplexPoint((1.0 - s.z) / complex(s.x, -s.y))
 
 
 def stereo_lift(p: PointLike) -> SpherePoint:

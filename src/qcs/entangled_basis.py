@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .coherent_states import PureState, coherent, overlap, symmetric_state
 from .complex_geometry import PointLike, SymmetryKind
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InfinitePoint
 from .gates import gate_cnot, gate_hadamard, UnitaryGate
 from .operators import kron_all
 
@@ -40,6 +41,7 @@ __all__ = [
     "entangled_basis_2q",
     "entangled_basis_3q",
     "entangled_state",
+    "entangled_amplitudes",
     "BellExpansion",
     "expand_in_entangled_basis",
     "reconstruct_from_expansion",
@@ -130,15 +132,44 @@ def entangled_basis_3q(p: PointLike) -> tuple[PureState, PureState]:
     return PureState(plus), PureState(minus)
 
 
-def entangled_state(state_id: str, p: PointLike) -> PureState:
-    """Look up one basis member by identifier: P+, P-, G+, G-, PG+ or PG-."""
+def _state_id(state_id: str) -> str:
     sid = state_id.upper()
     if sid not in STATE_IDS:
         raise ValueError(f"unknown state id {state_id!r}; expected one of {STATE_IDS}")
+    return sid
+
+
+def entangled_state(state_id: str, p: PointLike) -> PureState:
+    """Look up one basis member by identifier: P+, P-, G+, G-, PG+ or PG-."""
+    sid = _state_id(state_id)
     if sid.startswith("PG"):
         plus, minus = entangled_basis_3q(p)
         return plus if sid == "PG+" else minus
     return entangled_basis_2q(p)[STATE_IDS.index(sid)]
+
+
+def entangled_amplitudes(state_id: str, psi) -> np.ndarray:
+    """Amplitudes of one basis member at many finite labels, shape (N, 4) or (N, 8).
+
+    Row n equals entangled_state(state_id, psi[n]).amplitudes up to rounding.
+    """
+    sid = _state_id(state_id)
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(psi)):
+        raise InfinitePoint("batched amplitudes need finite labels")
+    d = np.hypot(1.0, np.abs(psi))
+    k = np.stack([1.0 / d, psi / d], axis=1)
+    a = np.stack([-psi.conj() / d, 1.0 / d], axis=1)
+
+    def kron(*factors: np.ndarray) -> np.ndarray:
+        return reduce(lambda u, v: (u[:, :, None] * v[:, None, :]).reshape(psi.size, -1), factors)
+
+    if sid == "PG+":
+        return (kron(k, k, k) + kron(a, a, a)) / _SQRT2
+    if sid == "PG-":
+        return (kron(k, k, a) + kron(k, a, k) + kron(a, k, k)) / _SQRT3
+    first, second = (kron(k, k), kron(a, a)) if sid[0] == "P" else (kron(k, a), kron(a, k))
+    return (first + second if sid.endswith("+") else first - second) / _SQRT2
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ forms correspond to the open chain (1,2)+(2,3).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -27,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .complex_geometry import PointLike, as_point
-from .entangled_basis import entangled_state
+from .entangled_basis import entangled_amplitudes, entangled_state
 from .errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
 from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus, spin_z
 
@@ -86,6 +84,9 @@ class CouplingParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise BadParams(f"unknown model {self.model!r}; expected one of {MODELS}")
+        for name in ("j", "delta", "jx", "jy", "jz", "hbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParams(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise BadParams(f"hbar must be positive, got {self.hbar}")
         if self.model == "XXZ" and abs(self.jz - self.j * self.delta) > 1e-12 * (
@@ -214,6 +215,13 @@ def _require_finite(p: PointLike) -> complex:
     return q.value
 
 
+def _real(val):
+    """Real part of Hermitian expectations; raises unless each imaginary part is rounding."""
+    if np.any(np.abs(np.imag(val)) > 1e-12 * (1.0 + np.abs(np.real(val)))):
+        raise ValueError("non-real expectation of a Hermitian operator")
+    return np.real(val)
+
+
 def q_symbol_direct(
     params: CouplingParams, state_id: str, p: PointLike, bonds: str = "all-pairs"
 ) -> float:
@@ -223,10 +231,7 @@ def q_symbol_direct(
     n = 3 if sid.startswith("PG") else 2
     h = hamiltonian(params, n, bonds)
     a = entangled_state(sid, psi).amplitudes
-    val = complex(np.vdot(a, h @ a))
-    if abs(val.imag) > 1e-12 * (1.0 + abs(val.real)):
-        raise ValueError(f"non-real expectation {val!r} of a Hermitian operator")
-    return float(val.real)
+    return float(_real(complex(np.vdot(a, h @ a))))
 
 
 def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> float:
@@ -237,8 +242,11 @@ def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> floa
     topology.  Raises FormulaUnavailable for anything else.
     """
     psi = _require_finite(p)
-    sid = state_id.upper()
-    x, y = psi.real, psi.imag
+    return float(_closed_form(params, state_id.upper(), psi.real, psi.imag))
+
+
+def _closed_form(params: CouplingParams, sid: str, x, y):
+    """The closed formulas of `q_symbol_closed` at floats or broadcastable arrays x, y."""
     r2 = x * x + y * y
     d2 = 1.0 + r2
 
@@ -332,29 +340,25 @@ class SurfaceGrid:
     state_id: str
 
 
+def _source(source: str) -> str:
+    kind = source.lower()
+    if kind not in ("direct", "closed"):
+        raise BadParams(f"unknown source {source!r}; expected 'direct' or 'closed'")
+    return kind
+
+
 def _surface_function(
     params: CouplingParams, state_id: str, source: str, bonds: str
 ) -> Callable[[float, float], float]:
-    kind = source.lower()
-    if kind == "direct":
+    if _source(source) == "direct":
         return lambda x, y: q_symbol_direct(params, state_id, complex(x, y), bonds)
-    if kind == "closed":
-        return lambda x, y: q_symbol_closed(params, state_id, complex(x, y))
-    raise BadParams(f"unknown source {source!r}; expected 'direct' or 'closed'")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QCS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return lambda x, y: q_symbol_closed(params, state_id, complex(x, y))
 
 
 def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[np.ndarray, np.ndarray]:
     x_min, x_max, y_min, y_max = window
+    if not all(math.isfinite(v) for v in (*window, step)):
+        raise BadParams(f"window {window} and step {step} must be finite")
     if not (x_max > x_min and y_max > y_min):
         raise BadParams(f"empty window {window}")
     if not step > 0:
@@ -366,36 +370,36 @@ def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[
     return xs, ys
 
 
-def _evaluate_grid(f: Callable[[float, float], float], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    def row(y: float) -> np.ndarray:
-        return np.array([f(x, y) for x in xs])
+def _evaluate_grid(
+    params: CouplingParams, sid: str, source: str, bonds: str, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i], one array kernel call per row.
 
-    threads = _thread_count()
-    if threads == 1:
-        rows = [row(y) for y in ys]
-    else:
-        # Rows are independent; assembling them by index keeps the result
-        # identical for any thread count.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, ys))
-    return np.vstack(rows)
+    The direct route divides <a|H|a> by <a|a>, which cancels the rounding
+    of the batched amplitudes' norm as PureState's renormalization does
+    for `q_symbol_direct`.
+    """
+    if source == "closed":
+        return np.vstack([np.broadcast_to(_closed_form(params, sid, xs, y), xs.shape) for y in ys])
+    h = hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
+    rows = []
+    for y in ys:
+        a = entangled_amplitudes(sid, xs + 1j * y)
+        rows.append(np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a))
+    return _real(np.vstack(rows))
 
 
 def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
-    """Strict 8-neighbor extremum candidates (row, col, MIN|MAX)."""
-    seeds = []
+    """Strict 8-neighbor extremum candidates (row, col, MIN|MAX) in row-major order."""
     ny, nx = values.shape
-    for i in range(1, ny - 1):
-        for j in range(1, nx - 1):
-            v = values[i, j]
-            patch = values[i - 1 : i + 2, j - 1 : j + 2]
-            margin = FLATNESS_REL * (1.0 + abs(v))
-            others = np.delete(patch.reshape(-1), 4)
-            if v < others.min() - margin:
-                seeds.append((i, j, MIN))
-            elif v > others.max() + margin:
-                seeds.append((i, j, MAX))
-    return seeds
+    inner = values[1:-1, 1:-1]
+    shifts = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    neighbors = [values[1 + di : ny - 1 + di, 1 + dj : nx - 1 + dj] for di, dj in shifts]
+    margin = FLATNESS_REL * (1.0 + np.abs(inner))
+    is_min = inner < np.minimum.reduce(neighbors) - margin
+    is_max = inner > np.maximum.reduce(neighbors) + margin
+    rows, cols = np.nonzero(is_min | is_max)
+    return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
 def _gradient(f: Callable[[float, float], float], x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
@@ -502,10 +506,9 @@ def energy_surface(
     flagged constant and carries no extrema.
     """
     sid = state_id.upper()
-    source = source.lower()
-    f = _surface_function(params, sid, source, bonds)
+    source = _source(source)
     xs, ys = _grid_axes(window, step)
-    values = _evaluate_grid(f, xs, ys)
+    values = _evaluate_grid(params, sid, source, bonds, xs, ys)
 
     spread = float(values.max() - values.min())
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-import os
 import subprocess
 import sys
 
@@ -11,13 +10,8 @@ import pytest
 CLI = [sys.executable, "-m", "qcs"]
 
 
-def run_cli(*args, env_extra=None, expect=0):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
-    )
+def run_cli(*args, expect=0):
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
     assert proc.returncode == expect, proc.stderr
     return proc.stdout
 
@@ -158,18 +152,13 @@ def test_verify_exits_zero_and_reports():
     assert "summary:" in out
 
 
-def test_outputs_are_deterministic_across_threads():
+def test_outputs_are_deterministic_across_runs():
     args = [
         "surface", "--state", "PG+", "--model", "xyz", "--j-plus=-1",
         "--j-minus=-1", "--jz=-1", "--bonds", "chain", "--step", "0.5",
     ]
-    one = run_cli(*args, env_extra={"QCS_THREADS": "1"})
-    four = run_cli(*args, env_extra={"QCS_THREADS": "4"})
-    assert one == four
-
-    v_one = run_cli("verify", "--seed", "5", env_extra={"QCS_THREADS": "1"})
-    v_four = run_cli("verify", "--seed", "5", env_extra={"QCS_THREADS": "4"})
-    assert v_one == v_four
+    assert run_cli(*args) == run_cli(*args)
+    assert run_cli("verify", "--seed", "5") == run_cli("verify", "--seed", "5")
 
 
 def test_output_file(tmp_path):
@@ -187,3 +176,10 @@ def test_usage_errors_exit_two():
             "--window=3,-3,-3,3", expect=2)
     run_cli("state", "--state", "NOPE", expect=2)
     run_cli("surface", "--state", "P+", "--model", "xxz", expect=2)  # missing couplings
+    run_cli("surface", "--state", "P+", "--jx", "1", "--j-plus", "1", expect=2)  # mixed xyz forms
+    run_cli("surface", "--state", "P+", "--model", "xyz", "--jz", "1", expect=2)  # no xyz couplings
+    run_cli("extrema", "--state", "P+", "--model", "xxz", "--j", "0", "--jz", "1", expect=2)
+    run_cli("surface", "--state", "P+", "--jx", "nan", "--jy", "1", expect=2)
+    run_cli("evolve", "--model", "xxx", "--j", "1", "--hbar", "inf", expect=2)
+    run_cli("surface", "--state", "P+", "--jx", "1", "--window=0,inf,0,1", expect=2)
+    run_cli("extrema", "--state", "P+", "--jx", "1", "--step", "nan", expect=2)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from qcs.coherent_states import coherent, overlap
+from qcs.errors import InfinitePoint
 from qcs.entangled_basis import (
     STATE_IDS,
     bell_states,
     coherent_basis_2q,
+    entangled_amplitudes,
     entangled_basis_2q,
     entangled_basis_3q,
     entangled_state,
@@ -94,6 +96,29 @@ def test_w_state_components():
 def test_unknown_state_id():
     with pytest.raises(ValueError):
         entangled_state("Q+", 0)
+    with pytest.raises(ValueError):
+        entangled_amplitudes("Q+", [0.0])
+
+
+wide_labels = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+
+
+@seed(41)
+@given(labels=st.lists(wide_labels, min_size=1, max_size=6))
+@example(labels=[0j, 1e150, -1e150j, 1e-150 + 1e-150j])
+def test_batched_amplitudes_match_entangled_state(labels):
+    for sid in STATE_IDS:
+        batch = entangled_amplitudes(sid, labels)
+        assert batch.shape == (len(labels), 8 if sid.startswith("PG") else 4)
+        for row, p in zip(batch, labels):
+            assert np.max(np.abs(row - entangled_state(sid, p).amplitudes)) <= TOL, (sid, p)
+
+
+def test_batched_amplitudes_reject_non_finite_labels():
+    with pytest.raises(InfinitePoint):
+        entangled_amplitudes("P+", [0.5, complex(math.inf, 0.0)])
+    with pytest.raises(InfinitePoint):
+        entangled_amplitudes("PG-", [math.nan])
 
 
 def test_state_ids_cover_dispatcher():

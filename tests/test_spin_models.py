@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qcs.entangled_basis import entangled_state
+from qcs import spin_models as sm
+from qcs.entangled_basis import STATE_IDS, entangled_state
 from qcs.errors import BadParams, FormulaUnavailable, InfinitePoint
 from qcs.spin_models import (
     CouplingParams,
@@ -46,6 +48,23 @@ def test_coupling_params_guards():
         CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0, j_plus=1.0)
     with pytest.raises(BadParams):
         CouplingParams.xxx(j=1.0, hbar=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coupling_params_reject_non_finite(bad):
+    for build in (
+        lambda: CouplingParams.xxx(j=bad),
+        lambda: CouplingParams.xxx(j=1.0, hbar=bad),
+        lambda: CouplingParams.xxz(j=bad, delta=1.0),
+        lambda: CouplingParams.xxz(j=1.0, delta=bad),
+        lambda: CouplingParams.xxz(j=1.0, jz=bad),
+        lambda: CouplingParams.xyz(jx=bad, jy=1.0),
+        lambda: CouplingParams.xyz(jx=1.0, jy=bad),
+        lambda: CouplingParams.xyz(jx=1.0, jy=1.0, jz=bad),
+        lambda: CouplingParams.xyz(j_plus=bad, j_minus=0.0),
+    ):
+        with pytest.raises(BadParams):
+            build()
 
 
 def test_hamiltonians_hermitian():
@@ -194,15 +213,106 @@ def test_surface_bad_window():
         energy_surface(CouplingParams.xxx(j=1.0), "P+", window=(1, -1, 0, 1), step=0.5)
     with pytest.raises(BadParams):
         energy_surface(CouplingParams.xxx(j=1.0), "P+", window=(-1, 1, -1, 1), step=0.0)
+    for window, step in (
+        ((0.0, math.inf, 0.0, 1.0), 0.5),
+        ((math.nan, 1.0, 0.0, 1.0), 0.5),
+        ((0.0, 1.0, -math.inf, 1.0), 0.5),
+        ((0.0, 1.0, 0.0, 1.0), math.inf),
+        ((0.0, 1.0, 0.0, 1.0), math.nan),
+    ):
+        with pytest.raises(BadParams):
+            energy_surface(CouplingParams.xxx(j=1.0), "P+", window=window, step=step)
 
 
-def test_surface_thread_count_invariance(monkeypatch):
-    params = CouplingParams.xyz(jx=1.0, jy=-0.5, jz=0.3)
-    monkeypatch.setenv("QCS_THREADS", "1")
-    one = energy_surface(params, "G+", window=(-2, 2, -2, 2), step=0.2, refine=False)
-    monkeypatch.setenv("QCS_THREADS", "5")
-    five = energy_surface(params, "G+", window=(-2, 2, -2, 2), step=0.2, refine=False)
-    assert np.array_equal(one.values, five.values)
+couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@seed(43)
+@settings(max_examples=25, deadline=None)
+@given(
+    j=st.tuples(couplings, couplings, couplings),
+    corner=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+    step=st.floats(0.01, 3.0),
+)
+def test_surface_grid_matches_scalar_routes(j, corner, step):
+    """Every node of the array route equals the scalar q_symbol_direct/closed."""
+    jx, jy, jz = j
+    models = (
+        CouplingParams.xyz(jx=jx, jy=jy, jz=jz),
+        CouplingParams.xxz(j=jx, delta=jz),
+        CouplingParams.xxx(j=jy, hbar=1.0 + abs(jz)),
+    )
+    window = (corner[0], corner[0] + 3.0 * step, corner[1], corner[1] + 2.0 * step)
+    for params in models:
+        for sid in STATE_IDS:
+            for bonds in ("all-pairs", "chain"):
+                for source in ("direct", "closed"):
+                    f = sm._surface_function(params, sid, source, bonds)
+                    try:
+                        grid = energy_surface(params, sid, window, step, source, bonds, refine=False)
+                    except FormulaUnavailable:
+                        with pytest.raises(FormulaUnavailable):
+                            f(0.0, 0.0)
+                        continue
+                    assert grid.values.shape == (grid.ys.size, grid.xs.size) == (3, 4)
+                    for i, y in enumerate(grid.ys):
+                        for k, x in enumerate(grid.xs):
+                            assert abs(grid.values[i, k] - f(x, y)) <= 1e-12, (params, sid, bonds, source)
+
+
+def test_surface_repeat_runs_identical():
+    params = CouplingParams.xyz(j_plus=-1.0, j_minus=-1.0, jz=-1.0)
+    for source in ("direct", "closed"):
+        runs = [
+            energy_surface(params, "PG+", window=(-2, 2, -2, 2), step=0.1, source=source, bonds="chain")
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0].values, runs[1].values)
+        assert runs[0].extrema == runs[1].extrema
+        assert len(runs[0].extrema) == 4
+
+
+def _grid_seeds_loop(values):
+    """Reference: the node-by-node seed scan the array route replaces."""
+    seeds = []
+    ny, nx = values.shape
+    for i in range(1, ny - 1):
+        for j in range(1, nx - 1):
+            v = values[i, j]
+            patch = values[i - 1 : i + 2, j - 1 : j + 2]
+            margin = sm.FLATNESS_REL * (1.0 + abs(v))
+            others = np.delete(patch.reshape(-1), 4)
+            if v < others.min() - margin:
+                seeds.append((i, j, sm.MIN))
+            elif v > others.max() + margin:
+                seeds.append((i, j, sm.MAX))
+    return seeds
+
+
+# Few distinct levels, some a hair apart, so ties and the noise margin matter.
+levels = st.sampled_from([-1.0, -1.0 + 1e-11, 0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-9, 2.0])
+
+
+@seed(47)
+@settings(max_examples=300)
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=levels))
+def test_grid_seeds_match_loop_reference(values):
+    assert sm._grid_seeds(values) == _grid_seeds_loop(values)
+
+
+def test_grid_seeds_match_loop_reference_on_surfaces():
+    pg = CouplingParams.xyz(j_plus=-1.0, j_minus=-1.0, jz=-1.0)
+    xyz = CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9)
+    xxz = CouplingParams.xxz(j=1.0, jz=-2.0)
+    cases = ((pg, "PG+", "chain"), (pg, "PG-", "all-pairs"), (xyz, "G+", "all-pairs"), (xxz, "P+", "all-pairs"))
+    for params, sid, bonds in cases:
+        for source in ("direct", "closed"):
+            try:
+                grid = energy_surface(params, sid, source=source, bonds=bonds, refine=False)
+            except FormulaUnavailable:
+                continue
+            seeds = sm._grid_seeds(grid.values)
+            assert seeds and seeds == _grid_seeds_loop(grid.values)
 
 
 def test_surface_source_case_insensitive():

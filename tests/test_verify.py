@@ -1,4 +1,6 @@
-from qcs.verify import WARN_CHECKS, format_report, run_suite
+import numpy as np
+
+from qcs.verify import WARN_CHECKS, _check_stereo_round_trip, format_report, run_suite
 
 
 def test_suite_passes_and_reports_known_warns():
@@ -23,3 +25,10 @@ def test_different_seeds_still_pass():
     for seed in (1, 9):
         results = run_suite(seed=seed)
         assert all(r.status != "FAIL" for r in results)
+
+
+def test_stereo_round_trip_near_the_south_pole():
+    # Seeds whose antipodal labels sit near z = -1, where (x + iy) / (1 + z)
+    # cancelled to 1.27e-11 and 1.18e-12 against the check's 1e-12.
+    for seed in (104, 1008208770):
+        assert _check_stereo_round_trip(np.random.Generator(np.random.PCG64(seed))) <= 1e-12
