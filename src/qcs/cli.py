@@ -98,7 +98,13 @@ def _add_psi_flags(parser: argparse.ArgumentParser):
 
 def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--window", default="-3,3,-3,3", help="x_min,x_max,y_min,y_max")
-    parser.add_argument("--step", type=float, default=0.05)
+    parser.add_argument(
+        "--step",
+        type=float,
+        default=0.05,
+        help="grid spacing; a step that does not divide the window ends each axis at the node "
+        "nearest its far edge, up to half a step short of it or past it (0,1 at 0.3 ends at 0.9)",
+    )
     parser.add_argument("--source", default="direct", choices=["direct", "closed"])
     parser.add_argument("--bonds", default="all-pairs", choices=["all-pairs", "chain"])
 

@@ -155,11 +155,11 @@ def entangled_amplitudes(state_id: str, psi) -> np.ndarray:
     """
     sid = _state_id(state_id)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(psi)):
+    if not np.isfinite(psi).all():
         raise InfinitePoint("batched amplitudes need finite labels")
     d = np.hypot(1.0, np.abs(psi))
-    k = np.stack([1.0 / d, psi / d], axis=1)
-    a = np.stack([-psi.conj() / d, 1.0 / d], axis=1)
+    k = np.array([1.0 / d, psi / d]).T
+    a = np.array([-psi.conj() / d, 1.0 / d]).T
 
     def kron(*factors: np.ndarray) -> np.ndarray:
         return reduce(lambda u, v: (u[:, :, None] * v[:, None, :]).reshape(psi.size, -1), factors)

@@ -16,6 +16,7 @@ forms correspond to the open chain (1,2)+(2,3).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,6 +63,12 @@ _GRAD_STEP = 1e-5
 _HESS_STEP = 1e-4
 _CURVATURE_FLOOR = 1e-5
 _MERGE_DIST = 1e-4
+# Extremum values this close (relative) are ordered by position, not by rounding noise.
+_TIE_REL = 1e-12
+# Largest grid a surface may sample (about 32 MB of float64 values).
+MAX_GRID_NODES = 4_000_000
+
+_log = logging.getLogger("qcs")
 
 
 @dataclass(frozen=True)
@@ -217,7 +224,7 @@ def _require_finite(p: PointLike) -> complex:
 
 def _real(val):
     """Real part of Hermitian expectations; raises unless each imaginary part is rounding."""
-    if np.any(np.abs(np.imag(val)) > 1e-12 * (1.0 + np.abs(np.real(val)))):
+    if (np.abs(np.imag(val)) > 1e-12 * (1.0 + np.abs(np.real(val)))).any():
         raise ValueError("non-real expectation of a Hermitian operator")
     return np.real(val)
 
@@ -242,17 +249,32 @@ def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> floa
     topology.  Raises FormulaUnavailable for anything else.
     """
     psi = _require_finite(p)
-    return float(_closed_form(params, state_id.upper(), psi.real, psi.imag))
+    return float(_closed_values(params, state_id.upper(), psi.real, psi.imag))
+
+
+def _closed_values(params: CouplingParams, sid: str, x, y):
+    """`_closed_form`, raising BadParams where it overflows at a finite label (|psi| from about 1e50)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = _closed_form(params, sid, x, y)
+    except OverflowError:  # float ** int raises where float * float gives inf
+        val = math.inf
+    if not (np.isfinite(val).all() if isinstance(val, np.ndarray) else math.isfinite(val)):
+        raise BadParams("closed form overflows at labels this large; use the direct source")
+    return val
 
 
 def _closed_form(params: CouplingParams, sid: str, x, y):
-    """The closed formulas of `q_symbol_closed` at floats or broadcastable arrays x, y."""
+    """The closed formulas of `q_symbol_closed` at floats or broadcastable arrays x, y.
+
+    The result has the broadcast shape of x and y, constant forms included.
+    """
     r2 = x * x + y * y
     d2 = 1.0 + r2
 
     if params.model == "XXX":
         if sid == "P+":
-            return -params.j * params.hbar**2 / 2.0
+            return np.full_like(r2, -params.j * params.hbar**2 / 2.0)
         raise FormulaUnavailable(f"no closed form for (XXX, {sid})")
 
     if params.model == "XXZ":
@@ -283,7 +305,7 @@ def _closed_form(params: CouplingParams, sid: str, x, y):
         num = 2.0 * jp * (1.0 - r2) ** 2 - 4.0 * jm * psi2_sum + jz * (4.0 * r2 - (1.0 - r2) ** 2)
         return num / (2.0 * d2 * d2)
     if sid == "G-":
-        return -(jz / 2.0 + jp)
+        return np.full_like(r2, -(jz / 2.0 + jp))
     if sid == "PG+":
         num = (
             4.0 * jp * r2 * d2
@@ -347,12 +369,29 @@ def _source(source: str) -> str:
     return kind
 
 
-def _surface_function(
-    params: CouplingParams, state_id: str, source: str, bonds: str
-) -> Callable[[float, float], float]:
-    if _source(source) == "direct":
-        return lambda x, y: q_symbol_direct(params, state_id, complex(x, y), bonds)
-    return lambda x, y: q_symbol_closed(params, state_id, complex(x, y))
+@lru_cache(maxsize=256)
+def _surface_function(params: CouplingParams, state_id: str, source: str, bonds: str) -> Callable:
+    """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
+
+    f returns the energies at x + 1j*y in their broadcast shape.  Grids
+    call it once per row, refinement once per Nelder-Mead point and once
+    per difference stencil.  The direct route divides <a|H|a> by <a|a>,
+    which cancels the rounding of the batched amplitudes' norm as
+    PureState's renormalization does for `q_symbol_direct`.  Kernels are
+    cached, so a surface's grid and refinements fetch the Hamiltonian once.
+    """
+    sid = state_id.upper()
+    if _source(source) == "closed":
+        return lambda x, y: _closed_values(params, sid, x, y)
+    h = hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
+
+    def direct(x, y):
+        psi = np.asarray(x) + 1j * np.asarray(y)
+        a = entangled_amplitudes(sid, psi)
+        energy = np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a)
+        return _real(energy).reshape(psi.shape)[()]
+
+    return direct
 
 
 def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -363,30 +402,19 @@ def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[
         raise BadParams(f"empty window {window}")
     if not step > 0:
         raise BadParams(f"step must be positive, got {step}")
-    nx = int(math.floor((x_max - x_min) / step + 0.5)) + 1
-    ny = int(math.floor((y_max - y_min) / step + 0.5)) + 1
-    xs = x_min + step * np.arange(nx)
-    ys = y_min + step * np.arange(ny)
-    return xs, ys
+    spans = ((x_max - x_min) / step, (y_max - y_min) / step)  # inf when the span overflows
+    nx, ny = (math.floor(s + 0.5) + 1 if s < MAX_GRID_NODES else MAX_GRID_NODES + 1 for s in spans)
+    if nx * ny > MAX_GRID_NODES:
+        raise BadParams(f"window {window} at step {step} needs more than {MAX_GRID_NODES} grid nodes")
+    return x_min + step * np.arange(nx), y_min + step * np.arange(ny)
 
 
 def _evaluate_grid(
     params: CouplingParams, sid: str, source: str, bonds: str, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i], one array kernel call per row.
-
-    The direct route divides <a|H|a> by <a|a>, which cancels the rounding
-    of the batched amplitudes' norm as PureState's renormalization does
-    for `q_symbol_direct`.
-    """
-    if source == "closed":
-        return np.vstack([np.broadcast_to(_closed_form(params, sid, xs, y), xs.shape) for y in ys])
-    h = hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
-    rows = []
-    for y in ys:
-        a = entangled_amplitudes(sid, xs + 1j * y)
-        rows.append(np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a))
-    return _real(np.vstack(rows))
+    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i], one kernel call per row."""
+    f = _surface_function(params, sid, source, bonds)
+    return np.vstack([f(xs, y) for y in ys])
 
 
 def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
@@ -402,19 +430,19 @@ def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
     return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
-def _gradient(f: Callable[[float, float], float], x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
-    return np.array(
-        [
-            (f(x + h, y) - f(x - h, y)) / (2.0 * h),
-            (f(x, y + h) - f(x, y - h)) / (2.0 * h),
-        ]
-    )
+def _gradient(f: Callable, x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient of the kernel f; its 4-point stencil is one call."""
+    e = f(np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h]))
+    return np.array([(e[0] - e[1]) / (2.0 * h), (e[2] - e[3]) / (2.0 * h)])
 
 
-def _hessian(f: Callable[[float, float], float], x: float, y: float, h: float = _HESS_STEP) -> np.ndarray:
-    fxx = (f(x + h, y) - 2.0 * f(x, y) + f(x - h, y)) / h**2
-    fyy = (f(x, y + h) - 2.0 * f(x, y) + f(x, y - h)) / h**2
-    fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h**2)
+def _hessian(f: Callable, x: float, y: float, h: float = _HESS_STEP) -> np.ndarray:
+    """Central-difference Hessian of the kernel f; its 9-point stencil is one call."""
+    xp, xm, yp, ym = x + h, x - h, y + h, y - h
+    e = f(np.array([x, xp, xm, x, x, xp, xp, xm, xm]), np.array([y, y, y, yp, ym, yp, ym, yp, ym]))
+    fxx = (e[1] - 2.0 * e[0] + e[2]) / h**2
+    fyy = (e[3] - 2.0 * e[0] + e[4]) / h**2
+    fxy = (e[5] - e[6] - e[7] + e[8]) / (4.0 * h**2)
     return np.array([[fxx, fxy], [fxy, fyy]])
 
 
@@ -450,17 +478,18 @@ def refine_extremum(
     grad0 = _gradient(f, x0, y0)
     hess0 = _hessian(f, x0, y0)
     if float(np.max(np.abs(hess0))) < _CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
-        return Extremum(x0, y0, f(x0, y0), CONSTANT)
+        return Extremum(x0, y0, float(f(x0, y0)), CONSTANT)
 
     eigs = np.linalg.eigvalsh(hess0)
+    # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
     if eigs[0] > 0.0:
-        objective = lambda v: f(v[0], v[1])
+        objective = lambda v: float(f(*v.tolist()))
         sign = 1.0
     elif eigs[1] < 0.0:
-        objective = lambda v: -f(v[0], v[1])
+        objective = lambda v: -float(f(*v.tolist()))
         sign = -1.0
     else:
-        objective = lambda v: float(np.sum(_gradient(f, v[0], v[1]) ** 2))
+        objective = lambda v: float(np.sum(_gradient(f, *v.tolist()) ** 2))
         sign = 0.0
 
     res = minimize(
@@ -472,20 +501,32 @@ def refine_extremum(
     if not res.success:
         raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
     x, y = float(res.x[0]), float(res.x[1])
-    value = f(x, y)
+    value = float(f(x, y))
     if sign > 0.0:
-        value = min(value, f(x0, y0))  # Nelder-Mead never increases; guard rounding.
+        value = min(value, float(f(x0, y0)))  # Nelder-Mead never increases; guard rounding.
     kind = _classify(f, x, y)
     return Extremum(x, y, value, kind)
 
 
 def _merge_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
-    ordered = sorted(extrema, key=lambda e: (e.value, e.x, e.y))
+    """Drop duplicates within _MERGE_DIST, keeping the lowest value, then sort by value.
+
+    Values equal to within _TIE_REL form one tier ordered by (x, y) at
+    the merge resolution, so that symmetric extrema do not swap places on
+    last-bit rounding of their values or on noise in their positions.
+    """
     kept: list[Extremum] = []
-    for e in ordered:
+    for e in sorted(extrema, key=lambda e: (e.value, e.x, e.y)):
         if all(math.hypot(e.x - k.x, e.y - k.y) > _MERGE_DIST for k in kept):
             kept.append(e)
-    return tuple(kept)
+    tiers: list[list[Extremum]] = []
+    for e in kept:
+        if tiers and e.value - tiers[-1][0].value <= _TIE_REL * (1.0 + abs(e.value)):
+            tiers[-1].append(e)
+        else:
+            tiers.append([e])
+    position = lambda e: (round(e.x / _MERGE_DIST), round(e.y / _MERGE_DIST), e.x, e.y)
+    return tuple(e for tier in tiers for e in sorted(tier, key=position))
 
 
 def energy_surface(
@@ -499,10 +540,18 @@ def energy_surface(
 ) -> SurfaceGrid:
     """Sample the Q-symbol surface on a grid and locate its isolated extrema.
 
-    Grid nodes are x = x_min + i*step, y = y_min + j*step.  Seeds come
-    from strict 8-neighbor dominance with a relative noise margin; each
-    seed is refined by direct search and duplicates within 1e-4 are
-    merged.  A surface whose spread is below 1e-10 * (1 + |max|) is
+    Grid nodes are x = x_min + i*step, y = y_min + j*step, for i up to
+    round((x_max - x_min) / step) and likewise for j.  A step that does
+    not divide the window therefore ends each axis at the node nearest
+    the far edge, short of it or past it by up to half a step: (0, 1) at
+    step 0.3 ends at 0.9, at step 0.35 at 1.05.  Grids of more than
+    MAX_GRID_NODES nodes raise BadParams before anything is allocated.
+
+    Seeds come from strict 8-neighbor dominance with a relative noise
+    margin; each seed is refined by direct search and duplicates within
+    1e-4 are merged.  A seed whose refinement raises NoConvergence is
+    dropped (logged at DEBUG on the "qcs" logger) and the other extrema
+    are kept.  A surface whose spread is below 1e-10 * (1 + |max|) is
     flagged constant and carries no extrema.
     """
     sid = state_id.upper()
@@ -514,10 +563,13 @@ def energy_surface(
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
     extrema: tuple[Extremum, ...] = ()
     if not constant and refine:
-        refined = [
-            refine_extremum(params, sid, (float(xs[j]), float(ys[i])), source, bonds)
-            for i, j, _ in _grid_seeds(values)
-        ]
+        refined = []
+        for i, j, _ in _grid_seeds(values):
+            seed = (float(xs[j]), float(ys[i]))
+            try:
+                refined.append(refine_extremum(params, sid, seed, source, bonds))
+            except NoConvergence as exc:
+                _log.debug("dropping seed %s of %s surface: %s", seed, sid, exc)
         extrema = _merge_extrema([e for e in refined if e.kind != CONSTANT])
     return SurfaceGrid(
         window=tuple(float(w) for w in window),

@@ -171,6 +171,15 @@ def test_output_file(tmp_path):
     assert text.startswith("t,concurrence,fidelity")
 
 
+def test_oversized_window_exits_two():
+    """A window whose node count overflows is a usage error, not a traceback."""
+    proc = subprocess.run(
+        CLI + ["surface", "--state", "P+", "--jx", "1", "--window=-1e308,1e308,0,1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and "grid nodes" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_two():
     run_cli("surface", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2",
             "--window=3,-3,-3,3", expect=2)

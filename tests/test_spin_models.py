@@ -227,6 +227,15 @@ def test_surface_bad_window():
 couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
+def _oracle_kernel(params, state_id, source, bonds):
+    """The scalar routes in the kernel's calling form: one q_symbol_direct/closed call per label."""
+    if source == "direct":
+        scalar = lambda x, y: q_symbol_direct(params, state_id, complex(x, y), bonds)
+    else:
+        scalar = lambda x, y: q_symbol_closed(params, state_id, complex(x, y))
+    return np.vectorize(scalar, otypes=[float])
+
+
 @seed(43)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -235,7 +244,7 @@ couplings = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     step=st.floats(0.01, 3.0),
 )
 def test_surface_grid_matches_scalar_routes(j, corner, step):
-    """Every node of the array route equals the scalar q_symbol_direct/closed."""
+    """Every node of the array kernel equals the scalar q_symbol_direct/closed oracle."""
     jx, jy, jz = j
     models = (
         CouplingParams.xyz(jx=jx, jy=jy, jz=jz),
@@ -247,12 +256,12 @@ def test_surface_grid_matches_scalar_routes(j, corner, step):
         for sid in STATE_IDS:
             for bonds in ("all-pairs", "chain"):
                 for source in ("direct", "closed"):
-                    f = sm._surface_function(params, sid, source, bonds)
+                    f = _oracle_kernel(params, sid, source, bonds)
                     try:
                         grid = energy_surface(params, sid, window, step, source, bonds, refine=False)
                     except FormulaUnavailable:
                         with pytest.raises(FormulaUnavailable):
-                            f(0.0, 0.0)
+                            q_symbol_closed(params, sid, 0.0)
                         continue
                     assert grid.values.shape == (grid.ys.size, grid.xs.size) == (3, 4)
                     for i, y in enumerate(grid.ys):
@@ -320,3 +329,154 @@ def test_surface_source_case_insensitive():
     a = energy_surface(params, "P+", window=(-1, 1, -1, 1), step=0.5, source="CLOSED", refine=False)
     b = energy_surface(params, "P+", window=(-1, 1, -1, 1), step=0.5, source="closed", refine=False)
     assert np.array_equal(a.values, b.values)
+
+
+PG = CouplingParams.xyz(j_plus=-1.0, j_minus=-1.0, jz=-1.0)
+GEN = CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9)
+XXZ = CouplingParams.xxz(j=1.0, jz=-2.0)
+
+
+@pytest.mark.parametrize(
+    "params, sid, source, bonds, window, step",
+    [
+        (XXZ, "P+", "closed", "all-pairs", (-2.0, 2.0, -2.0, 2.0), 0.1),
+        (PG, "PG+", "direct", "chain", (-1.7, 1.7, -1.7, 1.7), 0.1),
+        (PG, "PG-", "direct", "all-pairs", (-1.36, 1.36, -1.36, 1.36), 0.08),
+        (GEN, "G+", "direct", "all-pairs", (-2.5, 2.5, -2.5, 2.5), 0.1),
+    ],
+)
+def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bonds, window, step):
+    """Extrema refined through the kernel equal those refined through the scalar oracle."""
+    kernel = energy_surface(params, sid, window, step, source, bonds)
+    oracle = _oracle_kernel(params, sid, source, bonds)
+    monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
+    scalar = energy_surface(params, sid, window, step, source, bonds)
+    assert len(kernel.extrema) == len(scalar.extrema) >= 2
+    for e, o in zip(kernel.extrema, scalar.extrema):
+        assert e.kind == o.kind
+        assert math.hypot(e.x - o.x, e.y - o.y) <= 1e-7
+        assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+
+
+def test_indefinite_seed_refines_to_saddle(monkeypatch):
+    """A seed with an indefinite Hessian takes the stationary-point branch on both routes."""
+    seed_point = (0.02, 0.01)
+    eigs = np.linalg.eigvalsh(sm._hessian(sm._surface_function(GEN, "G+", "direct", "all-pairs"), *seed_point))
+    assert eigs[0] < 0.0 < eigs[1]
+    kernel = sm.refine_extremum(GEN, "G+", seed_point)
+    oracle = _oracle_kernel(GEN, "G+", "direct", "all-pairs")
+    monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
+    scalar = sm.refine_extremum(GEN, "G+", seed_point)
+    for e in (kernel, scalar):
+        assert e.kind == sm.SADDLE
+        assert math.hypot(e.x, e.y) <= 1e-7
+    assert math.hypot(kernel.x - scalar.x, kernel.y - scalar.y) <= 1e-7
+    assert np.linalg.norm(sm._gradient(oracle, kernel.x, kernel.y)) <= 1e-6
+
+
+def _gradient_pointwise(f, x, y, h):
+    return np.array([(f(x + h, y) - f(x - h, y)) / (2.0 * h), (f(x, y + h) - f(x, y - h)) / (2.0 * h)])
+
+
+def _hessian_pointwise(f, x, y, h):
+    fxx = (f(x + h, y) - 2.0 * f(x, y) + f(x - h, y)) / h**2
+    fyy = (f(x, y + h) - 2.0 * f(x, y) + f(x, y - h)) / h**2
+    fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h**2)
+    return np.array([[fxx, fxy], [fxy, fyy]])
+
+
+@seed(53)
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0), h=st.sampled_from([1e-5, 1e-4, 1e-2, 0.3]))
+def test_batched_stencils_match_pointwise_formulas(x, y, h):
+    """One stencil call per _gradient/_hessian gives the point-by-point difference formulas."""
+    # Elementwise arithmetic rounds the same in a batch as alone, so these agree exactly.
+    poly = lambda u, v: u * u * v - 2.0 * u * v * v + u / (1.0 + v * v) + 0.5 * v
+    assert np.array_equal(sm._gradient(poly, x, y, h), _gradient_pointwise(poly, x, y, h))
+    assert np.array_equal(sm._hessian(poly, x, y, h), _hessian_pointwise(poly, x, y, h))
+    # The direct kernel's einsum may round a label differently inside a batch,
+    # so allow a few ulps of each value, divided by the stencil's step.
+    f = sm._surface_function(GEN, "PG+", "direct", "all-pairs")
+    ulps = 8.0 * np.finfo(float).eps * (1.0 + abs(float(f(x, y))))
+    assert np.allclose(sm._gradient(f, x, y, h), _gradient_pointwise(f, x, y, h), rtol=0.0, atol=ulps / h)
+    assert np.allclose(sm._hessian(f, x, y, h), _hessian_pointwise(f, x, y, h), rtol=0.0, atol=4.0 * ulps / h**2)
+
+
+def test_merge_orders_last_bit_ties_by_position():
+    v = -2.0
+    w = math.nextafter(v, 0.0)
+    on_y = [sm.Extremum(1e-9, 1.0, v, sm.MAX), sm.Extremum(-1e-9, -1.0, w, sm.MAX)]
+    on_x = [sm.Extremum(1.0, -1e-9, w, sm.MIN), sm.Extremum(-1.0, 1e-9, v, sm.MIN)]
+    for pair, first in ((on_y, (-1e-9, -1.0)), (on_x, (-1.0, 1e-9))):
+        for ordered in (pair, pair[::-1]):
+            merged = sm._merge_extrema(list(ordered))
+            assert (merged[0].x, merged[0].y) == first
+    # Values that differ beyond rounding still order by value.
+    apart = [sm.Extremum(-1.0, 0.0, 1.0, sm.MAX), sm.Extremum(1.0, 0.0, 1.0 - 1e-9, sm.MAX)]
+    assert [e.x for e in sm._merge_extrema(apart)] == [1.0, -1.0]
+    # Duplicates within the merge distance keep the lowest value.
+    dup = [sm.Extremum(0.0, 1.0, w, sm.MIN), sm.Extremum(0.0, 1.0 + 1e-6, v, sm.MIN)]
+    assert sm._merge_extrema(dup) == (dup[1],)
+
+
+def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
+    """One NoConvergence drops its seed only; the others still become extrema."""
+    window = (-1.7, 1.7, -1.7, 1.7)
+    full = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
+    bad_seed = (-1.0, 0.0)  # a grid node, seed of the MIN at (-1, 0)
+    minimize = sm.minimize
+
+    def flaky_minimize(fun, x0, **kwargs):
+        result = minimize(fun, x0, **kwargs)
+        if np.allclose(x0, bad_seed, atol=1e-9):
+            result.success = False
+        return result
+
+    monkeypatch.setattr(sm, "minimize", flaky_minimize)
+    with caplog.at_level("DEBUG", logger="qcs"):
+        partial = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
+    assert [e for e in full.extrema if abs(e.x + 1.0) > 1e-3] == list(partial.extrema)
+    assert len(partial.extrema) == 3
+    assert any("dropping seed" in r.getMessage() for r in caplog.records)
+
+
+def test_grid_node_ceiling():
+    """Oversized grids raise BadParams from their node count, before the grid is allocated."""
+    side = math.isqrt(sm.MAX_GRID_NODES)
+    xs, ys = sm._grid_axes((0.0, side - 1.0, 0.0, side - 1.0), 1.0)
+    assert xs.size * ys.size <= sm.MAX_GRID_NODES
+    # Each axis of these stays small, so a missing ceiling fails here without a huge allocation.
+    for window, step in (((0.0, side + 1.0, 0.0, side + 1.0), 1.0), ((0.0, 1e5, 0.0, 1e5), 1.0)):
+        with pytest.raises(BadParams):
+            sm._grid_axes(window, step)
+    with pytest.raises(BadParams):  # the span overflows to inf
+        energy_surface(CouplingParams.xxx(j=1.0), "P+", (-1e308, 1e308, 0.0, 1.0), 0.05)
+
+
+def test_step_that_does_not_divide_window_ends_at_nearest_node():
+    grid = energy_surface(CouplingParams.xxx(j=1.0), "P+", window=(0, 1, 0, 1), step=0.3, refine=False)
+    assert np.allclose(grid.xs, [0.0, 0.3, 0.6, 0.9]) and grid.xs[-1] < 1.0
+    grid = energy_surface(CouplingParams.xxx(j=1.0), "P+", window=(0, 1, 0, 1), step=0.35, refine=False)
+    assert np.allclose(grid.ys, [0.0, 0.35, 0.7, 1.05])
+
+
+CLOSED_PAIRS = [(CouplingParams.xxx(j=0.9), "P+"), (XXZ, "P+")] + [(GEN, sid) for sid in STATE_IDS]
+
+
+@pytest.mark.parametrize("params, sid", CLOSED_PAIRS)
+def test_closed_form_overflow_raises(params, sid):
+    """At |psi| = 1e160 a closed form is its constant or raises BadParams; never NaN."""
+    bonds = "chain" if sid.startswith("PG") else "all-pairs"
+    big = 1e160
+    window = (big, 2.0 * big, -big, big)
+    for p in (big, 1j * big, big * (0.6 - 0.8j)):
+        try:
+            value = q_symbol_closed(params, sid, p)
+        except BadParams:
+            with pytest.raises(BadParams):
+                energy_surface(params, sid, window, big, "closed", bonds, refine=False)
+            continue
+        assert (params.model, sid) in (("XXX", "P+"), ("XYZ", "G-"))  # the constant forms
+        assert abs(value - q_symbol_direct(params, sid, p, bonds)) < 1e-12
+        grid = energy_surface(params, sid, window, big, "closed", bonds, refine=False)
+        assert np.all(grid.values == value)
