@@ -24,9 +24,13 @@ from .entanglement_measures import (
     concurrence_rdm,
     spin_sum_averages,
 )
-from .errors import QcsError
+from .errors import BadParams, QcsError
 
 USAGE_ERROR = 2
+# `evolve` holds its whole time grid in memory: a few (steps, 4) complex
+# arrays and one CSV row per step.  A constant, not an option: no caller
+# needs more, and a tiny --dt must fail before anything is allocated.
+MAX_TIME_STEPS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -35,6 +39,13 @@ def _fmt(x: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
+
+
+def _write_rows(out, columns) -> None:
+    """Write equal-size arrays as CSV columns, each value as _fmt writes it."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    out.writelines(row % r for r in zip(*values))
 
 
 @contextmanager
@@ -184,12 +195,10 @@ def cmd_surface(args) -> int:
     with _open_output(args.output) as out:
         header = "x,y,energy" + (",closed_minus_direct" if residual is not None else "")
         out.write(header + "\n")
-        for i, y in enumerate(grid.ys):
-            for j, x in enumerate(grid.xs):
-                row = f"{_fmt(x)},{_fmt(y)},{_fmt(grid.values[i, j])}"
-                if residual is not None:
-                    row += f",{_fmt(residual[i, j])}"
-                out.write(row + "\n")
+        columns = [np.tile(grid.xs, grid.ys.size), np.repeat(grid.ys, grid.xs.size), grid.values]
+        if residual is not None:
+            columns.append(residual)
+        _write_rows(out, columns)
         if grid.constant:
             out.write(f"# CONSTANT value={_fmt(float(grid.values[0, 0]))}\n")
     return 0
@@ -221,6 +230,11 @@ def cmd_evolve(args) -> int:
     xx_like = ev.is_xx_like(params)
     j = abs(params.jx) if xx_like else max(abs(params.jx), abs(params.jy), abs(params.jz), 1.0)
     t_max = args.t_max if args.t_max is not None else 4.0 * math.pi * params.hbar / j
+    for name, value in (("--dt", args.dt), ("--t-max", t_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise BadParams(f"{name} must be finite and positive, got {value}")
+    if t_max / args.dt >= MAX_TIME_STEPS:
+        raise BadParams(f"t_max {t_max} at dt {args.dt} needs more than {MAX_TIME_STEPS} time steps")
     n_steps = int(math.floor(t_max / args.dt + 0.5))
     ts = args.dt * np.arange(n_steps + 1)
 
@@ -237,11 +251,10 @@ def cmd_evolve(args) -> int:
         if closed_c is not None:
             header += ",closed_form_C,closed_form_F"
         out.write(header + "\n")
-        for k in range(ts.size):
-            row = f"{_fmt(ts[k])},{_fmt(conc.values[k])},{_fmt(fid.values[k])}"
-            if closed_c is not None:
-                row += f",{_fmt(closed_c[k])},{_fmt(closed_f[k])}"
-            out.write(row + "\n")
+        columns = [ts, conc.values, fid.values]
+        if closed_c is not None:
+            columns += [closed_c, closed_f]
+        _write_rows(out, columns)
         if xx_like and abs(abs(psi) - 1.0) <= 1e-6:
             revival = ev.revival_time(params, psi)
             if revival.status == ev.FOUND:

@@ -21,11 +21,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .coherent_states import PureState
+from .coherent_states import NORM_TOL, PureState
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import entangled_state
-from .entanglement_measures import concurrence_det
-from .errors import BadParams, DimensionMismatch
+from .errors import BadParams, DimensionMismatch, NotNormalized
 from .operators import embed_pair, sigma_x, sigma_y, sigma_z
 from .spin_models import CouplingParams
 
@@ -131,13 +130,23 @@ def _initial_p_plus(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, n
 
 
 def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Determinant concurrence of the evolved P+(psi) on the time grid."""
+    """Determinant concurrence of the evolved P+(psi) on the time grid.
+
+    Each evolved row must lie within NORM_TOL of unit norm, as a
+    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|.
+    """
     c0, h = _initial_p_plus(params, p)
     apply = _spectral_propagator(h, params.hbar)
     ts = np.asarray(t_grid, dtype=float)
     evolved = apply(c0, ts)
-    values = [concurrence_det(PureState(row)) for row in evolved]
-    return TimeSeries(ts, np.array(values))
+    norms = np.linalg.norm(evolved, axis=1, keepdims=True)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if off.any():
+        norm = float(norms[off][0])
+        raise NotNormalized(f"|amplitudes| = {norm!r}, expected 1 within {NORM_TOL}")
+    a = evolved / norms
+    values = 2.0 * np.abs(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2])
+    return TimeSeries(ts, values)
 
 
 def fidelity_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
@@ -174,40 +183,10 @@ def closed_form_concurrence_reading(theta: float, t, j: float, hbar: float = 1.0
     return float(out) if out.ndim == 0 else out
 
 
-def revival_time(params: CouplingParams, p: PointLike) -> Revival:
-    """Smallest t > 0 at which the P+(psi) fidelity returns above 1 - 1e-9.
-
-    Scans a fine grid (dt = 1e-3 hbar/J) up to ten periods, then refines
-    the upward crossing by bisection to 1e-9.  A fidelity that never
-    leaves the threshold band is ALWAYS_ONE (the theta = 0 degenerate
-    case); one that leaves and never returns is NO_REVIVAL.
-    """
-    if not is_xx_like(params):
-        raise BadParams("revival detection is defined for XX-form couplings")
-    psi = as_point(p)
-    if psi.is_infinity or abs(abs(psi.value) - 1.0) > 1e-6:
-        raise BadParams("revival detection needs a unit-circle label psi = e^{i theta}")
-
-    j = abs(params.jx)
-    hbar = params.hbar
-    dt = 1e-3 * hbar / j
-    t_max = _REVIVAL_PERIODS * 2.0 * math.pi * hbar / j
-
-    c0, h = _initial_p_plus(params, p)
-    energies, vectors = np.linalg.eigh(h)
-    weights = np.abs(vectors.conj().T @ c0) ** 2
-
-    def fidelity(t):
-        amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
-        return np.abs(amp) ** 2
-
-    ts = dt * np.arange(1, int(math.ceil(t_max / dt)) + 1)
-    f = fidelity(ts)
-    below = f < _REVIVAL_THRESHOLD
-    if not below.any():
-        return Revival(ALWAYS_ONE)
-    first_below = int(np.argmax(below))
-
+def _first_revival(
+    ts: np.ndarray, f: np.ndarray, first_below: int, fidelity: Callable
+) -> Optional[float]:
+    """The first scan peak after `first_below` whose refined fidelity re-enters the band."""
     # The band [1 - 1e-9, 1] is a few 1e-5 wide in t near a revival, far
     # narrower than the scan step, so raw samples almost never land in it.
     # Locate the fidelity peaks instead, refine each, and take the first
@@ -235,5 +214,49 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
                 hi = mid
             else:
                 lo = mid
-        return Revival(FOUND, float(hi))
-    return Revival(NO_REVIVAL)
+        return float(hi)
+    return None
+
+
+def revival_time(params: CouplingParams, p: PointLike) -> Revival:
+    """Smallest t > 0 at which the P+(psi) fidelity returns above 1 - 1e-9.
+
+    Samples the fidelity on a fine grid (dt = 1e-3 hbar/J), locates the
+    first peak after it leaves the band whose refined value re-enters it,
+    and bisects the upward crossing to 1e-9.  The samples of one period
+    (2 pi hbar / J) are scanned first, since the revival of the XX model
+    sits at pi hbar / J; ten periods are scanned only if none is confirmed
+    there.  The shorter scan is a prefix of the longer one, so both
+    confirm the same first revival.  A fidelity that never leaves the
+    band over ten periods is ALWAYS_ONE (the theta = 0 degenerate case);
+    one that leaves and never returns is NO_REVIVAL.
+    """
+    if not is_xx_like(params):
+        raise BadParams("revival detection is defined for XX-form couplings")
+    psi = as_point(p)
+    if psi.is_infinity or abs(abs(psi.value) - 1.0) > 1e-6:
+        raise BadParams("revival detection needs a unit-circle label psi = e^{i theta}")
+
+    j = abs(params.jx)
+    hbar = params.hbar
+    dt = 1e-3 * hbar / j
+    t_period = 2.0 * math.pi * hbar / j
+    t_max = _REVIVAL_PERIODS * 2.0 * math.pi * hbar / j
+
+    c0, h = _initial_p_plus(params, p)
+    energies, vectors = np.linalg.eigh(h)
+    weights = np.abs(vectors.conj().T @ c0) ** 2
+
+    def fidelity(t):
+        amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
+        return np.abs(amp) ** 2
+
+    for n in (int(math.ceil(t_period / dt)) + 1, int(math.ceil(t_max / dt))):
+        ts = dt * np.arange(1, n + 1)
+        f = fidelity(ts)
+        below = f < _REVIVAL_THRESHOLD
+        if below.any():
+            t = _first_revival(ts, f, int(np.argmax(below)), fidelity)
+            if t is not None:
+                return Revival(FOUND, t)
+    return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)

@@ -7,6 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from qcs import evolution as ev
+from qcs.cli import main
+from qcs.spin_models import CouplingParams, energy_surface
+
 CLI = [sys.executable, "-m", "qcs"]
 
 
@@ -76,8 +80,6 @@ def test_surface_round_trips_doubles():
     out = run_cli(*args)
     header, body = parse_csv(out)
 
-    from qcs.spin_models import CouplingParams, energy_surface
-
     grid = energy_surface(
         CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9), "G+",
         window=(-2, 2, -2, 2), step=0.25, refine=False,
@@ -86,6 +88,64 @@ def test_surface_round_trips_doubles():
         grid.values[i, j] for i in range(grid.ys.size) for j in range(grid.xs.size)
     ]
     assert all(row[2] == ref for row, ref in zip(body, flattened))
+
+
+def _fmt_rows(*columns):
+    return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize(
+    "argv, sid, params, window, step",
+    [
+        (["--model", "xyz", "--jx", "1.1", "--jy", "-0.4", "--jz", "0.9"], "G+",
+         CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9), (-1.5, 1.5, -1.5, 1.5), 0.06),
+        (["--model", "xxz", "--j", "1", "--jz", "-2"], "P+",
+         CouplingParams.xxz(j=1.0, jz=-2.0), (-2.5, 2.5, -2.5, 2.5), 0.1),
+    ],
+)
+@pytest.mark.parametrize("source", ["direct", "closed"])
+def test_surface_bytes_match_per_value_format(tmp_path, argv, sid, params, window, step, source):
+    """`surface` writes each value exactly as format(x, ".17g"), row by row."""
+    target = tmp_path / "surface.csv"
+    window_arg = "--window=" + ",".join(str(w) for w in window)
+    assert main(["surface", "--state", sid, *argv, window_arg, "--step", str(step),
+                 "--source", source, "--output", str(target)]) == 0
+
+    grids = {s: energy_surface(params, sid, window, step, source=s, refine=False)
+             for s in ("direct", "closed")}
+    grid = grids[source]
+    xs, ys = np.meshgrid(grid.xs, grid.ys)
+    columns = [xs.ravel(), ys.ravel(), grid.values.ravel()]
+    header = "x,y,energy"
+    if source == "closed":
+        columns.append((grid.values - grids["direct"].values).ravel())
+        header += ",closed_minus_direct"
+    expected = header + "\n" + _fmt_rows(*columns)
+    # Lines, not one string: a failure then reports the first differing row.
+    assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_evolve_bytes_match_per_value_format(tmp_path):
+    """`evolve` rows and footer are the library series written with format(x, ".17g")."""
+    target = tmp_path / "series.csv"
+    assert main(["evolve", "--j", "1.3", "--theta", "0.9", "--hbar", "0.8", "--dt", "0.01",
+                 "--output", str(target)]) == 0
+    params = CouplingParams.xyz(jx=1.3, jy=1.3, jz=0.0, hbar=0.8)
+    psi = complex(math.cos(0.9), math.sin(0.9))
+    ts = 0.01 * np.arange(int(math.floor(4.0 * math.pi * 0.8 / 1.3 / 0.01 + 0.5)) + 1)
+    revival = ev.revival_time(params, psi)
+    expected = (
+        "t,concurrence,fidelity,closed_form_C,closed_form_F\n"
+        + _fmt_rows(
+            ts,
+            ev.concurrence_series(params, psi, ts).values,
+            ev.fidelity_series(params, psi, ts).values,
+            ev.closed_form_concurrence_reading(0.9, ts, 1.3, 0.8),
+            ev.closed_form_fidelity(0.9, ts, 1.3, 0.8),
+        )
+        + f"# revival_time = {format(revival.time, '.17g')}\n"
+    )
+    assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 def test_surface_constant_marker():
@@ -180,6 +240,28 @@ def test_oversized_window_exits_two():
     assert proc.returncode == 2 and "grid nodes" in proc.stderr and "Traceback" not in proc.stderr
 
 
+BAD_TIME_GRIDS = [
+    ["--dt", "0"],
+    ["--t-max", "inf"],
+    ["--dt", "inf"],
+    ["--dt", "-0.1"],
+    ["--t-max", "-1"],
+    ["--dt", "nan"],
+    ["--dt", "1e-9"],  # about 1.3e10 steps: over MAX_TIME_STEPS
+]
+
+
+def test_bad_time_grid_exits_two_without_traceback():
+    """Time grids that raised ZeroDivisionError, OverflowError or ran out of memory fail cleanly."""
+    for bad in (["--dt", "0"], ["--t-max", "inf"], ["--dt", "1e-9"]):
+        proc = subprocess.run(
+            CLI + ["evolve", "--j", "1", "--theta", "0.5", *bad], capture_output=True, text=True
+        )
+        assert proc.returncode == 2, bad
+        assert proc.stdout == "" and "Traceback" not in proc.stderr, bad
+        assert proc.stderr.startswith("qcs evolve: "), bad
+
+
 def test_usage_errors_exit_two():
     run_cli("surface", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2",
             "--window=3,-3,-3,3", expect=2)
@@ -192,3 +274,6 @@ def test_usage_errors_exit_two():
     run_cli("evolve", "--model", "xxx", "--j", "1", "--hbar", "inf", expect=2)
     run_cli("surface", "--state", "P+", "--jx", "1", "--window=0,inf,0,1", expect=2)
     run_cli("extrema", "--state", "P+", "--jx", "1", "--step", "nan", expect=2)
+    # In-process: the subprocess route is tested just above.
+    for bad in BAD_TIME_GRIDS:
+        assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
+import qcs.evolution as ev
+from qcs.coherent_states import PureState
 from qcs.entangled_basis import entangled_state
-from qcs.errors import BadParams
+from qcs.entanglement_measures import concurrence_det
+from qcs.errors import BadParams, NotNormalized
 from qcs.evolution import (
     ALWAYS_ONE,
     FOUND,
+    NO_REVIVAL,
+    Revival,
     TimeSeries,
     closed_form_fidelity,
     concurrence_series,
@@ -121,6 +129,122 @@ def test_concurrence_series_structure():
     assert abs(conc.values[0] - 1.0) < 1e-10
     shifted = concurrence_series(XX, unit_label(0.9), ts + math.pi)
     assert np.max(np.abs(conc.values - shifted.values)) < 1e-10
+
+
+def _scalar_concurrence(params, psi, ts):
+    """One validated PureState and one determinant per evolved row."""
+    c0 = entangled_state("P+", psi).amplitudes
+    evolved = ev._spectral_propagator(exchange_hamiltonian(params), params.hbar)(c0, ts)
+    return np.array([concurrence_det(PureState(row)) for row in evolved])
+
+
+TIME_GRIDS = (
+    np.array([0.0]),
+    np.linspace(0.0, 1.0, 5),
+    0.01 * np.arange(1257),
+    np.linspace(0.0, 4.0 * math.pi, 161),
+    np.linspace(0.3, 250.0, 97),
+)
+
+
+@seed(53)
+@settings(max_examples=60, deadline=None)
+@given(
+    j=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    radius=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    angle=st.floats(-math.pi, math.pi),
+    ts=st.sampled_from(TIME_GRIDS),
+)
+def test_concurrence_series_matches_scalar_route(j, radius, angle, ts):
+    """The array determinant agrees with the per-row PureState route to the last bits."""
+    params = CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2])
+    psi = radius * complex(math.cos(angle), math.sin(angle))
+    conc = concurrence_series(params, psi, ts)
+    assert np.array_equal(conc.t, ts)
+    assert np.max(np.abs(conc.values - _scalar_concurrence(params, psi, ts))) <= 1e-15
+
+
+def _scaled_propagator(monkeypatch, factor):
+    """Make the propagator scale the last evolved row by `factor`."""
+    real = ev._spectral_propagator
+
+    def scaled(h, hbar):
+        apply = real(h, hbar)
+
+        def apply_scaled(c0, t):
+            out = apply(c0, t)
+            out[-1] *= factor
+            return out
+
+        return apply_scaled
+
+    monkeypatch.setattr(ev, "_spectral_propagator", scaled)
+
+
+def test_concurrence_series_rejects_unnormalized_rows(monkeypatch):
+    ts = np.linspace(0.0, 1.0, 5)
+    reference = concurrence_series(XX, unit_label(0.9), ts).values
+    _scaled_propagator(monkeypatch, 1.0 + 1e-12)  # inside NORM_TOL: renormalized
+    inside = concurrence_series(XX, unit_label(0.9), ts).values
+    assert np.max(np.abs(inside - reference)) <= 1e-15
+    _scaled_propagator(monkeypatch, 1.0 + 1e-6)
+    with pytest.raises(NotNormalized):
+        concurrence_series(XX, unit_label(0.9), ts)
+
+
+def _ten_period_revival(params, psi):
+    """Revival search over all ten periods at once, kept as the reference."""
+    j, hbar = abs(params.jx), params.hbar
+    dt = 1e-3 * hbar / j
+    t_max = 10 * 2.0 * math.pi * hbar / j
+    c0 = entangled_state("P+", psi).amplitudes
+    energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
+    weights = np.abs(vectors.conj().T @ c0) ** 2
+
+    def fidelity(t):
+        amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
+        return np.abs(amp) ** 2
+
+    threshold = 1.0 - 1e-9
+    ts = dt * np.arange(1, int(math.ceil(t_max / dt)) + 1)
+    f = fidelity(ts)
+    below = f < threshold
+    if not below.any():
+        return Revival(ALWAYS_ONE)
+    first_below = int(np.argmax(below))
+    peaks = 1 + np.nonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0]
+    for k in peaks:
+        if k <= first_below:
+            continue
+        result = minimize_scalar(
+            lambda t: -fidelity(t), bounds=(ts[k - 1], ts[k + 1]),
+            method="bounded", options={"xatol": 1e-12},
+        )
+        t_peak = float(result.x)
+        if fidelity(t_peak) < threshold:
+            continue
+        left = k - 1
+        while left > 0 and f[left] >= threshold:
+            left -= 1
+        lo, hi = float(ts[left]), t_peak
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if fidelity(mid) >= threshold:
+                hi = mid
+            else:
+                lo = mid
+        return Revival(FOUND, float(hi))
+    return Revival(NO_REVIVAL)
+
+
+@pytest.mark.parametrize("hbar", [0.8, 1.0])
+@pytest.mark.parametrize("j", [0.37, 1.0, 2.5])
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.1, math.pi / 8, 0.6, math.pi / 2])
+def test_revival_matches_ten_period_scan(theta, j, hbar):
+    """Scanning one period first confirms exactly the revival the full scan does."""
+    params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
+    psi = unit_label(theta)
+    assert revival_time(params, psi) == _ten_period_revival(params, psi)
 
 
 def test_revival_near_pi():
