@@ -240,8 +240,10 @@ def cmd_evolve(args) -> int:
 
     conc = ev.concurrence_series(params, psi, ts)
     fid = ev.fidelity_series(params, psi, ts)
+    # The closed forms and the revival footer both need psi = e^{i theta}.
+    on_circle = xx_like and abs(abs(psi) - 1.0) <= 1e-9
     closed_c = closed_f = None
-    if xx_like and abs(abs(psi) - 1.0) <= 1e-9:
+    if on_circle:
         theta = math.atan2(psi.imag, psi.real)
         closed_c = ev.closed_form_concurrence_reading(theta, ts, params.jx, params.hbar)
         closed_f = ev.closed_form_fidelity(theta, ts, params.jx, params.hbar)
@@ -255,7 +257,7 @@ def cmd_evolve(args) -> int:
         if closed_c is not None:
             columns += [closed_c, closed_f]
         _write_rows(out, columns)
-        if xx_like and abs(abs(psi) - 1.0) <= 1e-6:
+        if on_circle:
             revival = ev.revival_time(params, psi)
             if revival.status == ev.FOUND:
                 out.write(f"# revival_time = {_fmt(revival.time)}\n")

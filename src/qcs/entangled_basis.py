@@ -13,7 +13,9 @@ the label-independent singlet.  The three-qubit analogues
     PG+ = (|psi psi psi> + |a a a>) / sqrt(2)
     PG- = (|psi psi a> + |psi a psi> + |a psi psi>) / sqrt(3)
 
-reduce to the GHZ and W states at psi = 0.
+reduce to the GHZ and W states at psi = 0.  The six formulas live in
+`_combine`; one basis member is its one-row case and
+`entangled_amplitudes` its many-label case.
 """
 
 from __future__ import annotations
@@ -107,29 +109,41 @@ def w_state() -> PureState:
     return PureState(amps)
 
 
+def _combine(sid: str, k: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The P/G/PG formulas: member sid from factor rows k = |psi>, a = |-psi*> of shape (N, 2).
+
+    Returns the (N, 4) or (N, 8) amplitudes, one row per label.
+    """
+
+    def kron(*factors: np.ndarray) -> np.ndarray:
+        return reduce(lambda u, v: (u[:, :, None] * v[:, None, :]).reshape(len(k), -1), factors)
+
+    if sid == "PG+":
+        return (kron(k, k, k) + kron(a, a, a)) / _SQRT2
+    if sid == "PG-":
+        return (kron(k, k, a) + kron(k, a, k) + kron(a, k, k)) / _SQRT3
+    first, second = (kron(k, k), kron(a, a)) if sid[0] == "P" else (kron(k, a), kron(a, k))
+    return (first + second if sid.endswith("+") else first - second) / _SQRT2
+
+
+def _members(p: PointLike, sids: tuple[str, ...]) -> tuple[PureState, ...]:
+    """Basis members sids at one label: the one-row case of `_combine`."""
+    k, a = (row[None, :] for row in _pair(p))
+    return tuple(PureState(_combine(sid, k, a)[0]) for sid in sids)
+
+
 def entangled_basis_2q(p: PointLike) -> tuple[PureState, PureState, PureState, PureState]:
     """The maximally entangled basis (P+, P-, G+, G-) at label psi.
 
     Every member has concurrence 1 for every label; at psi = 0 the tuple
     is (Phi+, Phi-, Psi+, Psi-).
     """
-    k, a = _pair(p)
-    kk, aa = np.kron(k, k), np.kron(a, a)
-    ka, ak = np.kron(k, a), np.kron(a, k)
-    return (
-        PureState((kk + aa) / _SQRT2),
-        PureState((kk - aa) / _SQRT2),
-        PureState((ka + ak) / _SQRT2),
-        PureState((ka - ak) / _SQRT2),
-    )
+    return _members(p, STATE_IDS[:4])
 
 
 def entangled_basis_3q(p: PointLike) -> tuple[PureState, PureState]:
     """The three-qubit pair (PG+, PG-), reducing to (GHZ, W) at psi = 0."""
-    k, a = _pair(p)
-    plus = (kron_all(k, k, k) + kron_all(a, a, a)) / _SQRT2
-    minus = (kron_all(k, k, a) + kron_all(k, a, k) + kron_all(a, k, k)) / _SQRT3
-    return PureState(plus), PureState(minus)
+    return _members(p, STATE_IDS[4:])
 
 
 def _state_id(state_id: str) -> str:
@@ -141,11 +155,7 @@ def _state_id(state_id: str) -> str:
 
 def entangled_state(state_id: str, p: PointLike) -> PureState:
     """Look up one basis member by identifier: P+, P-, G+, G-, PG+ or PG-."""
-    sid = _state_id(state_id)
-    if sid.startswith("PG"):
-        plus, minus = entangled_basis_3q(p)
-        return plus if sid == "PG+" else minus
-    return entangled_basis_2q(p)[STATE_IDS.index(sid)]
+    return _members(p, (_state_id(state_id),))[0]
 
 
 def entangled_amplitudes(state_id: str, psi) -> np.ndarray:
@@ -160,16 +170,7 @@ def entangled_amplitudes(state_id: str, psi) -> np.ndarray:
     d = np.hypot(1.0, np.abs(psi))
     k = np.array([1.0 / d, psi / d]).T
     a = np.array([-psi.conj() / d, 1.0 / d]).T
-
-    def kron(*factors: np.ndarray) -> np.ndarray:
-        return reduce(lambda u, v: (u[:, :, None] * v[:, None, :]).reshape(psi.size, -1), factors)
-
-    if sid == "PG+":
-        return (kron(k, k, k) + kron(a, a, a)) / _SQRT2
-    if sid == "PG-":
-        return (kron(k, k, a) + kron(k, a, k) + kron(a, k, k)) / _SQRT3
-    first, second = (kron(k, k), kron(a, a)) if sid[0] == "P" else (kron(k, a), kron(a, k))
-    return (first + second if sid.endswith("+") else first - second) / _SQRT2
+    return _combine(sid, k, a)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,8 @@ def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeri
     """Determinant concurrence of the evolved P+(psi) on the time grid.
 
     Each evolved row must lie within NORM_TOL of unit norm, as a
-    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|.
+    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|,
+    capped at 1 so rounding cannot push it past its bound.
     """
     c0, h = _initial_p_plus(params, p)
     apply = _spectral_propagator(h, params.hbar)
@@ -146,17 +147,17 @@ def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeri
         raise NotNormalized(f"|amplitudes| = {norm!r}, expected 1 within {NORM_TOL}")
     a = evolved / norms
     values = 2.0 * np.abs(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2])
-    return TimeSeries(ts, values)
+    return TimeSeries(ts, np.minimum(values, 1.0))
 
 
 def fidelity_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Fidelity |<psi(t)|P+(psi)>|^2 of the evolved state with its initial state."""
+    """Fidelity |<psi(t)|P+(psi)>|^2 of the evolved state with its initial state, capped at 1."""
     c0, h = _initial_p_plus(params, p)
     apply = _spectral_propagator(h, params.hbar)
     ts = np.asarray(t_grid, dtype=float)
     evolved = apply(c0, ts)
     values = np.abs(evolved @ c0.conj()) ** 2
-    return TimeSeries(ts, values)
+    return TimeSeries(ts, np.minimum(values, 1.0))
 
 
 def closed_form_fidelity(theta: float, t, j: float, hbar: float = 1.0):

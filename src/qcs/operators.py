@@ -15,13 +15,11 @@ __all__ = [
     "sigma_x",
     "sigma_y",
     "sigma_z",
-    "identity2",
     "spin_plus",
     "spin_minus",
     "spin_z",
     "embed_pair",
     "kron_all",
-    "assert_hermitian",
 ]
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,10 +38,6 @@ def sigma_y() -> np.ndarray:
 
 def sigma_z() -> np.ndarray:
     return _SZ.copy()
-
-
-def identity2() -> np.ndarray:
-    return _ID.copy()
 
 
 def spin_plus(hbar: float = 1.0) -> np.ndarray:
@@ -75,10 +69,3 @@ def embed_pair(op_i: np.ndarray, op_j: np.ndarray, i: int, j: int, n: int) -> np
     factors[j] = op_j
     return kron_all(*factors)
 
-
-def assert_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Return the matrix unchanged if Hermitian within tol, else raise."""
-    dev = np.max(np.abs(matrix - matrix.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    return matrix

@@ -386,13 +386,10 @@ def _check_q_symbol_constants(rng) -> float:
 
 
 def _closed_vs_direct(params, sid, bonds) -> float:
-    worst = 0.0
-    grid = np.linspace(-2.0, 2.0, 21)
-    for x in grid:
-        for y in grid:
-            direct, closed, diff = sm.q_symbol_pair(params, sid, complex(x, y), bonds)
-            worst = max(worst, abs(diff))
-    return worst
+    x, y = np.meshgrid(np.linspace(-2.0, 2.0, 21), np.linspace(-2.0, 2.0, 21))
+    direct = sm._surface_function(params, sid, "direct", bonds)(x, y)
+    closed = sm._surface_function(params, sid, "closed", bonds)(x, y)
+    return float(np.max(np.abs(closed - direct)))
 
 
 def _check_closed_vs_direct_xyz(rng) -> float:

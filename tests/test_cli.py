@@ -188,12 +188,15 @@ def test_evolve_closed_form_columns_on_unit_circle():
 
 
 def test_evolve_off_circle_drops_closed_forms():
-    out = run_cli(
-        "evolve", "--model", "xyz", "--jx", "1", "--jy", "1", "--jz", "0",
-        "--psi", "0.5,0", "--t-max", "0.5", "--dt", "0.25",
-    )
-    header, _ = parse_csv(out)
-    assert header == ["t", "concurrence", "fidelity"]
+    # 1.0000001 is off the circle by 1e-7: no closed-form columns and no revival footer either.
+    for psi in ("0.5,0", "1.0000001,0"):
+        out = run_cli(
+            "evolve", "--model", "xyz", "--jx", "1", "--jy", "1", "--jz", "0",
+            "--psi", psi, "--t-max", "0.5", "--dt", "0.25",
+        )
+        header, _ = parse_csv(out)
+        assert header == ["t", "concurrence", "fidelity"]
+        assert not any(ln.startswith("#") for ln in out.splitlines()), psi
 
 
 def test_evolve_generic_coupling_numeric_only():

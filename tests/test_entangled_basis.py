@@ -103,15 +103,34 @@ def test_unknown_state_id():
 wide_labels = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
 
 
+def _kronecker_oracle(sid, psi):
+    """Member sid at label psi from explicit Kronecker products of [1, psi]/d and [-conj psi, 1]/d."""
+    d = math.hypot(1.0, abs(psi))
+    k = np.array([1.0, psi]) / d
+    a = np.array([-np.conj(psi), 1.0]) / d
+    kk, ka, ak, aa = np.kron(k, k), np.kron(k, a), np.kron(a, k), np.kron(a, a)
+    return {
+        "P+": (kk + aa) / math.sqrt(2.0),
+        "P-": (kk - aa) / math.sqrt(2.0),
+        "G+": (ka + ak) / math.sqrt(2.0),
+        "G-": (ka - ak) / math.sqrt(2.0),
+        "PG+": (np.kron(kk, k) + np.kron(aa, a)) / math.sqrt(2.0),
+        "PG-": (np.kron(kk, a) + np.kron(ka, k) + np.kron(ak, k)) / math.sqrt(3.0),
+    }[sid]
+
+
 @seed(41)
 @given(labels=st.lists(wide_labels, min_size=1, max_size=6))
 @example(labels=[0j, 1e150, -1e150j, 1e-150 + 1e-150j])
 def test_batched_amplitudes_match_entangled_state(labels):
+    """Both amplitude routes, batched and one label at a time, against the Kronecker oracle."""
     for sid in STATE_IDS:
         batch = entangled_amplitudes(sid, labels)
         assert batch.shape == (len(labels), 8 if sid.startswith("PG") else 4)
         for row, p in zip(batch, labels):
-            assert np.max(np.abs(row - entangled_state(sid, p).amplitudes)) <= TOL, (sid, p)
+            expected = _kronecker_oracle(sid, p)
+            assert np.max(np.abs(row - expected)) <= TOL, (sid, p)
+            assert np.max(np.abs(entangled_state(sid, p).amplitudes - expected)) <= TOL, (sid, p)
 
 
 def test_batched_amplitudes_reject_non_finite_labels():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -162,6 +162,27 @@ def test_concurrence_series_matches_scalar_route(j, radius, angle, ts):
     conc = concurrence_series(params, psi, ts)
     assert np.array_equal(conc.t, ts)
     assert np.max(np.abs(conc.values - _scalar_concurrence(params, psi, ts))) <= 1e-15
+
+
+@seed(59)
+@settings(max_examples=40, deadline=None)
+@given(
+    j=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    radius=st.one_of(st.just(1.0), st.floats(0.0, 1e3)),
+    angle=st.floats(-math.pi, math.pi),
+    ts=st.sampled_from(TIME_GRIDS),
+)
+@example(j=(1.0, 1.0, 0.0), radius=1.0, angle=0.0, ts=np.array([0.0, 0.01, 0.02]))
+def test_series_are_capped_at_one(j, radius, angle, ts):
+    """Rounding never lifts C or F above 1, and the cap moves only values that exceeded it."""
+    params = CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2])
+    psi = radius * complex(math.cos(angle), math.sin(angle))
+    conc = concurrence_series(params, psi, ts).values
+    fid = fidelity_series(params, psi, ts).values
+    assert conc.max() <= 1.0 and fid.max() <= 1.0
+    c0 = entangled_state("P+", psi).amplitudes
+    evolved = ev._spectral_propagator(exchange_hamiltonian(params), params.hbar)(c0, ts)
+    assert np.array_equal(fid, np.minimum(np.abs(evolved @ c0.conj()) ** 2, 1.0))
 
 
 def _scaled_propagator(monkeypatch, factor):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -267,6 +267,36 @@ def test_surface_grid_matches_scalar_routes(j, corner, step):
                     for i, y in enumerate(grid.ys):
                         for k, x in enumerate(grid.xs):
                             assert abs(grid.values[i, k] - f(x, y)) <= 1e-12, (params, sid, bonds, source)
+
+
+@seed(61)
+@settings(max_examples=40, deadline=None)
+@given(
+    j=st.tuples(couplings, couplings, couplings),
+    log_radius=st.floats(-150.0, 150.0),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6),
+)
+@example(j=(1.1, -0.4, 0.9), log_radius=-150.0, angles=[0.0, 0.3, -2.0])
+@example(j=(1.1, -0.4, 0.9), log_radius=150.0, angles=[0.0, 0.3, -2.0])
+def test_q_symbols_lie_within_spectrum(j, log_radius, angles):
+    """Direct Q symbols are expectations of H, so both routes stay inside [lambda_min, lambda_max]."""
+    jx, jy, jz = j
+    models = (
+        CouplingParams.xyz(jx=jx, jy=jy, jz=jz),
+        CouplingParams.xxz(j=jx, delta=jz),
+        CouplingParams.xxx(j=jy, hbar=1.0 + abs(jz)),
+    )
+    psi = 10.0**log_radius * np.exp(1j * np.array(angles))
+    for params in models:
+        for sid in STATE_IDS:
+            for bonds in ("all-pairs", "chain"):
+                spectrum = np.linalg.eigvalsh(hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds))
+                slack = 1e-12 * (1.0 + np.max(np.abs(spectrum)))
+                kernel = sm._surface_function(params, sid, "direct", bonds)(psi.real, psi.imag)
+                scalar = np.array([q_symbol_direct(params, sid, p, bonds) for p in psi])
+                for values in (kernel, scalar):
+                    assert spectrum[0] - slack <= values.min(), (params, sid, bonds)
+                    assert values.max() <= spectrum[-1] + slack, (params, sid, bonds)
 
 
 def test_surface_repeat_runs_identical():
