@@ -103,8 +103,9 @@ def _add_coupling_flags(parser: argparse.ArgumentParser):
 
 
 def _add_psi_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--psi", default=None, help="label as 're,im'")
-    parser.add_argument("--theta", type=float, default=None, help="psi = (cos th, sin th)")
+    label = parser.add_mutually_exclusive_group()
+    label.add_argument("--psi", default=None, help="label as 're,im'")
+    label.add_argument("--theta", type=float, default=None, help="psi = (cos th, sin th)")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser):

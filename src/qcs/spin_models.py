@@ -3,7 +3,9 @@
 The Q symbol of a model is the diagonal expectation E(psi) =
 <B(psi)|H|B(psi)> taken in one maximally entangled basis member B; plotted
 over the label plane it forms an energy surface whose isolated extrema
-are located on a grid and refined by direct search.
+are located on a grid and refined: minima and maxima by safeguarded
+Newton on difference stencils, saddles by Nelder-Mead on the squared
+gradient.
 
 Two evaluation routes exist: `q_symbol_direct` (matrix element, the
 oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
@@ -63,6 +65,10 @@ _GRAD_STEP = 1e-5
 _HESS_STEP = 1e-4
 _CURVATURE_FLOOR = 1e-5
 _MERGE_DIST = 1e-4
+# Safeguarded Newton refinement: step cap, gradient floor and iteration cap.
+_TRUST_RADIUS = 0.25
+_NEWTON_GRAD_TOL = 1e-9
+_NEWTON_MAX_ITER = 100
 # Extremum values this close (relative) are ordered by position, not by rounding noise.
 _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
@@ -374,8 +380,9 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per row, refinement once per Nelder-Mead point and once
-    per difference stencil.  The direct route divides <a|H|a> by <a|a>,
+    call it once per row; Newton refinement once per iteration for the
+    13-label `_stencil` and once per line-search point; the saddle hunt once
+    per 4-point gradient stencil.  The direct route divides <a|H|a> by <a|a>,
     which cancels the rounding of the batched amplitudes' norm as
     PureState's renormalization does for `q_symbol_direct`.  Kernels are
     cached, so a surface's grid and refinements fetch the Hamiltonian once.
@@ -430,20 +437,40 @@ def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
     return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
-def _gradient(f: Callable, x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of the kernel f; its 4-point stencil is one call."""
-    e = f(np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h]))
+# Unit offsets (dx row, dy row) of the central-difference stencils; scaled by the step h.
+_GRAD_STENCIL = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+_HESS_STENCIL = np.array(
+    [[0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]
+)
+# Both stencils at their default steps, evaluated together by `_stencil`.
+_JOINT_STENCIL = np.hstack([_GRAD_STEP * _GRAD_STENCIL, _HESS_STEP * _HESS_STENCIL])
+
+
+def _gradient_of(e: np.ndarray, h: float) -> np.ndarray:
     return np.array([(e[0] - e[1]) / (2.0 * h), (e[2] - e[3]) / (2.0 * h)])
 
 
-def _hessian(f: Callable, x: float, y: float, h: float = _HESS_STEP) -> np.ndarray:
-    """Central-difference Hessian of the kernel f; its 9-point stencil is one call."""
-    xp, xm, yp, ym = x + h, x - h, y + h, y - h
-    e = f(np.array([x, xp, xm, x, x, xp, xp, xm, xm]), np.array([y, y, y, yp, ym, yp, ym, yp, ym]))
+def _hessian_of(e: np.ndarray, h: float) -> np.ndarray:
     fxx = (e[1] - 2.0 * e[0] + e[2]) / h**2
     fyy = (e[3] - 2.0 * e[0] + e[4]) / h**2
     fxy = (e[5] - e[6] - e[7] + e[8]) / (4.0 * h**2)
     return np.array([[fxx, fxy], [fxy, fyy]])
+
+
+def _gradient(f: Callable, x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
+    """Central-difference gradient of the kernel f; its 4-point stencil is one call."""
+    return _gradient_of(f(x + h * _GRAD_STENCIL[0], y + h * _GRAD_STENCIL[1]), h)
+
+
+def _hessian(f: Callable, x: float, y: float, h: float = _HESS_STEP) -> np.ndarray:
+    """Central-difference Hessian of the kernel f; its 9-point stencil is one call."""
+    return _hessian_of(f(x + h * _HESS_STENCIL[0], y + h * _HESS_STENCIL[1]), h)
+
+
+def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, gradient, Hessian) at (x, y): `_gradient` and `_hessian` in one 13-label kernel call."""
+    e = f(x + _JOINT_STENCIL[0], y + _JOINT_STENCIL[1])
+    return float(e[4]), _gradient_of(e[:4], _GRAD_STEP), _hessian_of(e[4:], _HESS_STEP)
 
 
 def _classify(f: Callable[[float, float], float], x: float, y: float) -> str:
@@ -458,6 +485,38 @@ def _classify(f: Callable[[float, float], float], x: float, y: float) -> str:
     return CONSTANT
 
 
+def _newton(
+    f: Callable, x: float, y: float, sign: float, stencil: tuple[float, np.ndarray, np.ndarray]
+) -> tuple[float, float, int]:
+    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations).
+
+    `stencil` is `_stencil(f, x, y)`.  The Hessian's eigenvalues are replaced
+    by max(|lambda|, 1e-8), so every step goes downhill even where the
+    iterate's Hessian is not definite; steps are capped at _TRUST_RADIUS and
+    halved while sign * f rises beyond rounding.  Stops once the step or the
+    gradient is below tolerance; the gradient floor ends the jitter that
+    difference noise causes near a degenerate extremum.  Raises
+    NoConvergence after _NEWTON_MAX_ITER iterations.
+    """
+    for iteration in range(1, _NEWTON_MAX_ITER + 1):
+        value, grad, hess = stencil
+        if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
+            return x, y, iteration - 1
+        lam, vecs = np.linalg.eigh(sign * hess)
+        step = -vecs @ ((vecs.T @ (sign * grad)) / np.maximum(np.abs(lam), 1e-8))
+        step *= min(1.0, _TRUST_RADIUS / float(np.linalg.norm(step)))
+        level = sign * value + 1e-13 * (1.0 + abs(value))
+        for _ in range(30):
+            if sign * float(f(x + float(step[0]), y + float(step[1]))) <= level:
+                break
+            step /= 2.0
+        x, y = x + float(step[0]), y + float(step[1])
+        if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
+            return x, y, iteration
+        stencil = _stencil(f, x, y)
+    raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
+
+
 def refine_extremum(
     params: CouplingParams,
     state_id: str,
@@ -465,47 +524,45 @@ def refine_extremum(
     source: str = "direct",
     bonds: str = "all-pairs",
 ) -> Extremum:
-    """Polish a coarse extremum seed by Nelder-Mead direct search.
+    """Polish a coarse extremum seed into a stationary point.
 
-    The search direction (minimize, maximize, or stationary-point hunt)
-    follows the local Hessian at the seed.  The refined point never
-    degrades the seed value for minima/maxima, and its central-difference
-    gradient norm is driven below 1e-6.  Raises NoConvergence when the
-    simplex stalls.
+    The route follows the local Hessian at the seed.  A definite Hessian
+    (a minimum or maximum seed) is polished by safeguarded Newton on the
+    difference stencils (`_newton`), whose steps are halved while the value
+    gets worse beyond rounding; an indefinite one by Nelder-Mead on the
+    squared gradient norm.  Either way the central-difference gradient is driven below
+    1e-6.  A flat seed is returned as CONSTANT.  Raises NoConvergence when
+    Newton exceeds its iteration cap or the simplex stalls.
     """
     f = _surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    grad0 = _gradient(f, x0, y0)
-    hess0 = _hessian(f, x0, y0)
+    stencil = _stencil(f, x0, y0)
+    value0, grad0, hess0 = stencil
     if float(np.max(np.abs(hess0))) < _CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
-        return Extremum(x0, y0, float(f(x0, y0)), CONSTANT)
+        return Extremum(x0, y0, value0, CONSTANT)
 
     eigs = np.linalg.eigvalsh(hess0)
-    # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
-    if eigs[0] > 0.0:
-        objective = lambda v: float(f(*v.tolist()))
-        sign = 1.0
-    elif eigs[1] < 0.0:
-        objective = lambda v: -float(f(*v.tolist()))
-        sign = -1.0
+    if eigs[0] > 0.0 or eigs[1] < 0.0:
+        route = "newton"
+        x, y, iterations = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)
     else:
-        objective = lambda v: float(np.sum(_gradient(f, *v.tolist()) ** 2))
-        sign = 0.0
-
-    res = minimize(
-        objective,
-        np.array([x0, y0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
-    )
-    if not res.success:
-        raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
-    x, y = float(res.x[0]), float(res.x[1])
-    value = float(f(x, y))
-    if sign > 0.0:
-        value = min(value, float(f(x0, y0)))  # Nelder-Mead never increases; guard rounding.
-    kind = _classify(f, x, y)
-    return Extremum(x, y, value, kind)
+        route = "stationary"
+        # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
+        res = minimize(
+            lambda v: float(np.sum(_gradient(f, *v.tolist()) ** 2)),
+            np.array([x0, y0]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
+        )
+        if not res.success:
+            raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
+        x, y, iterations = float(res.x[0]), float(res.x[1]), int(res.nit)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
+            (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(_gradient(f, x, y))),
+        )
+    return Extremum(x, y, float(f(x, y)), _classify(f, x, y))
 
 
 def _merge_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
@@ -548,11 +605,13 @@ def energy_surface(
     MAX_GRID_NODES nodes raise BadParams before anything is allocated.
 
     Seeds come from strict 8-neighbor dominance with a relative noise
-    margin; each seed is refined by direct search and duplicates within
-    1e-4 are merged.  A seed whose refinement raises NoConvergence is
-    dropped (logged at DEBUG on the "qcs" logger) and the other extrema
-    are kept.  A surface whose spread is below 1e-10 * (1 + |max|) is
-    flagged constant and carries no extrema.
+    margin; each seed is refined by `refine_extremum` (Newton for a definite
+    Hessian at the seed, Nelder-Mead on the squared gradient otherwise) and
+    duplicates within 1e-4 are merged.  Each refinement is logged at DEBUG
+    on the "qcs" logger with its route, iterations and final gradient.  A
+    seed whose refinement raises NoConvergence is dropped (also logged at
+    DEBUG) and the other extrema are kept.  A surface whose spread is
+    below 1e-10 * (1 + |max|) is flagged constant and carries no extrema.
     """
     sid = state_id.upper()
     source = _source(source)

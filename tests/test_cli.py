@@ -277,6 +277,7 @@ def test_usage_errors_exit_two():
     run_cli("evolve", "--model", "xxx", "--j", "1", "--hbar", "inf", expect=2)
     run_cli("surface", "--state", "P+", "--jx", "1", "--window=0,inf,0,1", expect=2)
     run_cli("extrema", "--state", "P+", "--jx", "1", "--step", "nan", expect=2)
+    run_cli("state", "--state", "P+", "--psi", "1,0", "--theta", "0.5", expect=2)  # two labels
     # In-process: the subprocess route is tested just above.
     for bad in BAD_TIME_GRIDS:
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2

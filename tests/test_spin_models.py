@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from qcs import spin_models as sm
 from qcs.entangled_basis import STATE_IDS, entangled_state
-from qcs.errors import BadParams, FormulaUnavailable, InfinitePoint
+from qcs.errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
 from qcs.spin_models import (
     CouplingParams,
     energy_surface,
@@ -424,6 +425,10 @@ def test_batched_stencils_match_pointwise_formulas(x, y, h):
     poly = lambda u, v: u * u * v - 2.0 * u * v * v + u / (1.0 + v * v) + 0.5 * v
     assert np.array_equal(sm._gradient(poly, x, y, h), _gradient_pointwise(poly, x, y, h))
     assert np.array_equal(sm._hessian(poly, x, y, h), _hessian_pointwise(poly, x, y, h))
+    value, grad, hess = sm._stencil(poly, x, y)
+    assert value == poly(x, y)
+    assert np.array_equal(grad, sm._gradient(poly, x, y))
+    assert np.array_equal(hess, sm._hessian(poly, x, y))
     # The direct kernel's einsum may round a label differently inside a batch,
     # so allow a few ulps of each value, divided by the stencil's step.
     f = sm._surface_function(GEN, "PG+", "direct", "all-pairs")
@@ -453,21 +458,191 @@ def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
     """One NoConvergence drops its seed only; the others still become extrema."""
     window = (-1.7, 1.7, -1.7, 1.7)
     full = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
-    bad_seed = (-1.0, 0.0)  # a grid node, seed of the MIN at (-1, 0)
+    bad_seed = (-1.0, 0.0)  # a grid node, seed of the MIN at (-1, 0); definite, so Newton refines it
+    newton = sm._newton
+    failed = []
+
+    def flaky_newton(f, x, y, *args):
+        if np.allclose((x, y), bad_seed, atol=1e-9):
+            failed.append((x, y))
+            raise NoConvergence("injected")
+        return newton(f, x, y, *args)
+
+    monkeypatch.setattr(sm, "_newton", flaky_newton)
+    with caplog.at_level("DEBUG", logger="qcs"):
+        partial = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
+    assert len(failed) == 1
+    assert [e for e in full.extrema if abs(e.x + 1.0) > 1e-3] == list(partial.extrema)
+    assert len(partial.extrema) == 3
+    assert any("dropping seed" in r.getMessage() for r in caplog.records)
+
+
+# G+ XYZ near jx = jy: the grid seed near (1.04, 0.02) has Hessian eigenvalues
+# (-0.375, 1.45e-4), so it takes the stationary-point hunt and ends at the SADDLE (1, 0).
+G_NEAR = CouplingParams.xyz(jx=0.465721243863944, jy=0.45666640033603256, jz=0.6800728488750654)
+G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5207797056629486)
+
+
+def test_failed_stationary_hunt_keeps_other_extrema(monkeypatch, caplog):
+    """A stalled Nelder-Mead stationary hunt drops its seed only."""
+    full = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+    assert [e.kind for e in full.extrema] == [sm.MIN, sm.SADDLE, sm.MAX, sm.MAX]
+    saddle = full.extrema[1]
+    assert math.hypot(saddle.x - 1.0, saddle.y) <= 1e-7
     minimize = sm.minimize
+    failed = []
 
     def flaky_minimize(fun, x0, **kwargs):
         result = minimize(fun, x0, **kwargs)
-        if np.allclose(x0, bad_seed, atol=1e-9):
+        if math.hypot(x0[0] - 1.0, x0[1]) < 0.1:
+            failed.append(tuple(x0))
             result.success = False
         return result
 
     monkeypatch.setattr(sm, "minimize", flaky_minimize)
     with caplog.at_level("DEBUG", logger="qcs"):
-        partial = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
-    assert [e for e in full.extrema if abs(e.x + 1.0) > 1e-3] == list(partial.extrema)
+        partial = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+    assert len(failed) == 1
+    f = sm._surface_function(G_NEAR, "G+", "closed", "all-pairs")
+    eigs = np.linalg.eigvalsh(sm._hessian(f, *failed[0]))
+    assert eigs[0] < 0.0 < eigs[1]
+    assert [e for e in full.extrema if e is not saddle] == list(partial.extrema)
     assert len(partial.extrema) == 3
     assert any("dropping seed" in r.getMessage() for r in caplog.records)
+
+
+def test_refinement_logs_route_per_seed(caplog):
+    """Each refinement logs its seed, route, iterations and final gradient at DEBUG on "qcs"."""
+    with caplog.at_level("DEBUG", logger="qcs"):
+        grid = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refined seed")]
+    assert len(lines) == len(sm._grid_seeds(grid.values)) == 4
+    assert sum(" by newton in " in line for line in lines) == 3
+    assert sum(" by stationary in " in line for line in lines) == 1
+    for line in lines:
+        assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
+
+
+def test_shallow_valley_minima_are_kept():
+    """Seeds up to 0.5 from a shallow minimum (six steps of this grid) still reach it."""
+    params = CouplingParams.xyz(jx=1.6980793402194458, jy=-0.5241278911809659, jz=1.751768203344752)
+    window = (-2.481228575094236, 2.518771424905764, -2.4826186258668765, 2.5173813741331235)
+    grid = energy_surface(params, "P+", window, 0.08, "closed")
+    assert [e.kind for e in grid.extrema] == [sm.MIN, sm.MIN]
+    for e, y in zip(grid.extrema, (-1.0, 1.0)):
+        assert math.hypot(e.x, e.y - y) <= 1e-7
+
+
+def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
+    """Newton steps follow |eigenvalues|: a MIN seed near a saddle does not converge onto it."""
+    params = CouplingParams.xyz(jx=1.2654864670238135, jy=1.2770941634217208, jz=0.14200448231306373)
+    window = (-2.512951134121445, 2.487048865878555, -2.544793412870247, 2.455206587129753)
+    seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of this window
+    f = sm._surface_function(params, "G+", "closed", "all-pairs")
+    assert np.linalg.eigvalsh(sm._hessian(f, *seed_point))[0] > 0.0
+    e = sm.refine_extremum(params, "G+", seed_point, "closed")
+    assert e.kind == sm.MIN and math.hypot(e.x, e.y - 1.0) <= 1e-7
+    grid = energy_surface(params, "G+", window, 0.099652006380203, "closed")
+    assert [(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema] == [
+        (sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.SADDLE, 1.0, 0.0), (sm.MAX, 0.0, 0.0)
+    ]
+
+
+def test_newton_steps_are_capped_and_descend(monkeypatch):
+    """On a smoothed cusp the full Newton step overshoots five-fold; the safeguards still converge."""
+    cusp = lambda x, y: (1e-4 + x * x) ** 0.6 + y * y
+    stencil = sm._stencil
+    iterates = [(1.0, 0.5)]
+
+    def recording_stencil(f, x, y):
+        iterates.append((x, y))
+        return stencil(f, x, y)
+
+    monkeypatch.setattr(sm, "_stencil", recording_stencil)
+    x, y, iterations = sm._newton(cusp, 1.0, 0.5, 1.0, stencil(cusp, 1.0, 0.5))
+    iterates.append((x, y))
+    assert math.hypot(x, y) <= 1e-9
+    assert iterations >= 5  # 0.25 at a time over a distance of 1.12
+    for (xa, ya), (xb, yb) in zip(iterates, iterates[1:]):
+        assert math.hypot(xb - xa, yb - ya) <= sm._TRUST_RADIUS * (1.0 + 1e-12)
+        assert cusp(xb, yb) <= cusp(xa, ya) + 1e-13 * (1.0 + cusp(xa, ya))
+
+
+def test_degenerate_maxima_converge():
+    """Maxima with a curvature of -0.0086 stop on the gradient floor, not on step jitter."""
+    params = CouplingParams.xyz(jx=1.8882018549708155, jy=-1.6874178590416822, jz=-1.6831326434938143)
+    window = (-2.512865184530696, 2.487134815469304, -2.542852504454167, 2.457147495545833)
+    grid = energy_surface(params, "G+", window, 0.1, "direct")
+    maxima = [e for e in grid.extrema if e.kind == sm.MAX]
+    assert [(round(e.x, 6) + 0.0, round(e.y, 6)) for e in maxima] == [(0.0, -1.0), (0.0, 1.0)]
+    oracle = _oracle_kernel(params, "G+", "direct", "all-pairs")
+    for e in maxima:
+        assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+
+
+def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
+    """Nelder-Mead refinement of every seed, the route used before Newton; the reference below."""
+    f = sm._surface_function(params, state_id, source, bonds)
+    x0, y0 = float(seed[0]), float(seed[1])
+    grad0 = sm._gradient(f, x0, y0)
+    hess0 = sm._hessian(f, x0, y0)
+    if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
+        return sm.Extremum(x0, y0, float(f(x0, y0)), sm.CONSTANT)
+    eigs = np.linalg.eigvalsh(hess0)
+    if eigs[0] > 0.0:
+        objective = lambda v: float(f(*v.tolist()))
+    elif eigs[1] < 0.0:
+        objective = lambda v: -float(f(*v.tolist()))
+    else:
+        objective = lambda v: float(np.sum(sm._gradient(f, *v.tolist()) ** 2))
+    res = sm.minimize(
+        objective,
+        np.array([x0, y0]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
+    )
+    if not res.success:
+        raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
+    x, y = float(res.x[0]), float(res.x[1])
+    return sm.Extremum(x, y, float(f(x, y)), sm._classify(f, x, y))
+
+
+def _random_surfaces(n, rng):
+    """XYZ surfaces with offset windows, so extrema fall between grid nodes.
+
+    The couplings differ pairwise by 0.05 or more.  Where two of them nearly
+    agree, an extremum sits in a valley whose curvature is about their gap,
+    and Nelder-Mead, which stops once its simplex values agree to 1e-13,
+    leaves it off along the valley (8.3e-7 off, gradient 1e-8, on PG+ at
+    a gap of 2.7e-4, where Newton's gradient is 2e-11).
+    """
+    for _ in range(n):
+        j = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        while min(abs(a - b) for a, b in ((j[0], j[1]), (j[1], j[2]), (j[0], j[2]))) < 0.05:
+            j = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        jx, jy, jz = j
+        sid = rng.choice(["P+", "P-", "G+", "PG+", "PG-"])
+        ox, oy = rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)
+        window = (-2.5 + ox, 2.5 + ox, -2.5 + oy, 2.5 + oy)
+        yield CouplingParams.xyz(jx=jx, jy=jy, jz=jz), sid, window, rng.uniform(0.05, 0.1)
+
+
+def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
+    """Newton finds the extrema Nelder-Mead found: same kinds, counts and order, within 2e-7."""
+    cases = list(_random_surfaces(40, random.Random(61)))
+    newton = [energy_surface(p, sid, w, step, "closed", "chain") for p, sid, w, step in cases]
+    monkeypatch.setattr(sm, "refine_extremum", _nelder_mead_refine)
+    count = 0
+    for (params, sid, window, step), grid in zip(cases, newton):
+        reference = energy_surface(params, sid, window, step, "closed", "chain")
+        assert [e.kind for e in grid.extrema] == [e.kind for e in reference.extrema], (params, sid)
+        oracle = _oracle_kernel(params, sid, "closed", "chain")
+        for e, r in zip(grid.extrema, reference.extrema):
+            assert math.hypot(e.x - r.x, e.y - r.y) <= 2e-7
+            assert abs(e.value - r.value) <= 1e-10
+            assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+        count += len(grid.extrema)
+    assert count >= 80
 
 
 def test_grid_node_ceiling():
