@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -27,6 +28,8 @@ from .entanglement_measures import (
 from .errors import BadParams, QcsError
 
 USAGE_ERROR = 2
+# 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
+BROKEN_PIPE = 141
 # `evolve` holds its whole time grid in memory: a few (steps, 4) complex
 # arrays and one CSV row per step.  A constant, not an option: no caller
 # needs more, and a tiny --dt must fail before anything is allocated.
@@ -286,7 +289,16 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`qcs ... | head`).  Point stdout at devnull
+        # so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (QcsError, ValueError) as exc:
         print(f"qcs {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR

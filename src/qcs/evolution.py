@@ -10,16 +10,18 @@ the energy-surface XYZ convention in :mod:`qcs.spin_models`.
 
 The numeric route (spectral evolution, then determinant concurrence and
 overlap fidelity) is authoritative; closed-form readings are diagnostics.
+Revival peaks are refined by Newton on the analytic derivatives of the
+spectral fidelity, so this module needs NumPy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .coherent_states import NORM_TOL, PureState
 from .complex_geometry import PointLike, as_point
@@ -51,6 +53,8 @@ NO_REVIVAL = "NO_REVIVAL"
 _REVIVAL_THRESHOLD = 1.0 - 1e-9
 _REVIVAL_PERIODS = 10
 _BISECT_TOL = 1e-9
+_PEAK_TOL = 1e-12
+_PEAK_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,44 @@ def closed_form_concurrence_reading(theta: float, t, j: float, hbar: float = 1.0
     return float(out) if out.ndim == 0 else out
 
 
+def _peak_time(
+    energies: np.ndarray, weights: np.ndarray, hbar: float, lo: float, t: float, hi: float
+) -> float:
+    """Newton's maximum of F(t) = |A(t)|^2, A(t) = sum_k w_k e^{-i E_k t / hbar}, from t in [lo, hi].
+
+    With a_k = w_k e^{r_k t} and r_k = -i E_k / hbar, A' = sum r_k a_k and
+    A'' = sum r_k^2 a_k, so F' = 2 Re(conj(A) A') and
+    F'' = 2 (|A'|^2 + Re(conj(A) A'')).  Steps are clamped to [lo, hi] and
+    taken only while F'' < 0; a point that is not concave is no revival
+    peak, and the band check of the caller rejects it.
+    """
+    r = -1j * energies / hbar
+    r2 = r * r
+    for _ in range(_PEAK_MAX_ITER):
+        a = weights * np.exp(r * t)
+        amp, d1, d2 = a.sum(), r @ a, r2 @ a
+        f1 = 2.0 * (amp.conjugate() * d1).real
+        f2 = 2.0 * (abs(d1) ** 2 + (amp.conjugate() * d2).real)
+        if not f2 < 0.0:
+            break
+        t_next = min(max(t - f1 / f2, lo), hi)
+        step, t = t_next - t, t_next
+        if abs(step) <= _PEAK_TOL:
+            break
+    return float(t)
+
+
 def _first_revival(
-    ts: np.ndarray, f: np.ndarray, first_below: int, fidelity: Callable
+    ts: np.ndarray,
+    f: np.ndarray,
+    first_below: int,
+    fidelity: Callable,
+    peak: Callable[[float, float, float], float],
 ) -> Optional[float]:
-    """The first scan peak after `first_below` whose refined fidelity re-enters the band."""
+    """The first scan peak after `first_below` whose refined fidelity re-enters the band.
+
+    `peak(lo, t, hi)` refines a sampled peak t to the fidelity maximum in [lo, hi].
+    """
     # The band [1 - 1e-9, 1] is a few 1e-5 wide in t near a revival, far
     # narrower than the scan step, so raw samples almost never land in it.
     # Locate the fidelity peaks instead, refine each, and take the first
@@ -196,13 +234,7 @@ def _first_revival(
     for k in peaks:
         if k <= first_below:
             continue
-        result = minimize_scalar(
-            lambda t: -fidelity(t),
-            bounds=(ts[k - 1], ts[k + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t_peak = float(result.x)
+        t_peak = peak(float(ts[k - 1]), float(ts[k]), float(ts[k + 1]))
         if fidelity(t_peak) < _REVIVAL_THRESHOLD:
             continue
         left = k - 1
@@ -223,8 +255,8 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     """Smallest t > 0 at which the P+(psi) fidelity returns above 1 - 1e-9.
 
     Samples the fidelity on a fine grid (dt = 1e-3 hbar/J), locates the
-    first peak after it leaves the band whose refined value re-enters it,
-    and bisects the upward crossing to 1e-9.  The samples of one period
+    first peak after it leaves the band whose value, refined by Newton
+    (`_peak_time`), re-enters it, and bisects the upward crossing to 1e-9.  The samples of one period
     (2 pi hbar / J) are scanned first, since the revival of the XX model
     sits at pi hbar / J; ten periods are scanned only if none is confirmed
     there.  The shorter scan is a prefix of the longer one, so both
@@ -252,12 +284,13 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
         amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
         return np.abs(amp) ** 2
 
+    peak = functools.partial(_peak_time, energies, weights, hbar)
     for n in (int(math.ceil(t_period / dt)) + 1, int(math.ceil(t_max / dt))):
         ts = dt * np.arange(1, n + 1)
         f = fidelity(ts)
         below = f < _REVIVAL_THRESHOLD
         if below.any():
-            t = _first_revival(ts, f, int(np.argmax(below)), fidelity)
+            t = _first_revival(ts, f, int(np.argmax(below)), fidelity, peak)
             if t is not None:
                 return Revival(FOUND, t)
     return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)

@@ -5,7 +5,8 @@ The Q symbol of a model is the diagonal expectation E(psi) =
 over the label plane it forms an energy surface whose isolated extrema
 are located on a grid and refined: minima and maxima by safeguarded
 Newton on difference stencils, saddles by Nelder-Mead on the squared
-gradient.
+gradient.  Only the saddle route uses SciPy, and `minimize` imports it on
+its first call, so importing this module does not load SciPy.
 
 Two evaluation routes exist: `q_symbol_direct` (matrix element, the
 oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
@@ -25,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import entangled_amplitudes, entangled_state
@@ -515,6 +515,13 @@ def _newton(
             return x, y, iteration
         stencil = _stencil(f, x, y)
     raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
+
+
+def minimize(fun, x0, **options):
+    """`scipy.optimize.minimize`, imported on the first call: only saddle seeds need SciPy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def refine_extremum(

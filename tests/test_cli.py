@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -281,3 +282,46 @@ def test_usage_errors_exit_two():
     # In-process: the subprocess route is tested just above.
     for bad in BAD_TIME_GRIDS:
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_broken_pipe_exits_quietly(unbuffered):
+    """A reader that has gone away ends the command with 141 (128 + SIGPIPE), not a traceback.
+
+    Buffered, the pipe breaks on the final flush; unbuffered, on the first write.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        proc = subprocess.run(
+            CLI + ["state", "--state", "P+", "--theta", "0.5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+START_PATH = """
+import os, sys
+import qcs.cli
+qcs.cli.build_parser()
+for argv in (
+    ["evolve", "--j", "1", "--theta", "0.5"],
+    ["extrema", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2"],
+    ["verify", "--seed", "0"],
+):
+    assert qcs.cli.main(argv + ["--output", os.devnull]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_start_path_does_not_load_scipy():
+    """Import, parser, evolve, extrema without saddles and verify all run without SciPy."""
+    proc = subprocess.run([sys.executable, "-c", START_PATH], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

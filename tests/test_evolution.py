@@ -213,8 +213,12 @@ def test_concurrence_series_rejects_unnormalized_rows(monkeypatch):
         concurrence_series(XX, unit_label(0.9), ts)
 
 
-def _ten_period_revival(params, psi):
-    """Revival search over all ten periods at once, kept as the reference."""
+def _ten_period_revival(params, psi, scipy_peak=False):
+    """Revival search over all ten periods at once, kept as the reference.
+
+    Peaks are refined by the library's Newton step (`ev._peak_time`), or by
+    `minimize_scalar` when `scipy_peak` is set.
+    """
     j, hbar = abs(params.jx), params.hbar
     dt = 1e-3 * hbar / j
     t_max = 10 * 2.0 * math.pi * hbar / j
@@ -225,6 +229,14 @@ def _ten_period_revival(params, psi):
     def fidelity(t):
         amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
         return np.abs(amp) ** 2
+
+    def peak(lo, t, hi):
+        if scipy_peak:  # bounded Brent, the peak step before Newton
+            result = minimize_scalar(
+                lambda s: -fidelity(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+            )
+            return float(result.x)
+        return ev._peak_time(energies, weights, hbar, lo, t, hi)
 
     threshold = 1.0 - 1e-9
     ts = dt * np.arange(1, int(math.ceil(t_max / dt)) + 1)
@@ -237,11 +249,7 @@ def _ten_period_revival(params, psi):
     for k in peaks:
         if k <= first_below:
             continue
-        result = minimize_scalar(
-            lambda t: -fidelity(t), bounds=(ts[k - 1], ts[k + 1]),
-            method="bounded", options={"xatol": 1e-12},
-        )
-        t_peak = float(result.x)
+        t_peak = peak(float(ts[k - 1]), float(ts[k]), float(ts[k + 1]))
         if fidelity(t_peak) < threshold:
             continue
         left = k - 1
@@ -266,6 +274,46 @@ def test_revival_matches_ten_period_scan(theta, j, hbar):
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
     psi = unit_label(theta)
     assert revival_time(params, psi) == _ten_period_revival(params, psi)
+
+
+def _random_revival_cases(n, rng):
+    for _ in range(n):
+        j = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+        yield rng.uniform(-math.pi, math.pi), j, rng.uniform(0.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "theta, j, hbar",
+    [(theta, j, hbar) for theta in (0.0, 1e-4, 0.1, math.pi / 8, 0.6, math.pi / 2)
+     for j in (0.37, 1.0, 2.5) for hbar in (0.8, 1.0)]
+    + list(_random_revival_cases(24, np.random.default_rng(8))),
+)
+def test_revival_peak_matches_minimize_scalar(theta, j, hbar):
+    """Newton's peak gives the status a minimize_scalar peak does, and the time within 1e-9."""
+    params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
+    psi = unit_label(theta)
+    got = revival_time(params, psi)
+    want = _ten_period_revival(params, psi, scipy_peak=True)
+    assert got.status == want.status
+    if want.status == FOUND:
+        assert abs(got.time - want.time) <= 1e-9
+    else:
+        assert got.time is None and want.time is None
+
+
+def test_peak_time_reaches_the_fidelity_maximum():
+    """Newton stops on the analytic maximum, inside its bracket, and does not climb a valley."""
+    params = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
+    c0 = entangled_state("P+", unit_label(0.6)).amplitudes
+    energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
+    weights = np.abs(vectors.conj().T @ c0) ** 2
+    # F(t) = 1 - sin^2(2 theta) sin^2(t) peaks at t = pi and dips at t = pi / 2.
+    t = ev._peak_time(energies, weights, 1.0, math.pi - 1e-3, math.pi + 4e-4, math.pi + 1e-3)
+    assert abs(t - math.pi) <= 1e-12
+    t = ev._peak_time(energies, weights, 1.0, 3.0, 3.05, 3.1)
+    assert t == 3.1  # clamped: the maximum lies beyond the bracket
+    t = ev._peak_time(energies, weights, 1.0, 1.5, 1.56, 1.6)
+    assert t == 1.56  # convex there: no step
 
 
 def test_revival_near_pi():

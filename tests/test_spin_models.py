@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -521,6 +523,25 @@ def test_refinement_logs_route_per_seed(caplog):
     assert sum(" by stationary in " in line for line in lines) == 1
     for line in lines:
         assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
+
+
+SADDLE_HUNT = """
+import sys
+from qcs import spin_models as sm
+assert "scipy.optimize" not in sys.modules
+params = sm.CouplingParams.xyz(jx={jx!r}, jy={jy!r}, jz={jz!r})
+grid = sm.energy_surface(params, "G+", {window!r}, 0.1, "closed")
+assert "scipy.optimize" in sys.modules
+print([(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema if e.kind == sm.SADDLE])
+"""
+
+
+def test_saddle_seed_loads_scipy_on_demand():
+    """SciPy is imported by the first saddle seed's Nelder-Mead hunt, not by importing qcs."""
+    code = SADDLE_HUNT.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[('SADDLE', 1.0, 0.0)]\n"
 
 
 def test_shallow_valley_minima_are_kept():
