@@ -51,6 +51,19 @@ def _write_rows(out, columns) -> None:
     out.writelines(row % r for r in zip(*values))
 
 
+def _write_grid(out, xs: np.ndarray, ys: np.ndarray, planes) -> None:
+    """Write `x,y,<planes>` CSV rows, y outer and x inner, each value as _fmt writes it.
+
+    planes are (ys.size, xs.size) arrays.  Each axis value is formatted once,
+    not once per node, and the output is written one grid row at a time.
+    """
+    x_cells = ["%.17g," % x for x in xs.tolist()]
+    for i, y in enumerate(ys.tolist()):
+        y_cell = "%.17g," % y
+        cells = zip(*(["%.17g" % v for v in plane[i].tolist()] for plane in planes))
+        out.write("".join([x + y_cell + ",".join(v) + "\n" for x, v in zip(x_cells, cells)]))
+
+
 @contextmanager
 def _open_output(path: str):
     if path == "-":
@@ -163,6 +176,8 @@ def cmd_state(args) -> int:
     psi = _parse_psi(args)
     sid = args.state.upper()
     state = entangled_state(sid, psi)
+    # Before any output: a bad --hbar raises here.
+    sums = spin_sum_averages(state, hbar=args.hbar) if state.n_qubits == 2 else None
     with _open_output(args.output) as out:
         out.write(f"state: {sid}\n")
         out.write(f"psi: {_fmt_complex(psi)}\n")
@@ -176,7 +191,6 @@ def cmd_state(args) -> int:
             out.write(
                 f"concurrence_expansion = {_fmt(concurrence_from_expansion(expansion))}\n"
             )
-            sums = spin_sum_averages(state, hbar=args.hbar)
             out.write(f"sz_sum = {_fmt(sums.z_sum)}\n")
             out.write(f"sz_diff = {_fmt(sums.z_diff)}\n")
             out.write(f"s_raising_sum = {_fmt_complex(sums.raising_sum)}\n")
@@ -193,16 +207,12 @@ def _surface(args, source: str, refine: bool) -> sm.SurfaceGrid:
 
 def cmd_surface(args) -> int:
     grid = _surface(args, args.source, refine=False)
-    residual = None
+    planes = [grid.values]
     if args.source == "closed":
-        residual = grid.values - _surface(args, "direct", refine=False).values
+        planes.append(grid.values - _surface(args, "direct", refine=False).values)
     with _open_output(args.output) as out:
-        header = "x,y,energy" + (",closed_minus_direct" if residual is not None else "")
-        out.write(header + "\n")
-        columns = [np.tile(grid.xs, grid.ys.size), np.repeat(grid.ys, grid.xs.size), grid.values]
-        if residual is not None:
-            columns.append(residual)
-        _write_rows(out, columns)
+        out.write("x,y,energy" + (",closed_minus_direct" if len(planes) > 1 else "") + "\n")
+        _write_grid(out, grid.xs, grid.ys, planes)
         if grid.constant:
             out.write(f"# CONSTANT value={_fmt(float(grid.values[0, 0]))}\n")
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coherent_states import PureState
 from .entangled_basis import BellExpansion
-from .errors import BadSubsystem, DimensionMismatch
+from .errors import BadParams, BadSubsystem, DimensionMismatch
 from .operators import spin_plus, spin_z
 
 __all__ = [
@@ -162,7 +162,12 @@ class SpinSumAverages:
 
 
 def spin_sum_averages(state: PureState, hbar: float = 1.0) -> SpinSumAverages:
-    """Evaluate <S1z ± S2z> and <S1+ ± S2+> on a two-qubit state."""
+    """Evaluate <S1z ± S2z> and <S1+ ± S2+> on a two-qubit state.
+
+    Raises BadParams unless hbar is finite and positive, as CouplingParams does.
+    """
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise BadParams(f"hbar must be finite and positive, got {hbar}")
     if state.dim != 4:
         raise DimensionMismatch("spin-sum averages are defined for two qubits")
     a = state.amplitudes

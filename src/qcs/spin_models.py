@@ -73,6 +73,10 @@ _NEWTON_MAX_ITER = 100
 _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
 MAX_GRID_NODES = 4_000_000
+# Labels per kernel call on a grid, in whole rows (one row when a row is longer).
+# Fewer calls save NumPy's per-call overhead; much larger blocks of the direct
+# kernel's amplitudes fall out of cache (a sweep of 1024-16384 labels chose it).
+_GRID_BLOCK = 4096
 
 _log = logging.getLogger("qcs")
 
@@ -380,9 +384,9 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per row; Newton refinement once per iteration for the
-    13-label `_stencil` and once per line-search point; the saddle hunt once
-    per 4-point gradient stencil.  The direct route divides <a|H|a> by <a|a>,
+    call it once per block of whole rows (`_evaluate_grid`); Newton
+    refinement once per iteration for the 13-label `_stencil` and once per
+    line-search point; the saddle hunt once per 4-point gradient stencil.  The direct route divides <a|H|a> by <a|a>,
     which cancels the rounding of the batched amplitudes' norm as
     PureState's renormalization does for `q_symbol_direct`.  Kernels are
     cached, so a surface's grid and refinements fetch the Hamiltonian once.
@@ -419,9 +423,15 @@ def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[
 def _evaluate_grid(
     params: CouplingParams, sid: str, source: str, bonds: str, xs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i], one kernel call per row."""
+    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i].
+
+    One kernel call per block of whole rows: as many rows as fit in
+    _GRID_BLOCK labels, or one row when a row is longer.  The kernel treats
+    each label on its own, so the values equal one call per row to the bit.
+    """
     f = _surface_function(params, sid, source, bonds)
-    return np.vstack([f(xs, y) for y in ys])
+    rows = max(1, _GRID_BLOCK // xs.size)
+    return np.vstack([f(xs[None, :], ys[i : i + rows, None]) for i in range(0, ys.size, rows)])
 
 
 def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:

@@ -102,6 +102,9 @@ def _fmt_rows(*columns):
          CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9), (-1.5, 1.5, -1.5, 1.5), 0.06),
         (["--model", "xxz", "--j", "1", "--jz", "-2"], "P+",
          CouplingParams.xxz(j=1.0, jz=-2.0), (-2.5, 2.5, -2.5, 2.5), 0.1),
+        # Not square: 35 x nodes by 17 y nodes, so the axes cannot stand in for each other.
+        (["--model", "xyz", "--j-plus", "-1", "--j-minus", "-1", "--jz", "-1", "--bonds", "chain"], "PG-",
+         CouplingParams.xyz(j_plus=-1.0, j_minus=-1.0, jz=-1.0), (-1.3, 2.1, -0.7, 0.9), 0.1),
     ],
 )
 @pytest.mark.parametrize("source", ["direct", "closed"])
@@ -112,7 +115,8 @@ def test_surface_bytes_match_per_value_format(tmp_path, argv, sid, params, windo
     assert main(["surface", "--state", sid, *argv, window_arg, "--step", str(step),
                  "--source", source, "--output", str(target)]) == 0
 
-    grids = {s: energy_surface(params, sid, window, step, source=s, refine=False)
+    bonds = argv[argv.index("--bonds") + 1] if "--bonds" in argv else "all-pairs"
+    grids = {s: energy_surface(params, sid, window, step, source=s, bonds=bonds, refine=False)
              for s in ("direct", "closed")}
     grid = grids[source]
     xs, ys = np.meshgrid(grid.xs, grid.ys)
@@ -266,20 +270,32 @@ def test_bad_time_grid_exits_two_without_traceback():
         assert proc.stderr.startswith("qcs evolve: "), bad
 
 
-def test_usage_errors_exit_two():
+# Each fails inside a command handler, which makes `main` return 2.
+HANDLER_USAGE_ERRORS = [
+    ["state", "--state", "NOPE"],
+    ["surface", "--state", "P+", "--model", "xxz"],  # missing couplings
+    ["surface", "--state", "P+", "--jx", "1", "--j-plus", "1"],  # mixed xyz forms
+    ["surface", "--state", "P+", "--model", "xyz", "--jz", "1"],  # no xyz couplings
+    ["extrema", "--state", "P+", "--model", "xxz", "--j", "0", "--jz", "1"],
+    ["surface", "--state", "P+", "--jx", "nan", "--jy", "1"],
+    ["evolve", "--model", "xxx", "--j", "1", "--hbar", "inf"],
+    ["surface", "--state", "P+", "--jx", "1", "--window=0,inf,0,1"],
+    ["extrema", "--state", "P+", "--jx", "1", "--step", "nan"],
+    ["state", "--state", "P+", "--psi", "1,0", "--hbar", "0"],
+    ["state", "--state", "P+", "--psi", "1,0", "--hbar", "-1"],
+    ["state", "--state", "P+", "--psi", "1,0", "--hbar", "nan"],
+]
+
+
+def test_usage_errors_exit_two(capsys):
+    # Through the entry point: one handler failure and one argparse failure.
     run_cli("surface", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2",
             "--window=3,-3,-3,3", expect=2)
-    run_cli("state", "--state", "NOPE", expect=2)
-    run_cli("surface", "--state", "P+", "--model", "xxz", expect=2)  # missing couplings
-    run_cli("surface", "--state", "P+", "--jx", "1", "--j-plus", "1", expect=2)  # mixed xyz forms
-    run_cli("surface", "--state", "P+", "--model", "xyz", "--jz", "1", expect=2)  # no xyz couplings
-    run_cli("extrema", "--state", "P+", "--model", "xxz", "--j", "0", "--jz", "1", expect=2)
-    run_cli("surface", "--state", "P+", "--jx", "nan", "--jy", "1", expect=2)
-    run_cli("evolve", "--model", "xxx", "--j", "1", "--hbar", "inf", expect=2)
-    run_cli("surface", "--state", "P+", "--jx", "1", "--window=0,inf,0,1", expect=2)
-    run_cli("extrema", "--state", "P+", "--jx", "1", "--step", "nan", expect=2)
     run_cli("state", "--state", "P+", "--psi", "1,0", "--theta", "0.5", expect=2)  # two labels
     # In-process: the subprocess route is tested just above.
+    for argv in HANDLER_USAGE_ERRORS:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
     for bad in BAD_TIME_GRIDS:
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2
 

@@ -686,6 +686,40 @@ def test_step_that_does_not_divide_window_ends_at_nearest_node():
     assert np.allclose(grid.ys, [0.0, 0.35, 0.7, 1.05])
 
 
+def test_grid_blocks_match_one_kernel_call_per_row(monkeypatch):
+    """Grids evaluated in blocks of whole rows equal, bit for bit, one kernel call per row."""
+    block = 10
+    kernel = sm._surface_function
+    calls = []
+
+    def spying_kernel(*key):
+        f = kernel(*key)
+
+        def spy(x, y):
+            calls.append((np.asarray(x), np.asarray(y)))
+            return f(x, y)
+
+        return spy
+
+    monkeypatch.setattr(sm, "_GRID_BLOCK", block)
+    monkeypatch.setattr(sm, "_surface_function", spying_kernel)
+    # 4 x 7 nodes: two rows per call, the last call one row; 13 x 3: rows wider than a block.
+    for window in ((0.0, 0.3, 0.0, 0.6), (-0.6, 0.6, 0.0, 0.2)):
+        xs, ys = sm._grid_axes(window, 0.1)
+        for params, sid, bonds in ((GEN, "P+", "all-pairs"), (GEN, "G-", "all-pairs"), (PG, "PG-", "chain")):
+            for source in ("direct", "closed"):
+                f = kernel(params, sid, source, bonds)
+                per_row = np.vstack([f(xs, y) for y in ys])
+                calls.clear()
+                values = sm._evaluate_grid(params, sid, source, bonds, xs, ys)
+                assert values.tobytes() == per_row.tobytes(), (window, sid, source)
+                for x, y in calls:
+                    assert x.shape == (1, xs.size) and np.array_equal(x[0], xs)
+                    assert y.shape[1] == 1 and y.size * xs.size <= max(block, xs.size)
+                assert np.array_equal(np.concatenate([y[:, 0] for _, y in calls]), ys)
+                assert len(calls) == math.ceil(ys.size / max(1, block // xs.size))
+
+
 CLOSED_PAIRS = [(CouplingParams.xxx(j=0.9), "P+"), (XXZ, "P+")] + [(GEN, sid) for sid in STATE_IDS]
 
 
