@@ -8,6 +8,7 @@ fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -172,11 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built once per process, since parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cmd_state(args) -> int:
     psi = _parse_psi(args)
     sid = args.state.upper()
     state = entangled_state(sid, psi)
-    # Before any output: a bad --hbar raises here.
+    # Before any output, for every state: --hbar scales only the two-qubit spin sums.
+    if not (math.isfinite(args.hbar) and args.hbar > 0):
+        raise BadParams(f"hbar must be finite and positive, got {args.hbar}")
     sums = spin_sum_averages(state, hbar=args.hbar) if state.n_qubits == 2 else None
     with _open_output(args.output) as out:
         out.write(f"state: {sid}\n")
@@ -252,8 +261,7 @@ def cmd_evolve(args) -> int:
     n_steps = int(math.floor(t_max / args.dt + 0.5))
     ts = args.dt * np.arange(n_steps + 1)
 
-    conc = ev.concurrence_series(params, psi, ts)
-    fid = ev.fidelity_series(params, psi, ts)
+    conc, fid = ev._p_plus_series(params, psi, ts)
     # The closed forms and the revival footer both need psi = e^{i theta}.
     on_circle = xx_like and abs(abs(psi) - 1.0) <= 1e-9
     closed_c = closed_f = None
@@ -289,8 +297,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "state": cmd_state,
         "surface": cmd_surface,

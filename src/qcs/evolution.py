@@ -133,35 +133,40 @@ def _initial_p_plus(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, n
     return state0.amplitudes, h
 
 
-def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Determinant concurrence of the evolved P+(psi) on the time grid.
+def _p_plus_series(params: CouplingParams, p: PointLike, t_grid) -> tuple[TimeSeries, TimeSeries]:
+    """Concurrence and fidelity series of the evolved P+(psi), from one propagation.
 
     Each evolved row must lie within NORM_TOL of unit norm, as a
-    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|,
-    capped at 1 so rounding cannot push it past its bound.
+    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|.
+    The fidelity |<psi(t)|P+(psi)>|^2 is read from the rows as evolved.
+    Both are capped at 1 so rounding cannot push them past their bound.
     """
     c0, h = _initial_p_plus(params, p)
-    apply = _spectral_propagator(h, params.hbar)
     ts = np.asarray(t_grid, dtype=float)
-    evolved = apply(c0, ts)
+    evolved = _spectral_propagator(h, params.hbar)(c0, ts)
     norms = np.linalg.norm(evolved, axis=1, keepdims=True)
     off = np.abs(norms - 1.0) > NORM_TOL
     if off.any():
         norm = float(norms[off][0])
         raise NotNormalized(f"|amplitudes| = {norm!r}, expected 1 within {NORM_TOL}")
     a = evolved / norms
-    values = 2.0 * np.abs(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2])
-    return TimeSeries(ts, np.minimum(values, 1.0))
+    concurrence = 2.0 * np.abs(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2])
+    fidelity = np.abs(evolved @ c0.conj()) ** 2
+    return TimeSeries(ts, np.minimum(concurrence, 1.0)), TimeSeries(ts, np.minimum(fidelity, 1.0))
+
+
+def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
+    """Determinant concurrence of the evolved P+(psi) on the time grid.
+
+    Raises NotNormalized if an evolved row is off unit norm by more than
+    NORM_TOL (see `_p_plus_series`).
+    """
+    return _p_plus_series(params, p, t_grid)[0]
 
 
 def fidelity_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
     """Fidelity |<psi(t)|P+(psi)>|^2 of the evolved state with its initial state, capped at 1."""
-    c0, h = _initial_p_plus(params, p)
-    apply = _spectral_propagator(h, params.hbar)
-    ts = np.asarray(t_grid, dtype=float)
-    evolved = apply(c0, ts)
-    values = np.abs(evolved @ c0.conj()) ** 2
-    return TimeSeries(ts, np.minimum(values, 1.0))
+    return _p_plus_series(params, p, t_grid)[1]
 
 
 def closed_form_fidelity(theta: float, t, j: float, hbar: float = 1.0):
@@ -188,6 +193,16 @@ def closed_form_concurrence_reading(theta: float, t, j: float, hbar: float = 1.0
     return float(out) if out.ndim == 0 else out
 
 
+def _spectral_fidelity(rates: np.ndarray, weights: np.ndarray, t):
+    """|sum_k w_k e^{-i phi_k}|^2 with phi = rates (x) t, for real weights w_k.
+
+    Computed as (w . cos phi)^2 + (w . sin phi)^2: real arithmetic only,
+    equal to the complex form to within rounding.
+    """
+    phi = np.multiply.outer(rates, t)
+    return (weights @ np.cos(phi)) ** 2 + (weights @ np.sin(phi)) ** 2
+
+
 def _peak_time(
     energies: np.ndarray, weights: np.ndarray, hbar: float, lo: float, t: float, hi: float
 ) -> float:
@@ -198,17 +213,24 @@ def _peak_time(
     F'' = 2 (|A'|^2 + Re(conj(A) A'')).  Steps are clamped to [lo, hi] and
     taken only while F'' < 0; a point that is not concave is no revival
     peak, and the band check of the caller rejects it.
+
+    The derivatives are taken in the time unit 1 / omega, omega the power
+    of two just above max |r|, so r^2 cannot overflow when |E| / hbar is
+    near the top of the double range.  Scaling by a power of two is exact,
+    so every step equals the unscaled one wherever that one is finite.
     """
     r = -1j * energies / hbar
-    r2 = r * r
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(r), initial=0.0)))[1])
+    s = scale * r
+    s2 = s * s
     for _ in range(_PEAK_MAX_ITER):
         a = weights * np.exp(r * t)
-        amp, d1, d2 = a.sum(), r @ a, r2 @ a
+        amp, d1, d2 = a.sum(), s @ a, s2 @ a
         f1 = 2.0 * (amp.conjugate() * d1).real
         f2 = 2.0 * (abs(d1) ** 2 + (amp.conjugate() * d2).real)
         if not f2 < 0.0:
             break
-        t_next = min(max(t - f1 / f2, lo), hi)
+        t_next = min(max(t - f1 / f2 * scale, lo), hi)
         step, t = t_next - t, t_next
         if abs(step) <= _PEAK_TOL:
             break
@@ -243,6 +265,10 @@ def _first_revival(
         lo, hi = float(ts[left]), t_peak
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
+            # Where the spacing of doubles near t exceeds _BISECT_TOL (t of
+            # order 1e7 and beyond), mid rounds onto an end: hi is final.
+            if not lo < mid < hi:
+                break
             if fidelity(mid) >= _REVIVAL_THRESHOLD:
                 hi = mid
             else:
@@ -256,7 +282,10 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
 
     Samples the fidelity on a fine grid (dt = 1e-3 hbar/J), locates the
     first peak after it leaves the band whose value, refined by Newton
-    (`_peak_time`), re-enters it, and bisects the upward crossing to 1e-9.  The samples of one period
+    (`_peak_time`), re-enters it, and bisects the upward crossing to 1e-9,
+    or to the spacing of doubles near it where that is coarser.  Scan and
+    bisection evaluate the fidelity in real arithmetic
+    (`_spectral_fidelity`).  The samples of one period
     (2 pi hbar / J) are scanned first, since the revival of the XX model
     sits at pi hbar / J; ten periods are scanned only if none is confirmed
     there.  The shorter scan is a prefix of the longer one, so both
@@ -280,10 +309,7 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     energies, vectors = np.linalg.eigh(h)
     weights = np.abs(vectors.conj().T @ c0) ** 2
 
-    def fidelity(t):
-        amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
-        return np.abs(amp) ** 2
-
+    fidelity = functools.partial(_spectral_fidelity, energies / hbar, weights)
     peak = functools.partial(_peak_time, energies, weights, hbar)
     for n in (int(math.ceil(t_period / dt)) + 1, int(math.ceil(t_max / dt))):
         ts = dt * np.arange(1, n + 1)

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from qcs import cli
 from qcs import evolution as ev
 from qcs.cli import main
 from qcs.spin_models import CouplingParams, energy_surface
@@ -284,6 +286,11 @@ HANDLER_USAGE_ERRORS = [
     ["state", "--state", "P+", "--psi", "1,0", "--hbar", "0"],
     ["state", "--state", "P+", "--psi", "1,0", "--hbar", "-1"],
     ["state", "--state", "P+", "--psi", "1,0", "--hbar", "nan"],
+    # Three-qubit states have no spin sums to scale, but --hbar is checked all the same.
+    ["state", "--state", "PG+", "--psi", "1,0", "--hbar", "nan"],
+    ["state", "--state", "PG+", "--psi", "1,0", "--hbar", "-1"],
+    ["state", "--state", "PG-", "--psi", "1,0", "--hbar", "0"],
+    ["state", "--state", "PG-", "--psi", "1,0", "--hbar", "inf"],
 ]
 
 
@@ -298,6 +305,74 @@ def test_usage_errors_exit_two(capsys):
         assert capsys.readouterr().out == "", argv
     for bad in BAD_TIME_GRIDS:
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2
+
+
+# One process, one parser: label flags that must not leak into the next
+# call, two surface windows, and an argparse error between good calls.
+PARSER_SEQUENCE = [
+    ["evolve", "--j", "1", "--theta", "0.5", "--t-max", "0.5", "--dt", "0.25"],
+    ["evolve", "--j", "1", "--psi", "0.5,0", "--t-max", "0.5", "--dt", "0.25"],
+    ["state", "--state", "P+", "--theta", "0.5"],
+    ["state", "--state", "P+", "--psi", "0.3,0.4"],
+    ["surface", "--state", "P+", "--jx", "1", "--jy", "0.5", "--window=-1,1,-1,1", "--step", "0.5"],
+    ["surface", "--state", "G+", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--source", "closed",
+     "--window=-0.5,0.5,0,1", "--step", "0.25"],
+    ["state", "--state", "P+", "--psi", "1,0", "--theta", "0.5"],  # two labels: argparse exits 2
+    ["state", "--state", "P+"],
+]
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_matches_a_fresh_parser(monkeypatch, capsys):
+    """`main` reuses one parser; each call gives the bytes and exit code a fresh parser gives."""
+    cached = [_run_in_process(argv, capsys) for argv in PARSER_SEQUENCE]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_run_in_process(argv, capsys) for argv in PARSER_SEQUENCE]
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert cached == fresh
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for theta in ("0.1", "0.2", "0.3"):
+            assert main(["state", "--state", "P+", "--theta", theta, "--output", os.devnull]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_evolve_propagates_once(monkeypatch):
+    """Concurrence and fidelity columns come from one spectral propagation."""
+    calls = []
+    propagator = ev._spectral_propagator
+    monkeypatch.setattr(ev, "_spectral_propagator", lambda h, hbar: calls.append(1) or propagator(h, hbar))
+    assert main(["evolve", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--psi", "1,0",
+                 "--t-max", "0.5", "--dt", "0.25", "--output", os.devnull]) == 0
+    assert len(calls) == 1
+
+
+def test_evolve_footer_at_extreme_coupling(tmp_path):
+    """At J = 1e300 the footer is the first revival, pi hbar / J, with no overflow warning."""
+    target = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["evolve", "--j", "1e300", "--theta", "0.5", "--t-max", "0.02",
+                     "--output", str(target)]) == 0
+    footer = target.read_text().splitlines()[-1]
+    assert footer.startswith("# revival_time = ")
+    assert abs(float(footer.split("=")[1]) - math.pi * 1e-300) <= 1e-4 * 1e-300
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from qcs.evolution import (
 from qcs.spin_models import CouplingParams
 
 XX = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
+# Revival times are checked to 1e-4 hbar / |J| of pi hbar / |J|.
+REVIVAL_TOL = 1e-4
 
 
 def unit_label(theta):
@@ -339,3 +344,67 @@ def test_revival_guards():
         revival_time(CouplingParams.xyz(jx=1.0, jy=0.5, jz=0.0), 1.0)
     with pytest.raises(BadParams):
         revival_time(XX, 2.0)  # off the unit circle
+
+
+def test_spectral_fidelity_matches_complex_form():
+    """The real-arithmetic scan is |w . exp(-i E t / hbar)|^2 to within 1e-13 over ten periods."""
+    rng = np.random.default_rng(12)
+    for theta, j, hbar in _random_revival_cases(30, rng):
+        params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
+        c0 = entangled_state("P+", unit_label(theta)).amplitudes
+        energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
+        weights = np.abs(vectors.conj().T @ c0) ** 2
+        ts = 1e-3 * hbar / abs(j) * np.arange(1, 62833)
+        complex_form = np.abs(weights @ np.exp(-1j * np.multiply.outer(energies, ts) / hbar)) ** 2
+        real_form = ev._spectral_fidelity(energies / hbar, weights, ts)
+        assert np.max(np.abs(real_form - complex_form)) <= 1e-13
+        # Bisection calls it with one time at a time.
+        assert abs(ev._spectral_fidelity(energies / hbar, weights, float(ts[777])) - real_form[777]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "j, hbar",
+    [(1e-6, 1.0), (1.0, 1.0), (-3.0, 1e-3), (1e100, 1.0), (1e155, 1.0), (1e200, 1.0), (-1e200, 1.0),
+     (1.0, 1e-300)],
+)
+def test_revival_at_extreme_couplings(j, hbar):
+    """Newton's peak holds for |J| / hbar from 1e-6 to 1e300: r^2 no longer overflows."""
+    params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rev = revival_time(params, unit_label(0.7))
+    assert rev.status == FOUND
+    unit = hbar / abs(j)
+    assert abs(rev.time - math.pi * unit) <= REVIVAL_TOL * unit
+
+
+TINY_COUPLINGS = """
+import math, os
+from qcs.cli import main
+from qcs.evolution import revival_time
+from qcs.spin_models import CouplingParams
+
+for j in (3e-7, 1e-7):
+    rev = revival_time(CouplingParams.xyz(jx=j, jy=j, jz=0.0), complex(math.cos(0.7), math.sin(0.7)))
+    print(j, rev.status, repr(rev.time))
+assert main(["evolve", "--j", "3e-7", "--theta", "0.5", "--dt", "1e5", "--output", os.devnull]) == 0
+"""
+
+
+def test_revival_bisection_ends_at_tiny_couplings():
+    """Near t = pi hbar / J ~ 1e7 doubles are spaced wider than the bisection tolerance.
+
+    The bisection must stop once its midpoint rounds onto an end.  It runs
+    in a child process with a timeout, so a bisection that never ends fails
+    this test instead of stalling the suite.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", TINY_COUPLINGS], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        j, status, time = line.split()
+        assert status == FOUND
+        unit = 1.0 / float(j)
+        assert abs(float(time) - math.pi * unit) <= REVIVAL_TOL * unit
+    assert len(proc.stdout.splitlines()) == 2
