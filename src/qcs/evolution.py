@@ -27,8 +27,7 @@ from .coherent_states import NORM_TOL, PureState
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import entangled_state
 from .errors import BadParams, DimensionMismatch, NotNormalized
-from .operators import embed_pair, sigma_x, sigma_y, sigma_z
-from .spin_models import CouplingParams
+from .spin_models import CouplingParams, _embedded_terms
 
 __all__ = [
     "TimeSeries",
@@ -84,16 +83,17 @@ class Revival:
 
 
 def exchange_hamiltonian(params: CouplingParams, n_qubits: int = 2) -> np.ndarray:
-    """Two-qubit exchange Hamiltonian Jx sx sx + Jy sy sy + Jz sz sz."""
+    """Two-qubit exchange Hamiltonian Jx sx sx + Jy sy sy + Jz sz sz.
+
+    The three Pauli products are the cached embedded terms that
+    `spin_models.hamiltonian` sums for XYZ.
+    """
     if params.model != "XYZ":
         raise BadParams("dynamics are parameterized by XYZ exchange couplings")
     if n_qubits != 2:
         raise BadParams("exchange dynamics implemented for two qubits")
-    return (
-        params.jx * embed_pair(sigma_x(), sigma_x(), 0, 1, 2)
-        + params.jy * embed_pair(sigma_y(), sigma_y(), 0, 1, 2)
-        + params.jz * embed_pair(sigma_z(), sigma_z(), 0, 1, 2)
-    )
+    ((xx, yy, zz),) = _embedded_terms("XYZ", params.hbar, 2, "all-pairs")
+    return params.jx * xx + params.jy * yy + params.jz * zz
 
 
 def is_xx_like(params: CouplingParams) -> bool:
@@ -243,10 +243,13 @@ def _first_revival(
     first_below: int,
     fidelity: Callable,
     peak: Callable[[float, float, float], float],
+    rate: float,
 ) -> Optional[float]:
     """The first scan peak after `first_below` whose refined fidelity re-enters the band.
 
     `peak(lo, t, hi)` refines a sampled peak t to the fidelity maximum in [lo, hi].
+    The upward crossing is bisected in the dimensionless time rate * t,
+    rate = |J| / hbar, so it ends at the same point of the curve at any scale.
     """
     # The band [1 - 1e-9, 1] is a few 1e-5 wide in t near a revival, far
     # narrower than the scan step, so raw samples almost never land in it.
@@ -263,10 +266,10 @@ def _first_revival(
         while left > 0 and f[left] >= _REVIVAL_THRESHOLD:
             left -= 1
         lo, hi = float(ts[left]), t_peak
-        while hi - lo > _BISECT_TOL:
+        while (hi - lo) * rate > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            # Where the spacing of doubles near t exceeds _BISECT_TOL (t of
-            # order 1e7 and beyond), mid rounds onto an end: hi is final.
+            # Should mid round onto an end, the bracket is as narrow as
+            # doubles near t allow: hi is final.
             if not lo < mid < hi:
                 break
             if fidelity(mid) >= _REVIVAL_THRESHOLD:
@@ -282,8 +285,8 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
 
     Samples the fidelity on a fine grid (dt = 1e-3 hbar/J), locates the
     first peak after it leaves the band whose value, refined by Newton
-    (`_peak_time`), re-enters it, and bisects the upward crossing to 1e-9,
-    or to the spacing of doubles near it where that is coarser.  Scan and
+    (`_peak_time`), re-enters it, and bisects the upward crossing to
+    1e-9 hbar/|J|, the same point of the curve at every scale.  Scan and
     bisection evaluate the fidelity in real arithmetic
     (`_spectral_fidelity`).  The samples of one period
     (2 pi hbar / J) are scanned first, since the revival of the XX model
@@ -316,7 +319,7 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
         f = fidelity(ts)
         below = f < _REVIVAL_THRESHOLD
         if below.any():
-            t = _first_revival(ts, f, int(np.argmax(below)), fidelity, peak)
+            t = _first_revival(ts, f, int(np.argmax(below)), fidelity, peak, j / hbar)
             if t is not None:
                 return Revival(FOUND, t)
     return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)

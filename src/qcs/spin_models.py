@@ -178,34 +178,48 @@ def _bond_list(n_qubits: int, bonds: str) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (0, 2), (1, 2))
 
 
-def _two_site_terms(params: CouplingParams) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """(left operator, right operator, coefficient) triples for one bond."""
-    hb = params.hbar
+def _unit_terms(model: str, hbar: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(left, right) single-site operators of one bond's terms, in `_term_couplings` order."""
+    if model == "XYZ":
+        return ((sigma_x(), sigma_x()), (sigma_y(), sigma_y()), (sigma_z(), sigma_z()))
+    return (
+        (spin_plus(hbar), spin_minus(hbar)),
+        (spin_minus(hbar), spin_plus(hbar)),
+        (spin_z(hbar), spin_z(hbar)),
+    )
+
+
+def _term_couplings(params: CouplingParams) -> tuple[float, float, float]:
+    """The coefficient of each of one bond's terms."""
     if params.model == "XXX":
-        return [
-            (spin_plus(hb), spin_minus(hb), -params.j),
-            (spin_minus(hb), spin_plus(hb), -params.j),
-            (spin_z(hb), spin_z(hb), -2.0 * params.j),
-        ]
+        return (-params.j, -params.j, -2.0 * params.j)
     if params.model == "XXZ":
-        return [
-            (spin_plus(hb), spin_minus(hb), -params.j),
-            (spin_minus(hb), spin_plus(hb), -params.j),
-            (spin_z(hb), spin_z(hb), 2.0 * params.delta),
-        ]
-    return [
-        (sigma_x(), sigma_x(), 0.5 * params.jx),
-        (sigma_y(), sigma_y(), 0.5 * params.jy),
-        (sigma_z(), sigma_z(), 0.5 * params.jz),
-    ]
+        return (-params.j, -params.j, 2.0 * params.delta)
+    return (0.5 * params.jx, 0.5 * params.jy, 0.5 * params.jz)
+
+
+@lru_cache(maxsize=64)
+def _embedded_terms(model: str, hbar: float, n_qubits: int, bonds: str) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each bond's unit two-site operators embedded in n_qubits, one tuple per bond; read-only.
+
+    Couplings do not enter, so a scan over couplings builds these once.
+    """
+    embedded = []
+    for i, j in _bond_list(n_qubits, bonds):
+        ops = tuple(embed_pair(left, right, i, j, n_qubits) for left, right in _unit_terms(model, hbar))
+        for op in ops:
+            op.flags.writeable = False
+        embedded.append(ops)
+    return tuple(embedded)
 
 
 @lru_cache(maxsize=256)
 def _hamiltonian_cached(params: CouplingParams, n_qubits: int, bonds: str) -> np.ndarray:
     h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for i, j in _bond_list(n_qubits, bonds):
-        for left, right, coeff in _two_site_terms(params):
-            h += coeff * embed_pair(left, right, i, j, n_qubits)
+    couplings = _term_couplings(params)
+    for bond in _embedded_terms(params.model, params.hbar, n_qubits, bonds):
+        for coeff, op in zip(couplings, bond):
+            h += coeff * op
     h.flags.writeable = False
     return h
 
@@ -218,7 +232,9 @@ def hamiltonian(params: CouplingParams, n_qubits: int = 2, bonds: str = "all-pai
     XYZ: (Jx sx sx + Jy sy sy + Jz sz sz) / 2 per bond (bare Paulis).
 
     For three qubits the topology is "chain" ((1,2)+(2,3)) or "all-pairs".
-    The returned array is cached and read-only.
+    H is summed term by term, bond by bond, from unit two-site operators
+    embedded once per (model, hbar, n_qubits, bonds), so new couplings
+    cost no Kronecker products.  The returned array is cached and read-only.
     """
     if n_qubits not in (2, 3):
         raise BadParams(f"n_qubits must be 2 or 3, got {n_qubits}")
@@ -384,12 +400,18 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per block of whole rows (`_evaluate_grid`); Newton
-    refinement once per iteration for the 13-label `_stencil` and once per
-    line-search point; the saddle hunt once per 4-point gradient stencil.  The direct route divides <a|H|a> by <a|a>,
-    which cancels the rounding of the batched amplitudes' norm as
-    PureState's renormalization does for `q_symbol_direct`.  Kernels are
-    cached, so a surface's grid and refinements fetch the Hamiltonian once.
+    call it once per block of whole rows (`_evaluate_grid`).  Refining a
+    seed calls it once for the seed's 13-label `_stencil` and once for the
+    1-label value at the final point; Newton adds one 13-label stencil per
+    further iteration and one 1-label call per line-search point, and the
+    saddle hunt one 4-point gradient stencil per simplex point.  A 9-label
+    `_hessian` call classifies the point only where no stencil was
+    evaluated there (see `refine_extremum`).
+
+    The direct route divides <a|H|a> by <a|a>, which cancels the rounding
+    of the batched amplitudes' norm as PureState's renormalization does for
+    `q_symbol_direct`.  Kernels are cached, so a surface's grid and
+    refinements fetch the Hamiltonian once.
     """
     sid = state_id.upper()
     if _source(source) == "closed":
@@ -434,16 +456,30 @@ def _evaluate_grid(
     return np.vstack([f(xs[None, :], ys[i : i + rows, None]) for i in range(0, ys.size, rows)])
 
 
+def _neighbor_extreme(extreme: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """`extreme` (np.minimum or np.maximum) over the 8 neighbors of each inner node, in separable steps.
+
+    The 3-wide extreme of every row serves the rows above and below a
+    node, the left/right pair its own row.  Both ufuncs are exact, so this
+    equals the extreme over the eight shifted copies of the grid.
+    """
+    across = extreme(extreme(values[:, :-2], values[:, 1:-1]), values[:, 2:])
+    beside = extreme(values[1:-1, :-2], values[1:-1, 2:])
+    return extreme(beside, extreme(across[:-2], across[2:]))
+
+
 def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
-    """Strict 8-neighbor extremum candidates (row, col, MIN|MAX) in row-major order."""
-    ny, nx = values.shape
+    """Strict 8-neighbor extremum candidates (row, col, MIN|MAX) in row-major order.
+
+    A node is a candidate when it lies below the least of its 8 neighbors
+    (MIN) or above the greatest (MAX) by more than FLATNESS_REL * (1 + |value|).
+    """
     inner = values[1:-1, 1:-1]
-    shifts = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-    neighbors = [values[1 + di : ny - 1 + di, 1 + dj : nx - 1 + dj] for di, dj in shifts]
     margin = FLATNESS_REL * (1.0 + np.abs(inner))
-    is_min = inner < np.minimum.reduce(neighbors) - margin
-    is_max = inner > np.maximum.reduce(neighbors) + margin
-    rows, cols = np.nonzero(is_min | is_max)
+    is_min = inner < _neighbor_extreme(np.minimum, values) - margin
+    is_max = inner > _neighbor_extreme(np.maximum, values) + margin
+    # np.nonzero of a 2-D mask costs several times flatnonzero's single pass.
+    rows, cols = np.divmod(np.flatnonzero(is_min | is_max), inner.shape[1])
     return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
@@ -484,7 +520,12 @@ def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.nda
 
 
 def _classify(f: Callable[[float, float], float], x: float, y: float) -> str:
-    eigs = np.linalg.eigvalsh(_hessian(f, x, y))
+    """The kind of the stationary point (x, y), from the 9-label `_hessian` stencil."""
+    return _kind(np.linalg.eigvalsh(_hessian(f, x, y)))
+
+
+def _kind(eigs: np.ndarray) -> str:
+    """MIN, MAX, SADDLE or CONSTANT from ascending Hessian eigenvalues."""
     scale = _CURVATURE_FLOOR
     if eigs[0] > scale and eigs[1] > scale:
         return MIN
@@ -497,8 +538,8 @@ def _classify(f: Callable[[float, float], float], x: float, y: float) -> str:
 
 def _newton(
     f: Callable, x: float, y: float, sign: float, stencil: tuple[float, np.ndarray, np.ndarray]
-) -> tuple[float, float, int]:
-    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations).
+) -> tuple[float, float, int, Optional[np.ndarray]]:
+    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations, hess).
 
     `stencil` is `_stencil(f, x, y)`.  The Hessian's eigenvalues are replaced
     by max(|lambda|, 1e-8), so every step goes downhill even where the
@@ -507,11 +548,15 @@ def _newton(
     gradient is below tolerance; the gradient floor ends the jitter that
     difference noise causes near a degenerate extremum.  Raises
     NoConvergence after _NEWTON_MAX_ITER iterations.
+
+    hess is the stencil Hessian at the returned point when Newton stops on
+    the gradient floor (the given stencil's own when it stops at once), and
+    None when it stops on the step size, where no stencil was evaluated.
     """
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         value, grad, hess = stencil
         if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
-            return x, y, iteration - 1
+            return x, y, iteration - 1, hess
         lam, vecs = np.linalg.eigh(sign * hess)
         step = -vecs @ ((vecs.T @ (sign * grad)) / np.maximum(np.abs(lam), 1e-8))
         step *= min(1.0, _TRUST_RADIUS / float(np.linalg.norm(step)))
@@ -522,7 +567,7 @@ def _newton(
             step /= 2.0
         x, y = x + float(step[0]), y + float(step[1])
         if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
-            return x, y, iteration
+            return x, y, iteration, None
         stencil = _stencil(f, x, y)
     raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
 
@@ -550,6 +595,13 @@ def refine_extremum(
     squared gradient norm.  Either way the central-difference gradient is driven below
     1e-6.  A flat seed is returned as CONSTANT.  Raises NoConvergence when
     Newton exceeds its iteration cap or the simplex stalls.
+
+    The kind comes from the eigenvalues of a stencil Hessian at the final
+    point: the seed's, when Newton leaves the seed in place; Newton's last,
+    when it stops on the gradient floor; otherwise one 9-label `_hessian`
+    call.  The value is one 1-label kernel call at the final point.  So a
+    seed that Newton leaves in place costs one 13-label and one 1-label
+    call.
     """
     f = _surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
@@ -559,9 +611,10 @@ def refine_extremum(
         return Extremum(x0, y0, value0, CONSTANT)
 
     eigs = np.linalg.eigvalsh(hess0)
+    hess = None  # a stencil Hessian at the final point, when one is in hand
     if eigs[0] > 0.0 or eigs[1] < 0.0:
         route = "newton"
-        x, y, iterations = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)
+        x, y, iterations, hess = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)
     else:
         route = "stationary"
         # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
@@ -579,7 +632,11 @@ def refine_extremum(
             "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
             (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(_gradient(f, x, y))),
         )
-    return Extremum(x, y, float(f(x, y)), _classify(f, x, y))
+    if hess is None:
+        kind = _classify(f, x, y)
+    else:
+        kind = _kind(eigs if hess is hess0 else np.linalg.eigvalsh(hess))
+    return Extremum(x, y, float(f(x, y)), kind)
 
 
 def _merge_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:

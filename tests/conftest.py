@@ -1,0 +1,7 @@
+"""Child interpreters that the tests start import qcs from this source tree, as pytest itself does."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

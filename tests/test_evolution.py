@@ -28,6 +28,7 @@ from qcs.evolution import (
     is_xx_like,
     revival_time,
 )
+from qcs.operators import embed_pair, sigma_x, sigma_y, sigma_z
 from qcs.spin_models import CouplingParams
 
 XX = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
@@ -57,6 +58,20 @@ def test_exchange_hamiltonian_form():
 def test_exchange_hamiltonian_rejects_non_xyz():
     with pytest.raises(BadParams):
         exchange_hamiltonian(CouplingParams.xxx(j=1.0))
+
+
+def test_exchange_hamiltonian_from_cached_terms_is_byte_identical():
+    """Jx XX + Jy YY + Jz ZZ from the cached embedded terms has the bytes of fresh Kronecker products."""
+    rng = np.random.default_rng(31)
+    couplings = [tuple(rng.uniform(-2.0, 2.0, 3)) for _ in range(200)] + [(1.0, 1.0, 0.0), (0.0, 0.0, -0.0)]
+    for jx, jy, jz in couplings:
+        params = CouplingParams.xyz(jx=float(jx), jy=float(jy), jz=float(jz), hbar=float(rng.uniform(0.5, 2.0)))
+        fresh = (
+            params.jx * embed_pair(sigma_x(), sigma_x(), 0, 1, 2)
+            + params.jy * embed_pair(sigma_y(), sigma_y(), 0, 1, 2)
+            + params.jz * embed_pair(sigma_z(), sigma_z(), 0, 1, 2)
+        )
+        assert exchange_hamiltonian(params).tobytes() == fresh.tobytes()
 
 
 def test_is_xx_like():
@@ -134,6 +149,32 @@ def test_concurrence_series_structure():
     assert abs(conc.values[0] - 1.0) < 1e-10
     shifted = concurrence_series(XX, unit_label(0.9), ts + math.pi)
     assert np.max(np.abs(conc.values - shifted.values)) < 1e-10
+
+
+# Magic basis (Hill and Wootters, PRL 78, 5022 (1997)), one state per column:
+# (|00> + |11>), i(|00> - |11>), i(|01> + |10>), (|01> - |10>), each over sqrt 2.
+MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2.0)
+
+
+def test_concurrence_series_matches_magic_basis_law():
+    """C(t) = |sum_k alpha_k^2 exp(-2i E_k t / hbar)|, alpha_k the magic-basis amplitudes of P+(psi).
+
+    The XYZ exchange Hamiltonian is diagonal in the magic basis with
+    energies E_k, and the concurrence of a pure state is |sum_k alpha_k^2|.
+    """
+    rng = np.random.default_rng(41)
+    ts = np.linspace(0.0, 10.0, 101)
+    for _ in range(200):
+        jx, jy, jz = rng.uniform(-1.5, 1.5, 3)
+        params = CouplingParams.xyz(jx=jx, jy=jy, jz=jz, hbar=float(rng.uniform(0.5, 2.0)))
+        radius, angle = rng.uniform(0.0, 3.0), rng.uniform(-math.pi, math.pi)
+        psi = radius * complex(math.cos(angle), math.sin(angle))
+        h_magic = MAGIC.conj().T @ exchange_hamiltonian(params) @ MAGIC
+        energies = h_magic.diagonal().real
+        assert np.max(np.abs(h_magic - np.diag(energies))) <= 1e-15
+        alpha = MAGIC.conj().T @ entangled_state("P+", psi).amplitudes
+        law = np.abs(np.exp(-2j * np.outer(ts, energies) / params.hbar) @ alpha**2)
+        assert np.max(np.abs(concurrence_series(params, psi, ts).values - law)) <= 1e-12
 
 
 def _scalar_concurrence(params, psi, ts):
@@ -261,7 +302,7 @@ def _ten_period_revival(params, psi, scipy_peak=False):
         while left > 0 and f[left] >= threshold:
             left -= 1
         lo, hi = float(ts[left]), t_peak
-        while hi - lo > 1e-9:
+        while (hi - lo) * j / hbar > 1e-9:
             mid = 0.5 * (lo + hi)
             if fidelity(mid) >= threshold:
                 hi = mid
@@ -378,6 +419,17 @@ def test_revival_at_extreme_couplings(j, hbar):
     assert abs(rev.time - math.pi * unit) <= REVIVAL_TOL * unit
 
 
+def test_revival_crossing_is_the_same_at_every_scale():
+    """The crossing is bisected in |J| t / hbar, so (t - pi hbar/J) / (hbar/J) reads one value at any scale."""
+    readings = []
+    for j, hbar in ((1e-7, 1.0), (1.0, 1.0), (1e100, 1.0), (1e300, 1.0), (1.0, 1e-300)):
+        rev = revival_time(CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar), unit_label(0.7))
+        unit = hbar / j
+        readings.append((rev.time - math.pi * unit) / unit)
+    assert max(readings) - min(readings) <= 1e-8, readings
+    assert max(readings) < -1e-5  # the band crossing, ahead of the refined peak at pi hbar / J
+
+
 TINY_COUPLINGS = """
 import math, os
 from qcs.cli import main
@@ -392,11 +444,10 @@ assert main(["evolve", "--j", "3e-7", "--theta", "0.5", "--dt", "1e5", "--output
 
 
 def test_revival_bisection_ends_at_tiny_couplings():
-    """Near t = pi hbar / J ~ 1e7 doubles are spaced wider than the bisection tolerance.
+    """Revivals near t = pi hbar / J ~ 1e7 are found, and the bisection ends.
 
-    The bisection must stop once its midpoint rounds onto an end.  It runs
-    in a child process with a timeout, so a bisection that never ends fails
-    this test instead of stalling the suite.
+    It runs in a child process with a timeout, so a bisection that never
+    ends fails this test instead of stalling the suite.
     """
     proc = subprocess.run(
         [sys.executable, "-c", TINY_COUPLINGS], capture_output=True, text=True, timeout=60

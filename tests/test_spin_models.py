@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from qcs import spin_models as sm
 from qcs.entangled_basis import STATE_IDS, entangled_state
 from qcs.errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
+from qcs.operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus, spin_z
 from qcs.spin_models import (
     CouplingParams,
     energy_surface,
@@ -88,6 +89,51 @@ def test_hamiltonian_bond_choice_matters():
     chain = hamiltonian(params, n_qubits=3, bonds="chain")
     full = hamiltonian(params, n_qubits=3, bonds="all-pairs")
     assert np.max(np.abs(chain - full)) > 0.1
+
+
+def _hamiltonian_term_by_term(params, n_qubits, bonds):
+    """Reference: every term's Kronecker product embedded afresh, bond by bond."""
+    hb = params.hbar
+    if params.model == "XYZ":
+        terms = [(sigma_x(), sigma_x(), 0.5 * params.jx), (sigma_y(), sigma_y(), 0.5 * params.jy),
+                 (sigma_z(), sigma_z(), 0.5 * params.jz)]
+    else:
+        zz = -2.0 * params.j if params.model == "XXX" else 2.0 * params.delta
+        terms = [(spin_plus(hb), spin_minus(hb), -params.j), (spin_minus(hb), spin_plus(hb), -params.j),
+                 (spin_z(hb), spin_z(hb), zz)]
+    pairs = [(0, 1)] if n_qubits == 2 else [(0, 1), (1, 2)] if bonds == "chain" else [(0, 1), (0, 2), (1, 2)]
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for i, j in pairs:
+        for left, right, coeff in terms:
+            h += coeff * embed_pair(left, right, i, j, n_qubits)
+    return h
+
+
+@seed(71)
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.sampled_from(["XXX", "XXZ", "XYZ"]),
+    j=st.tuples(coords, coords, coords),
+    hbar=st.floats(1e-3, 10.0),
+    shape=st.sampled_from([(2, "all-pairs"), (3, "chain"), (3, "all-pairs")]),
+)
+def test_hamiltonian_from_cached_terms_is_byte_identical(model, j, hbar, shape):
+    """H summed from the cached embedded terms has the bytes of a fresh term-by-term build."""
+    if model == "XXX":
+        params = CouplingParams.xxx(j=j[0], hbar=hbar)
+    elif model == "XXZ":
+        params = CouplingParams.xxz(j=j[0], delta=j[1], hbar=hbar)
+    else:
+        params = CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2], hbar=hbar)
+    n, bonds = shape
+    h = hamiltonian(params, n, bonds)
+    assert h.tobytes() == _hamiltonian_term_by_term(params, n, bonds).tobytes()
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
+    for bond in sm._embedded_terms(params.model, params.hbar, n, bonds):
+        for op in bond:
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
 
 
 def test_q_symbol_xxx_constant():
@@ -343,6 +389,7 @@ def test_grid_seeds_match_loop_reference(values):
 
 
 def test_grid_seeds_match_loop_reference_on_surfaces():
+    """Seeds of real surfaces equal the loop reference's."""
     pg = CouplingParams.xyz(j_plus=-1.0, j_minus=-1.0, jz=-1.0)
     xyz = CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9)
     xxz = CouplingParams.xxz(j=1.0, jz=-2.0)
@@ -355,6 +402,20 @@ def test_grid_seeds_match_loop_reference_on_surfaces():
                 continue
             seeds = sm._grid_seeds(grid.values)
             assert seeds and seeds == _grid_seeds_loop(grid.values)
+
+
+def test_grid_seeds_with_ties_and_plateaus():
+    """A tied neighbor, a plateau or a rise within the noise margin blocks a seed."""
+    values = np.full((7, 8), 2.0)
+    values[1, 1] = 1.0  # a strict MIN
+    values[1, 3] = values[1, 4] = 0.5  # two tied lowest neighbors: neither is a MIN
+    values[3:5, 1:3] = 3.0  # a raised 2 x 2 plateau: no MAX
+    values[4, 5] = 3.0
+    values[3, 5] = 3.0 + 1e-11  # above its neighbor (4, 5) by less than the margin: no MAX
+    values[5, 6] = 4.0  # a strict MAX
+    seeds = sm._grid_seeds(values)
+    assert seeds == _grid_seeds_loop(values)
+    assert seeds == [(1, 1, sm.MIN), (5, 6, sm.MAX)]
 
 
 def test_surface_source_case_insensitive():
@@ -580,7 +641,7 @@ def test_newton_steps_are_capped_and_descend(monkeypatch):
         return stencil(f, x, y)
 
     monkeypatch.setattr(sm, "_stencil", recording_stencil)
-    x, y, iterations = sm._newton(cusp, 1.0, 0.5, 1.0, stencil(cusp, 1.0, 0.5))
+    x, y, iterations, _ = sm._newton(cusp, 1.0, 0.5, 1.0, stencil(cusp, 1.0, 0.5))
     iterates.append((x, y))
     assert math.hypot(x, y) <= 1e-9
     assert iterations >= 5  # 0.25 at a time over a distance of 1.12
@@ -664,6 +725,74 @@ def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
             assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
         count += len(grid.extrema)
     assert count >= 80
+
+
+def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="all-pairs"):
+    """Reference: the refinement route whose final point is classified by a fresh 9-label Hessian."""
+    f = sm._surface_function(params, state_id, source, bonds)
+    x0, y0 = float(seed[0]), float(seed[1])
+    stencil = sm._stencil(f, x0, y0)
+    value0, grad0, hess0 = stencil
+    if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
+        return sm.Extremum(x0, y0, value0, sm.CONSTANT)
+    eigs = np.linalg.eigvalsh(hess0)
+    if eigs[0] > 0.0 or eigs[1] < 0.0:
+        x, y = sm._newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)[:2]
+    else:
+        res = sm.minimize(
+            lambda v: float(np.sum(sm._gradient(f, *v.tolist()) ** 2)),
+            np.array([x0, y0]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
+        )
+        if not res.success:
+            raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
+        x, y = float(res.x[0]), float(res.x[1])
+    return sm.Extremum(x, y, float(f(x, y)), sm._classify(f, x, y))
+
+
+@pytest.mark.parametrize("source", ["direct", "closed"])
+def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(monkeypatch, source):
+    """Kinds read from the stencils in hand give the extrema of a fresh Hessian, bit for bit."""
+    cases = list(_random_surfaces(40, random.Random(67)))
+    grids = [energy_surface(p, sid, w, step, source, "chain") for p, sid, w, step in cases]
+    monkeypatch.setattr(sm, "refine_extremum", _refine_classifying_afresh)
+    count = 0
+    for (params, sid, window, step), grid in zip(cases, grids):
+        reference = energy_surface(params, sid, window, step, source, "chain")
+        assert grid.values.tobytes() == reference.values.tobytes()
+        assert [(e.x, e.y, e.value, e.kind) for e in grid.extrema] == [
+            (e.x, e.y, e.value, e.kind) for e in reference.extrema
+        ], (params, sid)
+        count += len(grid.extrema)
+    assert count >= 80
+
+
+def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
+    """A seed Newton leaves in place costs one 13-label and one 1-label kernel call, no 9-label call."""
+    kernel = sm._surface_function
+    sizes = []
+
+    def spying_kernel(*key):
+        f = kernel(*key)
+
+        def spy(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return f(x, y)
+
+        return spy
+
+    monkeypatch.setattr(sm, "_surface_function", spying_kernel)
+    cases = [
+        (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
+        (PG, "PG+", (0.0, 1.0), "closed", "chain", sm.MAX),
+        (GEN, "G+", (-1.0, 0.0), "direct", "all-pairs", sm.MIN),
+    ]
+    for params, sid, seed_point, source, bonds, kind in cases:
+        sizes.clear()
+        e = sm.refine_extremum(params, sid, seed_point, source, bonds)
+        assert (e.x, e.y, e.kind) == (*seed_point, kind)
+        assert sizes == [13, 1]
 
 
 def test_grid_node_ceiling():
