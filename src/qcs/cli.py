@@ -269,6 +269,8 @@ def cmd_evolve(args) -> int:
         theta = math.atan2(psi.imag, psi.real)
         closed_c = ev.closed_form_concurrence_reading(theta, ts, params.jx, params.hbar)
         closed_f = ev.closed_form_fidelity(theta, ts, params.jx, params.hbar)
+    # Before the output opens, so a coupling the revival scan rejects writes nothing.
+    revival = ev.revival_time(params, psi) if on_circle else None
 
     with _open_output(args.output) as out:
         header = "t,concurrence,fidelity"
@@ -279,8 +281,7 @@ def cmd_evolve(args) -> int:
         if closed_c is not None:
             columns += [closed_c, closed_f]
         _write_rows(out, columns)
-        if on_circle:
-            revival = ev.revival_time(params, psi)
+        if revival is not None:
             if revival.status == ev.FOUND:
                 out.write(f"# revival_time = {_fmt(revival.time)}\n")
             else:

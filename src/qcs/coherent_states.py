@@ -101,16 +101,21 @@ class PureState:
         return f"PureState({np.array2string(self._amps, precision=6)})"
 
 
+def _two_j(j: float) -> int:
+    """2j for a positive half-integer spin j; raises ValueError for any other j."""
+    two_j = 2.0 * j
+    if not 0 < two_j < math.inf or abs(two_j - round(two_j)) > 1e-12:
+        raise ValueError(f"j must be a positive half-integer, got {j}")
+    return int(round(two_j))
+
+
 class SpinJState:
     """A normalized spin-j state; amplitude k belongs to |j, m = -j + k>."""
 
     __slots__ = ("_j", "_amps")
 
     def __init__(self, j: float, amplitudes: Sequence[complex]):
-        two_j = 2.0 * j
-        if two_j <= 0 or abs(two_j - round(two_j)) > 1e-12:
-            raise ValueError(f"j must be a positive half-integer, got {j}")
-        n = int(round(two_j)) + 1
+        n = _two_j(j) + 1
         a = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if a.size != n:
             raise DimensionMismatch(f"spin {j} needs {n} amplitudes, got {a.size}")
@@ -227,10 +232,7 @@ def spin_j_coherent(j: float, p: PointLike) -> SpinJState:
     Amplitude k sits on |j, m = -j + k>; the label 0 gives the lowest
     weight |j,-j> and INFINITY the highest weight |j,+j>.
     """
-    two_j = 2.0 * j
-    if two_j <= 0 or abs(two_j - round(two_j)) > 1e-12:
-        raise ValueError(f"j must be a positive half-integer, got {j}")
-    n = int(round(two_j))
+    n = _two_j(j)
     q = as_point(p)
     if q.is_infinity:
         amps = np.zeros(n + 1, dtype=complex)
@@ -257,8 +259,7 @@ def spin_j_overlap_closed(j: float, p_bra: PointLike, p_ket: PointLike) -> compl
     Both labels must be finite.  Vanishes exactly when the labels are
     antipodal (psi = -1/conj(phi)), matching the direct summation.
     """
-    two_j = 2.0 * j
-    n = int(round(two_j))
+    n = _two_j(j)
     phi = as_point(p_bra).value
     psi = as_point(p_ket).value
     num = (1.0 + phi.conjugate() * psi) ** n

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -294,7 +295,9 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     there.  The shorter scan is a prefix of the longer one, so both
     confirm the same first revival.  A fidelity that never leaves the
     band over ten periods is ALWAYS_ONE (the theta = 0 degenerate case);
-    one that leaves and never returns is NO_REVIVAL.
+    one that leaves and never returns is NO_REVIVAL.  Raises BadParams
+    when |J| / hbar, the scan step or ten periods fall outside the normal
+    doubles (|J| / hbar below about 3.5e-307 or above about 4.5e304).
     """
     if not is_xx_like(params):
         raise BadParams("revival detection is defined for XX-form couplings")
@@ -307,6 +310,9 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     dt = 1e-3 * hbar / j
     t_period = 2.0 * math.pi * hbar / j
     t_max = _REVIVAL_PERIODS * 2.0 * math.pi * hbar / j
+    # Where |J| / hbar overflows or underflows, so does the scan step or ten periods.
+    if not (dt >= sys.float_info.min and t_max < math.inf):
+        raise BadParams(f"|J| / hbar = {j!r} / {hbar!r} is outside the range the revival scan resolves")
 
     c0, h = _initial_p_plus(params, p)
     energies, vectors = np.linalg.eigh(h)

@@ -403,10 +403,9 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     call it once per block of whole rows (`_evaluate_grid`).  Refining a
     seed calls it once for the seed's 13-label `_stencil` and once for the
     1-label value at the final point; Newton adds one 13-label stencil per
-    further iteration and one 1-label call per line-search point, and the
-    saddle hunt one 4-point gradient stencil per simplex point.  A 9-label
-    `_hessian` call classifies the point only where no stencil was
-    evaluated there (see `refine_extremum`).
+    further iterate and one 1-label call per line-search point, and the
+    saddle hunt one 4-label `_gradient` per simplex point and one 13-label
+    stencil at its final point (see `refine_extremum`).
 
     The direct route divides <a|H|a> by <a|a>, which cancels the rounding
     of the batched amplitudes' norm as PureState's renormalization does for
@@ -483,45 +482,35 @@ def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
     return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
-# Unit offsets (dx row, dy row) of the central-difference stencils; scaled by the step h.
-_GRAD_STENCIL = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-_HESS_STENCIL = np.array(
-    [[0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]
-)
-# Both stencils at their default steps, evaluated together by `_stencil`.
-_JOINT_STENCIL = np.hstack([_GRAD_STEP * _GRAD_STENCIL, _HESS_STEP * _HESS_STENCIL])
+# Offsets (dx row, dy row) of the central differences: the 4-point gradient
+# stencil at _GRAD_STEP, then the 9-point Hessian stencil (centre first) at _HESS_STEP.
+_STENCIL = np.hstack([
+    _GRAD_STEP * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]),
+    _HESS_STEP * np.array([[0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0],
+                           [0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]),
+])
 
 
-def _gradient_of(e: np.ndarray, h: float) -> np.ndarray:
-    return np.array([(e[0] - e[1]) / (2.0 * h), (e[2] - e[3]) / (2.0 * h)])
+def _gradient_of(e: np.ndarray) -> np.ndarray:
+    return np.array([(e[0] - e[1]) / (2.0 * _GRAD_STEP), (e[2] - e[3]) / (2.0 * _GRAD_STEP)])
 
 
-def _hessian_of(e: np.ndarray, h: float) -> np.ndarray:
-    fxx = (e[1] - 2.0 * e[0] + e[2]) / h**2
-    fyy = (e[3] - 2.0 * e[0] + e[4]) / h**2
-    fxy = (e[5] - e[6] - e[7] + e[8]) / (4.0 * h**2)
-    return np.array([[fxx, fxy], [fxy, fyy]])
-
-
-def _gradient(f: Callable, x: float, y: float, h: float = _GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of the kernel f; its 4-point stencil is one call."""
-    return _gradient_of(f(x + h * _GRAD_STENCIL[0], y + h * _GRAD_STENCIL[1]), h)
-
-
-def _hessian(f: Callable, x: float, y: float, h: float = _HESS_STEP) -> np.ndarray:
-    """Central-difference Hessian of the kernel f; its 9-point stencil is one call."""
-    return _hessian_of(f(x + h * _HESS_STENCIL[0], y + h * _HESS_STENCIL[1]), h)
+def _gradient(f: Callable, x: float, y: float) -> np.ndarray:
+    """Central-difference gradient of the kernel f: the 4 gradient labels of `_STENCIL` in one call."""
+    return _gradient_of(f(x + _STENCIL[0, :4], y + _STENCIL[1, :4]))
 
 
 def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) at (x, y): `_gradient` and `_hessian` in one 13-label kernel call."""
-    e = f(x + _JOINT_STENCIL[0], y + _JOINT_STENCIL[1])
-    return float(e[4]), _gradient_of(e[:4], _GRAD_STEP), _hessian_of(e[4:], _HESS_STEP)
+    """(value, gradient, Hessian) at (x, y) from one 13-label kernel call over `_STENCIL`.
 
-
-def _classify(f: Callable[[float, float], float], x: float, y: float) -> str:
-    """The kind of the stationary point (x, y), from the 9-label `_hessian` stencil."""
-    return _kind(np.linalg.eigvalsh(_hessian(f, x, y)))
+    This is the only place refinement takes a Hessian from.
+    """
+    e = f(x + _STENCIL[0], y + _STENCIL[1])
+    c = e[4]
+    fxx = (e[5] - 2.0 * c + e[6]) / _HESS_STEP**2
+    fyy = (e[7] - 2.0 * c + e[8]) / _HESS_STEP**2
+    fxy = (e[9] - e[10] - e[11] + e[12]) / (4.0 * _HESS_STEP**2)
+    return float(c), _gradient_of(e[:4]), np.array([[fxx, fxy], [fxy, fyy]])
 
 
 def _kind(eigs: np.ndarray) -> str:
@@ -538,25 +527,23 @@ def _kind(eigs: np.ndarray) -> str:
 
 def _newton(
     f: Callable, x: float, y: float, sign: float, stencil: tuple[float, np.ndarray, np.ndarray]
-) -> tuple[float, float, int, Optional[np.ndarray]]:
-    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations, hess).
+) -> tuple[float, float, int, tuple[float, np.ndarray, np.ndarray]]:
+    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations, stencil).
 
-    `stencil` is `_stencil(f, x, y)`.  The Hessian's eigenvalues are replaced
-    by max(|lambda|, 1e-8), so every step goes downhill even where the
-    iterate's Hessian is not definite; steps are capped at _TRUST_RADIUS and
-    halved while sign * f rises beyond rounding.  Stops once the step or the
-    gradient is below tolerance; the gradient floor ends the jitter that
-    difference noise causes near a degenerate extremum.  Raises
-    NoConvergence after _NEWTON_MAX_ITER iterations.
-
-    hess is the stencil Hessian at the returned point when Newton stops on
-    the gradient floor (the given stencil's own when it stops at once), and
-    None when it stops on the step size, where no stencil was evaluated.
+    `stencil` is `_stencil(f, x, y)`, and the returned one is `_stencil` at
+    the returned point (the given one itself when Newton stops at once).
+    The Hessian's eigenvalues are replaced by max(|lambda|, 1e-8), so every
+    step goes downhill even where the iterate's Hessian is not definite;
+    steps are capped at _TRUST_RADIUS and halved while sign * f rises
+    beyond rounding.  Stops once the step or the gradient is below
+    tolerance; the gradient floor ends the jitter that difference noise
+    causes near a degenerate extremum.  Raises NoConvergence after
+    _NEWTON_MAX_ITER iterations.
     """
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         value, grad, hess = stencil
         if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
-            return x, y, iteration - 1, hess
+            return x, y, iteration - 1, stencil
         lam, vecs = np.linalg.eigh(sign * hess)
         step = -vecs @ ((vecs.T @ (sign * grad)) / np.maximum(np.abs(lam), 1e-8))
         step *= min(1.0, _TRUST_RADIUS / float(np.linalg.norm(step)))
@@ -566,9 +553,9 @@ def _newton(
                 break
             step /= 2.0
         x, y = x + float(step[0]), y + float(step[1])
-        if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
-            return x, y, iteration, None
         stencil = _stencil(f, x, y)
+        if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
+            return x, y, iteration, stencil
     raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
 
 
@@ -596,25 +583,25 @@ def refine_extremum(
     1e-6.  A flat seed is returned as CONSTANT.  Raises NoConvergence when
     Newton exceeds its iteration cap or the simplex stalls.
 
-    The kind comes from the eigenvalues of a stencil Hessian at the final
-    point: the seed's, when Newton leaves the seed in place; Newton's last,
-    when it stops on the gradient floor; otherwise one 9-label `_hessian`
-    call.  The value is one 1-label kernel call at the final point.  So a
-    seed that Newton leaves in place costs one 13-label and one 1-label
-    call.
+    The kind comes from the eigenvalues of the `_stencil` Hessian at the
+    final point: the seed's when Newton leaves the seed in place, Newton's
+    last when it moves, and one more stencil after the saddle hunt.  The
+    value is one 1-label kernel call at the final point.  So a seed left in
+    place costs 13 labels and 1; a moved seed 13 per iterate, 1 per
+    line-search point and 1 for the value; a saddle 13 at the seed, 4 per
+    simplex point, 13 at its final point and 1 for the value.
     """
     f = _surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    stencil = _stencil(f, x0, y0)
-    value0, grad0, hess0 = stencil
+    seed_stencil = _stencil(f, x0, y0)
+    value0, grad0, hess0 = seed_stencil
     if float(np.max(np.abs(hess0))) < _CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
         return Extremum(x0, y0, value0, CONSTANT)
 
     eigs = np.linalg.eigvalsh(hess0)
-    hess = None  # a stencil Hessian at the final point, when one is in hand
     if eigs[0] > 0.0 or eigs[1] < 0.0:
         route = "newton"
-        x, y, iterations, hess = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)
+        x, y, iterations, stencil = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, seed_stencil)
     else:
         route = "stationary"
         # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
@@ -627,15 +614,14 @@ def refine_extremum(
         if not res.success:
             raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
         x, y, iterations = float(res.x[0]), float(res.x[1]), int(res.nit)
+        stencil = _stencil(f, x, y)
+    _, grad, hess = stencil
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
-            (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(_gradient(f, x, y))),
+            (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(grad)),
         )
-    if hess is None:
-        kind = _classify(f, x, y)
-    else:
-        kind = _kind(eigs if hess is hess0 else np.linalg.eigvalsh(hess))
+    kind = _kind(eigs if stencil is seed_stencil else np.linalg.eigvalsh(hess))
     return Extremum(x, y, float(f(x, y)), kind)
 
 

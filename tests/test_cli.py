@@ -375,6 +375,18 @@ def test_evolve_footer_at_extreme_coupling(tmp_path):
     assert abs(float(footer.split("=")[1]) - math.pi * 1e-300) <= 1e-4 * 1e-300
 
 
+def test_evolve_rejects_revival_coupling_before_writing(tmp_path, capsys):
+    """A coupling the revival scan rejects exits 2 and writes nothing, to a file or to stdout."""
+    argv = ["evolve", "--jx", "1e300", "--jy", "1e300", "--jz", "0", "--hbar", "1e-10", "--theta", "0.7"]
+    target = tmp_path / "series.csv"
+    assert main(argv + ["--output", str(target)]) == 2
+    assert not target.exists() or target.read_text() == ""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qcs evolve: ") and "revival scan" in err
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_broken_pipe_exits_quietly(unbuffered):
     """A reader that has gone away ends the command with 141 (128 + SIGPIPE), not a traceback.

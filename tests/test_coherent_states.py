@@ -127,8 +127,15 @@ def test_spin_j_half_matches_qubit():
 
 
 def test_spin_j_bad_j():
-    with pytest.raises(ValueError):
-        spin_j_coherent(0.3, 1.0)
+    """Every spin-j entry point rejects a j that is not a positive half-integer, with one message."""
+    for j in (0.3, 0.0, -1.5, math.nan, math.inf):
+        for call in (
+            lambda: spin_j_coherent(j, 1.0),
+            lambda: SpinJState(j, [1.0, 0.0]),
+            lambda: spin_j_overlap_closed(j, 0.5, 1.0 - 2.0j),
+        ):
+            with pytest.raises(ValueError, match="j must be a positive half-integer"):
+                call()
 
 
 def test_spin_j_overlap_example():

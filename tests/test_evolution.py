@@ -419,6 +419,14 @@ def test_revival_at_extreme_couplings(j, hbar):
     assert abs(rev.time - math.pi * unit) <= REVIVAL_TOL * unit
 
 
+@pytest.mark.parametrize("j, hbar", [(1e300, 1e-10), (1e-10, 1e300)])
+def test_revival_rejects_couplings_outside_the_double_range(j, hbar):
+    """|J| / hbar = 1e310 leaves no normal scan step, 1e-310 overflows ten periods: BadParams, no warning."""
+    params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
+    with pytest.raises(BadParams, match="revival scan"):
+        revival_time(params, unit_label(0.7))
+
+
 def test_revival_crossing_is_the_same_at_every_scale():
     """The crossing is bisected in |J| t / hbar, so (t - pi hbar/J) / (hbar/J) reads one value at any scale."""
     readings = []

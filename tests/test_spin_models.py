@@ -328,7 +328,11 @@ def test_surface_grid_matches_scalar_routes(j, corner, step):
 @example(j=(1.1, -0.4, 0.9), log_radius=-150.0, angles=[0.0, 0.3, -2.0])
 @example(j=(1.1, -0.4, 0.9), log_radius=150.0, angles=[0.0, 0.3, -2.0])
 def test_q_symbols_lie_within_spectrum(j, log_radius, angles):
-    """Direct Q symbols are expectations of H, so both routes stay inside [lambda_min, lambda_max]."""
+    """Direct Q symbols are expectations of H, so both routes stay inside [lambda_min, lambda_max].
+
+    Each label comes with its antipode -1/conj(psi) and two near-antipodal
+    partners -(1 + eps)/conj(psi).
+    """
     jx, jy, jz = j
     models = (
         CouplingParams.xyz(jx=jx, jy=jy, jz=jz),
@@ -336,6 +340,7 @@ def test_q_symbols_lie_within_spectrum(j, log_radius, angles):
         CouplingParams.xxx(j=jy, hbar=1.0 + abs(jz)),
     )
     psi = 10.0**log_radius * np.exp(1j * np.array(angles))
+    psi = np.concatenate([psi] + [-(1.0 + eps) / psi.conj() for eps in (0.0, 1e-12, 1e-8)])
     for params in models:
         for sid in STATE_IDS:
             for bonds in ("all-pairs", "chain"):
@@ -455,7 +460,7 @@ def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bond
 def test_indefinite_seed_refines_to_saddle(monkeypatch):
     """A seed with an indefinite Hessian takes the stationary-point branch on both routes."""
     seed_point = (0.02, 0.01)
-    eigs = np.linalg.eigvalsh(sm._hessian(sm._surface_function(GEN, "G+", "direct", "all-pairs"), *seed_point))
+    eigs = np.linalg.eigvalsh(sm._stencil(sm._surface_function(GEN, "G+", "direct", "all-pairs"), *seed_point)[2])
     assert eigs[0] < 0.0 < eigs[1]
     kernel = sm.refine_extremum(GEN, "G+", seed_point)
     oracle = _oracle_kernel(GEN, "G+", "direct", "all-pairs")
@@ -481,23 +486,25 @@ def _hessian_pointwise(f, x, y, h):
 
 @seed(53)
 @settings(max_examples=100, deadline=None)
-@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0), h=st.sampled_from([1e-5, 1e-4, 1e-2, 0.3]))
-def test_batched_stencils_match_pointwise_formulas(x, y, h):
-    """One stencil call per _gradient/_hessian gives the point-by-point difference formulas."""
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
+def test_batched_stencils_match_pointwise_formulas(x, y):
+    """One kernel call per _gradient/_stencil gives the point-by-point difference formulas."""
+    gh, hh = sm._GRAD_STEP, sm._HESS_STEP
     # Elementwise arithmetic rounds the same in a batch as alone, so these agree exactly.
     poly = lambda u, v: u * u * v - 2.0 * u * v * v + u / (1.0 + v * v) + 0.5 * v
-    assert np.array_equal(sm._gradient(poly, x, y, h), _gradient_pointwise(poly, x, y, h))
-    assert np.array_equal(sm._hessian(poly, x, y, h), _hessian_pointwise(poly, x, y, h))
     value, grad, hess = sm._stencil(poly, x, y)
     assert value == poly(x, y)
-    assert np.array_equal(grad, sm._gradient(poly, x, y))
-    assert np.array_equal(hess, sm._hessian(poly, x, y))
+    assert np.array_equal(grad, _gradient_pointwise(poly, x, y, gh))
+    assert np.array_equal(hess, _hessian_pointwise(poly, x, y, hh))
+    assert np.array_equal(sm._gradient(poly, x, y), grad)
     # The direct kernel's einsum may round a label differently inside a batch,
     # so allow a few ulps of each value, divided by the stencil's step.
     f = sm._surface_function(GEN, "PG+", "direct", "all-pairs")
     ulps = 8.0 * np.finfo(float).eps * (1.0 + abs(float(f(x, y))))
-    assert np.allclose(sm._gradient(f, x, y, h), _gradient_pointwise(f, x, y, h), rtol=0.0, atol=ulps / h)
-    assert np.allclose(sm._hessian(f, x, y, h), _hessian_pointwise(f, x, y, h), rtol=0.0, atol=4.0 * ulps / h**2)
+    _, grad, hess = sm._stencil(f, x, y)
+    assert np.allclose(sm._gradient(f, x, y), _gradient_pointwise(f, x, y, gh), rtol=0.0, atol=ulps / gh)
+    assert np.allclose(grad, _gradient_pointwise(f, x, y, gh), rtol=0.0, atol=ulps / gh)
+    assert np.allclose(hess, _hessian_pointwise(f, x, y, hh), rtol=0.0, atol=4.0 * ulps / hh**2)
 
 
 def test_merge_orders_last_bit_ties_by_position():
@@ -567,7 +574,7 @@ def test_failed_stationary_hunt_keeps_other_extrema(monkeypatch, caplog):
         partial = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
     assert len(failed) == 1
     f = sm._surface_function(G_NEAR, "G+", "closed", "all-pairs")
-    eigs = np.linalg.eigvalsh(sm._hessian(f, *failed[0]))
+    eigs = np.linalg.eigvalsh(sm._stencil(f, *failed[0])[2])
     assert eigs[0] < 0.0 < eigs[1]
     assert [e for e in full.extrema if e is not saddle] == list(partial.extrema)
     assert len(partial.extrema) == 3
@@ -621,7 +628,7 @@ def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
     window = (-2.512951134121445, 2.487048865878555, -2.544793412870247, 2.455206587129753)
     seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of this window
     f = sm._surface_function(params, "G+", "closed", "all-pairs")
-    assert np.linalg.eigvalsh(sm._hessian(f, *seed_point))[0] > 0.0
+    assert np.linalg.eigvalsh(sm._stencil(f, *seed_point)[2])[0] > 0.0
     e = sm.refine_extremum(params, "G+", seed_point, "closed")
     assert e.kind == sm.MIN and math.hypot(e.x, e.y - 1.0) <= 1e-7
     grid = energy_surface(params, "G+", window, 0.099652006380203, "closed")
@@ -666,8 +673,7 @@ def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pair
     """Nelder-Mead refinement of every seed, the route used before Newton; the reference below."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    grad0 = sm._gradient(f, x0, y0)
-    hess0 = sm._hessian(f, x0, y0)
+    _, grad0, hess0 = sm._stencil(f, x0, y0)
     if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
         return sm.Extremum(x0, y0, float(f(x0, y0)), sm.CONSTANT)
     eigs = np.linalg.eigvalsh(hess0)
@@ -686,7 +692,7 @@ def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pair
     if not res.success:
         raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
     x, y = float(res.x[0]), float(res.x[1])
-    return sm.Extremum(x, y, float(f(x, y)), sm._classify(f, x, y))
+    return sm.Extremum(x, y, float(f(x, y)), sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2])))
 
 
 def _random_surfaces(n, rng):
@@ -728,7 +734,7 @@ def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
 
 
 def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="all-pairs"):
-    """Reference: the refinement route whose final point is classified by a fresh 9-label Hessian."""
+    """Reference: the refinement route whose final point is classified by a fresh stencil Hessian."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
     stencil = sm._stencil(f, x0, y0)
@@ -748,7 +754,7 @@ def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="a
         if not res.success:
             raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
         x, y = float(res.x[0]), float(res.x[1])
-    return sm.Extremum(x, y, float(f(x, y)), sm._classify(f, x, y))
+    return sm.Extremum(x, y, float(f(x, y)), sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2])))
 
 
 @pytest.mark.parametrize("source", ["direct", "closed"])
@@ -768,8 +774,8 @@ def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(monkeypatch, sour
     assert count >= 80
 
 
-def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
-    """A seed Newton leaves in place costs one 13-label and one 1-label kernel call, no 9-label call."""
+def _spy_on_kernel_sizes(monkeypatch) -> list:
+    """Make every surface kernel record the number of labels of each call in the returned list."""
     kernel = sm._surface_function
     sizes = []
 
@@ -783,6 +789,12 @@ def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
         return spy
 
     monkeypatch.setattr(sm, "_surface_function", spying_kernel)
+    return sizes
+
+
+def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
+    """A seed Newton leaves in place costs one 13-label and one 1-label kernel call, no 9-label call."""
+    sizes = _spy_on_kernel_sizes(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
         (PG, "PG+", (0.0, 1.0), "closed", "chain", sm.MAX),
@@ -793,6 +805,45 @@ def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
         e = sm.refine_extremum(params, sid, seed_point, source, bonds)
         assert (e.x, e.y, e.kind) == (*seed_point, kind)
         assert sizes == [13, 1]
+
+
+def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
+    """Moved, step-stopped and saddle seeds end on a 13-label stencil and a 1-label value, never 9 labels."""
+    sizes = _spy_on_kernel_sizes(monkeypatch)
+    stencil, refine = sm._stencil, sm.refine_extremum
+    points = []
+    routes = {"in place": 0, "gradient floor": 0, "step size": 0, "saddle": 0}
+
+    def recording_stencil(f, x, y):
+        points.append((x, y))
+        return stencil(f, x, y)
+
+    def recording_refine(*args):
+        sizes.clear()
+        points.clear()
+        e = refine(*args)
+        assert 9 not in sizes
+        if sizes == [13, 1]:
+            routes["in place"] += 1
+            return e
+        assert sizes[0] == sizes[-2] == 13 and sizes[-1] == 1
+        (xa, ya), (xb, yb) = points[-2:]
+        if 4 in sizes:
+            assert set(sizes[1:-2]) == {4}
+            routes["saddle"] += 1
+        elif math.hypot(xb - xa, yb - ya) <= 1e-10 * (1.0 + math.hypot(xb, yb)):
+            routes["step size"] += 1
+        else:
+            routes["gradient floor"] += 1
+        return e
+
+    monkeypatch.setattr(sm, "_stencil", recording_stencil)
+    monkeypatch.setattr(sm, "refine_extremum", recording_refine)
+    for params, sid, window, step in _random_surfaces(40, random.Random(67)):
+        energy_surface(params, sid, window, step, "closed", "chain")
+    energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+    energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
+    assert min(routes.values()) >= 1, routes
 
 
 def test_grid_node_ceiling():
