@@ -31,7 +31,7 @@ from .errors import BadParams, QcsError
 USAGE_ERROR = 2
 # 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
 BROKEN_PIPE = 141
-# `evolve` holds its whole time grid in memory: a few (steps, 4) complex
+# `evolve` holds its whole time grid in memory: a few (4, steps) real
 # arrays and one CSV row per step.  A constant, not an option: no caller
 # needs more, and a tiny --dt must fail before anything is allocated.
 MAX_TIME_STEPS = 1_000_000

@@ -58,7 +58,8 @@ def _normalized_amplitudes(amplitudes, allowed_sizes) -> np.ndarray:
             f"got {a.size} amplitudes, expected one of {sorted(allowed_sizes)}"
         )
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > NORM_TOL:
+    # Written so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise NotNormalized(f"|amplitudes| = {norm!r}, expected 1 within {NORM_TOL}")
     a = a / norm
     a.flags.writeable = False

@@ -8,10 +8,14 @@ amplitudes carry the phase e^{-2iJt/hbar}, and the first revival of a
 generic theta sits at pi hbar / J.  It differs by a factor of two from
 the energy-surface XYZ convention in :mod:`qcs.spin_models`.
 
-The numeric route (spectral evolution, then determinant concurrence and
-overlap fidelity) is authoritative; closed-form readings are diagnostics.
-Revival peaks are refined by Newton on the analytic derivatives of the
-spectral fidelity, so this module needs NumPy only.
+H is diagonal in the Bell basis (Phi+, Phi-, Psi+, Psi-) with energies
+E = (Jx - Jy + Jz, -Jx + Jy + Jz, Jx + Jy - Jz, -Jx - Jy - Jz), and P+(psi)
+has real amplitudes in the magic basis (Hill and Wootters, PRL 78, 5022
+(1997)).  So with w_k = |<Bell_k|P+(psi)>|^2 and
+A(t) = sum_k w_k e^{-i E_k t / hbar}, the evolved P+(psi) has fidelity
+F(t) = |A(t)|^2 and concurrence C(t) = |A(2t)|: the series and the revival
+search need no Hamiltonian and no diagonalization.  Closed-form readings
+are diagnostics; NumPy is the only dependency.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .coherent_states import NORM_TOL, PureState
+from .coherent_states import PureState
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import entangled_state
-from .errors import BadParams, DimensionMismatch, NotNormalized
+from .errors import BadParams, DimensionMismatch
 from .spin_models import CouplingParams, _embedded_terms
 
 __all__ = [
@@ -55,6 +59,8 @@ _REVIVAL_PERIODS = 10
 _BISECT_TOL = 1e-9
 _PEAK_TOL = 1e-12
 _PEAK_MAX_ITER = 50
+# Rows: the Bell states Phi+, Phi-, Psi+, Psi- over |00>, |01>, |10>, |11>.
+_BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -102,66 +108,58 @@ def is_xx_like(params: CouplingParams) -> bool:
     return params.model == "XYZ" and params.jx == params.jy != 0.0 and params.jz == 0.0
 
 
-def _spectral_propagator(
-    h: np.ndarray, hbar: float
-) -> Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]:
-    """Return amps(c0, t) evaluating exp(-iHt/hbar) c0 via the eigenbasis."""
-    energies, vectors = np.linalg.eigh(h)
-
-    def apply(c0: np.ndarray, t):
-        coeffs = vectors.conj().T @ c0
-        phases = np.exp(-1j * np.outer(np.atleast_1d(t), energies) / hbar)
-        out = (phases * coeffs) @ vectors.T
-        return out[0] if np.isscalar(t) else out
-
-    return apply
-
-
 def evolve(h: np.ndarray, state: PureState, t: float, hbar: float = 1.0) -> PureState:
     """Evolved state exp(-iHt/hbar) |state> by spectral decomposition."""
+    t = float(t)
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise BadParams(f"hbar must be finite and positive, got {hbar}")
+    if not math.isfinite(t):
+        raise BadParams(f"t must be finite, got {t}")
     h = np.asarray(h, dtype=complex)
-    if not hbar > 0:
-        raise BadParams(f"hbar must be positive, got {hbar}")
     if h.shape != (state.dim, state.dim):
         raise DimensionMismatch(f"operator shape {h.shape} vs state dim {state.dim}")
-    return PureState(_spectral_propagator(h, hbar)(state.amplitudes, float(t)))
+    energies, vectors = np.linalg.eigh(h)
+    coeffs = vectors.conj().T @ state.amplitudes
+    phases = np.exp(-1j * np.outer(t, energies) / hbar)
+    return PureState(((phases * coeffs) @ vectors.T)[0])
 
 
-def _initial_p_plus(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, np.ndarray]:
-    psi = as_point(p)
-    state0 = entangled_state("P+", psi)
-    h = exchange_hamiltonian(params)
-    return state0.amplitudes, h
+def _p_plus_spectrum(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, np.ndarray]:
+    """Energies E_k of the exchange Hamiltonian and weights w_k = |<Bell_k|P+(psi)>|^2.
+
+    Both are in the Bell order of `_BELL`, in which the Hamiltonian is
+    diagonal; the weights sum to 1 within rounding.
+    """
+    if params.model != "XYZ":
+        raise BadParams("dynamics are parameterized by XYZ exchange couplings")
+    jx, jy, jz = params.jx, params.jy, params.jz
+    energies = np.array([jx - jy + jz, -jx + jy + jz, jx + jy - jz, -jx - jy - jz])
+    weights = np.abs(_BELL @ entangled_state("P+", p).amplitudes) ** 2
+    return energies, weights
 
 
 def _p_plus_series(params: CouplingParams, p: PointLike, t_grid) -> tuple[TimeSeries, TimeSeries]:
-    """Concurrence and fidelity series of the evolved P+(psi), from one propagation.
+    """Concurrence C(t) = |A(2t)| and fidelity F(t) = |A(t)|^2 of the evolved P+(psi).
 
-    Each evolved row must lie within NORM_TOL of unit norm, as a
-    PureState would require; it is renormalized and C = 2 |a00 a11 - a01 a10|.
-    The fidelity |<psi(t)|P+(psi)>|^2 is read from the rows as evolved.
-    Both are capped at 1 so rounding cannot push them past their bound.
+    A(t) = sum_k w_k e^{-i E_k t / hbar} from `_p_plus_spectrum`.  C is the
+    hypot of the real sums at 2t, not sqrt(F(2t)), which loses accuracy
+    near C = 0.  Both are capped at 1 so rounding cannot push them past
+    their bound.
     """
-    c0, h = _initial_p_plus(params, p)
     ts = np.asarray(t_grid, dtype=float)
-    evolved = _spectral_propagator(h, params.hbar)(c0, ts)
-    norms = np.linalg.norm(evolved, axis=1, keepdims=True)
-    off = np.abs(norms - 1.0) > NORM_TOL
-    if off.any():
-        norm = float(norms[off][0])
-        raise NotNormalized(f"|amplitudes| = {norm!r}, expected 1 within {NORM_TOL}")
-    a = evolved / norms
-    concurrence = 2.0 * np.abs(a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2])
-    fidelity = np.abs(evolved @ c0.conj()) ** 2
+    energies, weights = _p_plus_spectrum(params, p)
+    # The largest phase, formed as below: a non-finite time, energy or
+    # phase raises here instead of turning into NaN.
+    e_max, t_max = float(np.max(np.abs(energies))), float(np.max(np.abs(ts), initial=0.0))
+    if not math.isfinite(e_max * (2.0 * t_max) / params.hbar):
+        raise BadParams(f"phases E t / hbar must be finite, got |E| up to {e_max!r}, |t| up to {t_max!r}")
+    fidelity = _spectral_fidelity(energies, weights, ts, params.hbar)
+    concurrence = np.hypot(*_spectral_sums(energies, weights, 2.0 * ts, params.hbar))
     return TimeSeries(ts, np.minimum(concurrence, 1.0)), TimeSeries(ts, np.minimum(fidelity, 1.0))
 
 
 def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Determinant concurrence of the evolved P+(psi) on the time grid.
-
-    Raises NotNormalized if an evolved row is off unit norm by more than
-    NORM_TOL (see `_p_plus_series`).
-    """
+    """Concurrence of the evolved P+(psi) on the time grid, capped at 1 (see `_p_plus_series`)."""
     return _p_plus_series(params, p, t_grid)[0]
 
 
@@ -194,23 +192,31 @@ def closed_form_concurrence_reading(theta: float, t, j: float, hbar: float = 1.0
     return float(out) if out.ndim == 0 else out
 
 
-def _spectral_fidelity(rates: np.ndarray, weights: np.ndarray, t):
-    """|sum_k w_k e^{-i phi_k}|^2 with phi = rates (x) t, for real weights w_k.
+def _spectral_sums(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
+    """Re A(t) and -Im A(t) as w . cos phi and w . sin phi, phi = (E (x) t) / hbar, for real w_k.
 
-    Computed as (w . cos phi)^2 + (w . sin phi)^2: real arithmetic only,
-    equal to the complex form to within rounding.
+    Forming E t before dividing by hbar keeps phi finite wherever E t / hbar
+    is, even where E / hbar overflows.  Callers that pass rates E / hbar
+    keep hbar = 1, which divides exactly.
     """
-    phi = np.multiply.outer(rates, t)
-    return (weights @ np.cos(phi)) ** 2 + (weights @ np.sin(phi)) ** 2
+    phi = np.multiply.outer(energies, t) / hbar
+    return weights @ np.cos(phi), weights @ np.sin(phi)
 
 
-def _peak_time(
-    energies: np.ndarray, weights: np.ndarray, hbar: float, lo: float, t: float, hi: float
-) -> float:
+def _spectral_fidelity(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
+    """F(t) = |A(t)|^2 = (w . cos phi)^2 + (w . sin phi)^2 (see `_spectral_sums`).
+
+    Real arithmetic only, equal to the complex form to within rounding.
+    """
+    re, im = _spectral_sums(energies, weights, t, hbar)
+    return re**2 + im**2
+
+
+def _peak_time(rates: np.ndarray, weights: np.ndarray, lo: float, t: float, hi: float) -> float:
     """Newton's maximum of F(t) = |A(t)|^2, A(t) = sum_k w_k e^{-i E_k t / hbar}, from t in [lo, hi].
 
-    With a_k = w_k e^{r_k t} and r_k = -i E_k / hbar, A' = sum r_k a_k and
-    A'' = sum r_k^2 a_k, so F' = 2 Re(conj(A) A') and
+    `rates` are E_k / hbar.  With a_k = w_k e^{r_k t} and r_k = -i E_k / hbar,
+    A' = sum r_k a_k and A'' = sum r_k^2 a_k, so F' = 2 Re(conj(A) A') and
     F'' = 2 (|A'|^2 + Re(conj(A) A'')).  Steps are clamped to [lo, hi] and
     taken only while F'' < 0; a point that is not concave is no revival
     peak, and the band check of the caller rejects it.
@@ -220,7 +226,7 @@ def _peak_time(
     near the top of the double range.  Scaling by a power of two is exact,
     so every step equals the unscaled one wherever that one is finite.
     """
-    r = -1j * energies / hbar
+    r = -1j * rates
     scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(r), initial=0.0)))[1])
     s = scale * r
     s2 = s * s
@@ -289,7 +295,8 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     (`_peak_time`), re-enters it, and bisects the upward crossing to
     1e-9 hbar/|J|, the same point of the curve at every scale.  Scan and
     bisection evaluate the fidelity in real arithmetic
-    (`_spectral_fidelity`).  The samples of one period
+    (`_spectral_fidelity`) on the energies and weights of
+    `_p_plus_spectrum`.  The samples of one period
     (2 pi hbar / J) are scanned first, since the revival of the XX model
     sits at pi hbar / J; ten periods are scanned only if none is confirmed
     there.  The shorter scan is a prefix of the longer one, so both
@@ -314,12 +321,12 @@ def revival_time(params: CouplingParams, p: PointLike) -> Revival:
     if not (dt >= sys.float_info.min and t_max < math.inf):
         raise BadParams(f"|J| / hbar = {j!r} / {hbar!r} is outside the range the revival scan resolves")
 
-    c0, h = _initial_p_plus(params, p)
-    energies, vectors = np.linalg.eigh(h)
-    weights = np.abs(vectors.conj().T @ c0) ** 2
-
-    fidelity = functools.partial(_spectral_fidelity, energies / hbar, weights)
-    peak = functools.partial(_peak_time, energies, weights, hbar)
+    energies, weights = _p_plus_spectrum(params, psi)
+    # In range, |E| / hbar is finite, so divide it in real arithmetic once:
+    # a complex division would take 1 / hbar, which overflows for subnormal hbar.
+    rates = energies / hbar
+    fidelity = functools.partial(_spectral_fidelity, rates, weights)
+    peak = functools.partial(_peak_time, rates, weights)
     for n in (int(math.ceil(t_period / dt)) + 1, int(math.ceil(t_max / dt))):
         ts = dt * np.arange(1, n + 1)
         f = fidelity(ts)

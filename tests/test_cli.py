@@ -133,7 +133,7 @@ def test_surface_bytes_match_per_value_format(tmp_path, argv, sid, params, windo
 
 
 def test_evolve_bytes_match_per_value_format(tmp_path):
-    """`evolve` rows and footer are the library series written with format(x, ".17g")."""
+    """`evolve` rows and footer are the library series written with format(x, ".17g"), on and off the circle."""
     target = tmp_path / "series.csv"
     assert main(["evolve", "--j", "1.3", "--theta", "0.9", "--hbar", "0.8", "--dt", "0.01",
                  "--output", str(target)]) == 0
@@ -151,6 +151,18 @@ def test_evolve_bytes_match_per_value_format(tmp_path):
             ev.closed_form_fidelity(0.9, ts, 1.3, 0.8),
         )
         + f"# revival_time = {format(revival.time, '.17g')}\n"
+    )
+    assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+    # Off the circle and off XX: the numeric columns alone, over the default 4 pi hbar / max(|J|, 1).
+    assert main(["evolve", "--jx", "0.8", "--jy=-0.3", "--jz", "1.1", "--psi", "0.5,0.4",
+                 "--output", str(target)]) == 0
+    params = CouplingParams.xyz(jx=0.8, jy=-0.3, jz=1.1)
+    ts = 0.01 * np.arange(int(math.floor(4.0 * math.pi / 1.1 / 0.01 + 0.5)) + 1)
+    expected = "t,concurrence,fidelity\n" + _fmt_rows(
+        ts,
+        ev.concurrence_series(params, 0.5 + 0.4j, ts).values,
+        ev.fidelity_series(params, 0.5 + 0.4j, ts).values,
     )
     assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
@@ -354,10 +366,10 @@ def test_main_builds_its_parser_once(monkeypatch):
 
 
 def test_evolve_propagates_once(monkeypatch):
-    """Concurrence and fidelity columns come from one spectral propagation."""
+    """Concurrence and fidelity columns of an off-circle `evolve` come from one Bell spectrum."""
     calls = []
-    propagator = ev._spectral_propagator
-    monkeypatch.setattr(ev, "_spectral_propagator", lambda h, hbar: calls.append(1) or propagator(h, hbar))
+    spectrum = ev._p_plus_spectrum
+    monkeypatch.setattr(ev, "_p_plus_spectrum", lambda params, p: calls.append(1) or spectrum(params, p))
     assert main(["evolve", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--psi", "1,0",
                  "--t-max", "0.5", "--dt", "0.25", "--output", os.devnull]) == 0
     assert len(calls) == 1

@@ -33,6 +33,12 @@ def test_pure_state_normalization_guard():
         PureState([1.0, 1.0])
     st2 = PureState([0.6, 0.8j])
     assert math.isclose(np.linalg.norm(st2.amplitudes), 1.0, abs_tol=TOL)
+    # A NaN norm fails the check too, instead of yielding an all-NaN state.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NotNormalized):
+            PureState([bad, 1.0])
+        with pytest.raises(NotNormalized):
+            SpinJState(1.0, [bad, 1.0, 0.0])
 
 
 def test_pure_state_dims():

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import qcs.evolution as ev
-from qcs.coherent_states import PureState
+from qcs.cli import main
+from qcs.complex_geometry import INFINITY
 from qcs.entangled_basis import entangled_state
 from qcs.entanglement_measures import concurrence_det
-from qcs.errors import BadParams, NotNormalized
+from qcs.errors import BadParams
 from qcs.evolution import (
     ALWAYS_ONE,
     FOUND,
     NO_REVIVAL,
     Revival,
     TimeSeries,
+    closed_form_concurrence_reading,
     closed_form_fidelity,
     concurrence_series,
     evolve,
@@ -177,11 +179,14 @@ def test_concurrence_series_matches_magic_basis_law():
         assert np.max(np.abs(concurrence_series(params, psi, ts).values - law)) <= 1e-12
 
 
-def _scalar_concurrence(params, psi, ts):
-    """One validated PureState and one determinant per evolved row."""
-    c0 = entangled_state("P+", psi).amplitudes
-    evolved = ev._spectral_propagator(exchange_hamiltonian(params), params.hbar)(c0, ts)
-    return np.array([concurrence_det(PureState(row)) for row in evolved])
+def _evolved_series(params, psi, ts):
+    """Determinant concurrence and overlap fidelity of evolve(h, P+, t), one evolved state per time."""
+    h = exchange_hamiltonian(params)
+    state0 = entangled_state("P+", psi)
+    evolved = [evolve(h, state0, t, params.hbar) for t in ts]
+    conc = np.array([concurrence_det(state) for state in evolved])
+    fid = np.array([abs(np.vdot(state0.amplitudes, state.amplitudes)) ** 2 for state in evolved])
+    return conc, fid
 
 
 TIME_GRIDS = (
@@ -202,12 +207,17 @@ TIME_GRIDS = (
     ts=st.sampled_from(TIME_GRIDS),
 )
 def test_concurrence_series_matches_scalar_route(j, radius, angle, ts):
-    """The array determinant agrees with the per-row PureState route to the last bits."""
+    """Both series agree with evolve(h, P+, t) state by state, to rounding in the phases E t / hbar."""
     params = CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2])
     psi = radius * complex(math.cos(angle), math.sin(angle))
     conc = concurrence_series(params, psi, ts)
-    assert np.array_equal(conc.t, ts)
-    assert np.max(np.abs(conc.values - _scalar_concurrence(params, psi, ts))) <= 1e-15
+    fid = fidelity_series(params, psi, ts)
+    assert np.array_equal(conc.t, ts) and np.array_equal(fid.t, ts)
+    energies, _ = ev._p_plus_spectrum(params, psi)
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(energies)) * ts.max() / params.hbar)
+    conc_ref, fid_ref = _evolved_series(params, psi, ts)
+    assert np.max(np.abs(conc.values - conc_ref)) <= bound
+    assert np.max(np.abs(fid.values - fid_ref)) <= bound
 
 
 @seed(59)
@@ -226,37 +236,10 @@ def test_series_are_capped_at_one(j, radius, angle, ts):
     conc = concurrence_series(params, psi, ts).values
     fid = fidelity_series(params, psi, ts).values
     assert conc.max() <= 1.0 and fid.max() <= 1.0
-    c0 = entangled_state("P+", psi).amplitudes
-    evolved = ev._spectral_propagator(exchange_hamiltonian(params), params.hbar)(c0, ts)
-    assert np.array_equal(fid, np.minimum(np.abs(evolved @ c0.conj()) ** 2, 1.0))
-
-
-def _scaled_propagator(monkeypatch, factor):
-    """Make the propagator scale the last evolved row by `factor`."""
-    real = ev._spectral_propagator
-
-    def scaled(h, hbar):
-        apply = real(h, hbar)
-
-        def apply_scaled(c0, t):
-            out = apply(c0, t)
-            out[-1] *= factor
-            return out
-
-        return apply_scaled
-
-    monkeypatch.setattr(ev, "_spectral_propagator", scaled)
-
-
-def test_concurrence_series_rejects_unnormalized_rows(monkeypatch):
-    ts = np.linspace(0.0, 1.0, 5)
-    reference = concurrence_series(XX, unit_label(0.9), ts).values
-    _scaled_propagator(monkeypatch, 1.0 + 1e-12)  # inside NORM_TOL: renormalized
-    inside = concurrence_series(XX, unit_label(0.9), ts).values
-    assert np.max(np.abs(inside - reference)) <= 1e-15
-    _scaled_propagator(monkeypatch, 1.0 + 1e-6)
-    with pytest.raises(NotNormalized):
-        concurrence_series(XX, unit_label(0.9), ts)
+    energies, weights = ev._p_plus_spectrum(params, psi)
+    assert np.array_equal(fid, np.minimum(ev._spectral_fidelity(energies, weights, ts, params.hbar), 1.0))
+    uncapped = np.hypot(*ev._spectral_sums(energies, weights, 2.0 * ts, params.hbar))
+    assert np.array_equal(conc, np.minimum(uncapped, 1.0))
 
 
 def _ten_period_revival(params, psi, scipy_peak=False):
@@ -268,9 +251,7 @@ def _ten_period_revival(params, psi, scipy_peak=False):
     j, hbar = abs(params.jx), params.hbar
     dt = 1e-3 * hbar / j
     t_max = 10 * 2.0 * math.pi * hbar / j
-    c0 = entangled_state("P+", psi).amplitudes
-    energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
-    weights = np.abs(vectors.conj().T @ c0) ** 2
+    energies, weights = ev._p_plus_spectrum(params, psi)
 
     def fidelity(t):
         amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
@@ -282,7 +263,7 @@ def _ten_period_revival(params, psi, scipy_peak=False):
                 lambda s: -fidelity(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
             )
             return float(result.x)
-        return ev._peak_time(energies, weights, hbar, lo, t, hi)
+        return ev._peak_time(energies / hbar, weights, lo, t, hi)
 
     threshold = 1.0 - 1e-9
     ts = dt * np.arange(1, int(math.ceil(t_max / dt)) + 1)
@@ -350,15 +331,14 @@ def test_revival_peak_matches_minimize_scalar(theta, j, hbar):
 def test_peak_time_reaches_the_fidelity_maximum():
     """Newton stops on the analytic maximum, inside its bracket, and does not climb a valley."""
     params = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
-    c0 = entangled_state("P+", unit_label(0.6)).amplitudes
-    energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
-    weights = np.abs(vectors.conj().T @ c0) ** 2
+    energies, weights = ev._p_plus_spectrum(params, unit_label(0.6))
+    rates = energies / params.hbar
     # F(t) = 1 - sin^2(2 theta) sin^2(t) peaks at t = pi and dips at t = pi / 2.
-    t = ev._peak_time(energies, weights, 1.0, math.pi - 1e-3, math.pi + 4e-4, math.pi + 1e-3)
+    t = ev._peak_time(rates, weights, math.pi - 1e-3, math.pi + 4e-4, math.pi + 1e-3)
     assert abs(t - math.pi) <= 1e-12
-    t = ev._peak_time(energies, weights, 1.0, 3.0, 3.05, 3.1)
+    t = ev._peak_time(rates, weights, 3.0, 3.05, 3.1)
     assert t == 3.1  # clamped: the maximum lies beyond the bracket
-    t = ev._peak_time(energies, weights, 1.0, 1.5, 1.56, 1.6)
+    t = ev._peak_time(rates, weights, 1.5, 1.56, 1.6)
     assert t == 1.56  # convex there: no step
 
 
@@ -392,9 +372,7 @@ def test_spectral_fidelity_matches_complex_form():
     rng = np.random.default_rng(12)
     for theta, j, hbar in _random_revival_cases(30, rng):
         params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
-        c0 = entangled_state("P+", unit_label(theta)).amplitudes
-        energies, vectors = np.linalg.eigh(exchange_hamiltonian(params))
-        weights = np.abs(vectors.conj().T @ c0) ** 2
+        energies, weights = ev._p_plus_spectrum(params, unit_label(theta))
         ts = 1e-3 * hbar / abs(j) * np.arange(1, 62833)
         complex_form = np.abs(weights @ np.exp(-1j * np.multiply.outer(energies, ts) / hbar)) ** 2
         real_form = ev._spectral_fidelity(energies / hbar, weights, ts)
@@ -406,10 +384,11 @@ def test_spectral_fidelity_matches_complex_form():
 @pytest.mark.parametrize(
     "j, hbar",
     [(1e-6, 1.0), (1.0, 1.0), (-3.0, 1e-3), (1e100, 1.0), (1e155, 1.0), (1e200, 1.0), (-1e200, 1.0),
-     (1.0, 1e-300)],
+     (1.0, 1e-300), (1e-310, 1e-310), (3e-310, 1e-309)],
 )
 def test_revival_at_extreme_couplings(j, hbar):
-    """Newton's peak holds for |J| / hbar from 1e-6 to 1e300: r^2 no longer overflows."""
+    """Newton's peak holds for |J| / hbar from 1e-6 to 1e300: r^2 no longer overflows,
+    and a subnormal hbar no longer overflows 1 / hbar."""
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -430,7 +409,8 @@ def test_revival_rejects_couplings_outside_the_double_range(j, hbar):
 def test_revival_crossing_is_the_same_at_every_scale():
     """The crossing is bisected in |J| t / hbar, so (t - pi hbar/J) / (hbar/J) reads one value at any scale."""
     readings = []
-    for j, hbar in ((1e-7, 1.0), (1.0, 1.0), (1e100, 1.0), (1e300, 1.0), (1.0, 1e-300)):
+    for j, hbar in ((1e-7, 1.0), (1.0, 1.0), (1e100, 1.0), (1e300, 1.0), (1.0, 1e-300), (1e-310, 1e-310),
+                    (3e-310, 1e-309)):
         rev = revival_time(CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar), unit_label(0.7))
         unit = hbar / j
         readings.append((rev.time - math.pi * unit) / unit)
@@ -467,3 +447,94 @@ def test_revival_bisection_ends_at_tiny_couplings():
         unit = 1.0 / float(j)
         assert abs(float(time) - math.pi * unit) <= REVIVAL_TOL * unit
     assert len(proc.stdout.splitlines()) == 2
+
+
+BELL_LABELS = [0.0, 1.0, 1j, -0.3 + 0.8j, 2.5 - 1.5j, 1e-8, 1e8j, 1e150, INFINITY]
+
+
+def test_bell_basis_diagonalizes_the_exchange_hamiltonian():
+    """H Bell^T = Bell^T diag(E), and sum_k w_k e^{-i E_k t / hbar} is <P+|evolve(h, P+, t)>."""
+    rng = np.random.default_rng(61)
+    eps = np.finfo(float).eps
+    for _ in range(100):
+        jx, jy, jz = rng.uniform(-2.0, 2.0, 3)
+        params = CouplingParams.xyz(jx=jx, jy=jy, jz=jz, hbar=float(rng.uniform(0.5, 2.0)))
+        h = exchange_hamiltonian(params)
+        for psi in BELL_LABELS + [complex(*rng.normal(size=2))]:
+            energies, weights = ev._p_plus_spectrum(params, psi)
+            bell_t = ev._BELL.T
+            assert np.max(np.abs(h @ bell_t - bell_t * energies)) <= 4.0 * eps * np.max(np.abs(energies))
+            state0 = entangled_state("P+", psi)
+            for t in (0.0, 0.37, 2.9, 11.0):
+                amp = weights @ np.exp(-1j * energies * t / params.hbar)
+                assert abs(amp - np.vdot(state0.amplitudes, evolve(h, state0, t, params.hbar).amplitudes)) <= 1e-13
+
+
+def test_dynamics_build_no_hamiltonian_and_call_no_eigh(monkeypatch, tmp_path):
+    """The series, the revival search and `qcs evolve` read only the closed Bell spectrum."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the P+ dynamics must not build or diagonalize a Hamiltonian")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(ev, "exchange_hamiltonian", forbidden)
+    params = CouplingParams.xyz(jx=0.8, jy=-0.3, jz=1.1)
+    ts = np.linspace(0.0, 3.0, 31)
+    assert concurrence_series(params, 0.5 + 0.4j, ts).values.size == 31
+    assert fidelity_series(params, 0.5 + 0.4j, ts).values.size == 31
+    assert revival_time(XX, unit_label(0.7)).status == FOUND
+    for argv in (["--j", "1", "--theta", "0.7"], ["--jx", "0.8", "--jy=-0.3", "--jz", "1.1", "--psi", "0.5,0.4"]):
+        assert main(["evolve", *argv, "--output", str(tmp_path / "series.csv")]) == 0
+
+
+def test_evolve_rejects_non_finite_time_and_hbar():
+    state = entangled_state("P+", 0.3 + 0.7j)
+    h = exchange_hamiltonian(XX)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(BadParams):
+            evolve(h, state, t)
+    for hbar in (math.inf, math.nan, 0.0):
+        with pytest.raises(BadParams):
+            evolve(h, state, 1.0, hbar=hbar)
+
+
+@pytest.mark.parametrize(
+    "params, ts",
+    [
+        (XX, [0.0, math.inf]),
+        (XX, [0.0, math.nan]),
+        (CouplingParams.xyz(jx=0.0, jy=0.0, jz=0.0), [0.0, math.inf]),
+        # E t / hbar overflows at 2t, where the concurrence is read.
+        (XX, [0.0, 5e307]),
+        # Jx + Jy overflows: the energy itself is not finite.
+        (CouplingParams.xyz(jx=1e308, jy=1e308, jz=0.0), [0.0, 1.0]),
+    ],
+)
+def test_series_reject_non_finite_phases(params, ts):
+    """A time, energy or phase E t / hbar that is not finite raises BadParams, with no NaN or warning."""
+    for series in (concurrence_series, fidelity_series):
+        with pytest.raises(BadParams):
+            series(params, 0.3, ts)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 8, 0.9, math.pi / 4, 2.0])
+def test_concurrence_law_on_the_unit_circle(theta):
+    """Under XX, P+(e^{i theta}) has C(t) = sqrt(1 - sin^2(2 theta) sin^2(2 J t / hbar))."""
+    params = CouplingParams.xyz(jx=1.3, jy=1.3, jz=0.0, hbar=0.8)
+    ts = np.linspace(0.0, 4.0 * math.pi * 0.8 / 1.3, 301)
+    law = np.sqrt(1.0 - np.sin(2.0 * theta) ** 2 * np.sin(2.0 * 1.3 * ts / 0.8) ** 2)
+    assert np.max(np.abs(concurrence_series(params, unit_label(theta), ts).values - law)) <= 1e-12
+
+
+def test_concurrence_reading_is_the_law_at_half_coupling():
+    """The diagnostic reading carries the 1/2 prefactor of the energy surfaces: at theta = pi/4 it is
+    the law at J/2, and elsewhere it starts at C(0) = 1 + (c^2 - c)/2, c = cos 2 theta, not 1."""
+    ts = np.linspace(0.0, 10.0, 401)
+    for j, hbar in ((1.0, 1.0), (1.3, 0.8), (-2.5, 1.7)):
+        params = CouplingParams.xyz(jx=j / 2.0, jy=j / 2.0, jz=0.0, hbar=hbar)
+        law = concurrence_series(params, unit_label(math.pi / 4), ts).values
+        assert np.max(np.abs(closed_form_concurrence_reading(math.pi / 4, ts, j, hbar) - law)) <= 1e-12
+    for theta in np.linspace(0.0, math.pi, 17):
+        c = math.cos(2.0 * theta)
+        assert abs(closed_form_concurrence_reading(theta, 0.0, 1.0) - (1.0 + (c * c - c) / 2.0)) <= 1e-12
+    assert abs(closed_form_concurrence_reading(math.pi / 8, 0.0, 1.0) - 0.896) <= 1e-3
