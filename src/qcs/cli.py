@@ -32,9 +32,12 @@ USAGE_ERROR = 2
 # 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
 BROKEN_PIPE = 141
 # `evolve` holds its whole time grid in memory: a few (4, steps) real
-# arrays and one CSV row per step.  A constant, not an option: no caller
-# needs more, and a tiny --dt must fail before anything is allocated.
+# arrays and one (steps, columns) table of the CSV values.  A constant,
+# not an option: no caller needs more, and a tiny --dt must fail before
+# anything is allocated.
 MAX_TIME_STEPS = 1_000_000
+# `_write_rows` formats this many rows with one `%` and one write.
+_ROW_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -46,10 +49,16 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _write_rows(out, columns) -> None:
-    """Write equal-size arrays as CSV columns, each value as _fmt writes it."""
+    """Write equal-size arrays as CSV columns, each value as _fmt writes it.
+
+    Rows are formatted _ROW_BLOCK at a time, by one `%` over the block and
+    one write, so only one block of text and Python floats is alive at once.
+    """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
-    out.writelines(row % r for r in zip(*values))
+    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
+    for start in range(0, len(table), _ROW_BLOCK):
+        block = table[start:start + _ROW_BLOCK]
+        out.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_grid(out, xs: np.ndarray, ys: np.ndarray, planes) -> None:
@@ -269,7 +278,7 @@ def cmd_evolve(args) -> int:
         theta = math.atan2(psi.imag, psi.real)
         closed_c = ev.closed_form_concurrence_reading(theta, ts, params.jx, params.hbar)
         closed_f = ev.closed_form_fidelity(theta, ts, params.jx, params.hbar)
-    # Before the output opens, so a coupling the revival scan rejects writes nothing.
+    # Before the output opens, so a coupling the revival search rejects writes nothing.
     revival = ev.revival_time(params, psi) if on_circle else None
 
     with _open_output(args.output) as out:

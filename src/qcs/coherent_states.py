@@ -27,7 +27,7 @@ from .complex_geometry import (
     as_point,
     symmetric_point,
 )
-from .errors import DimensionMismatch, NotNormalized
+from .errors import BadParams, DimensionMismatch, NotNormalized
 
 __all__ = [
     "PureState",
@@ -135,6 +135,14 @@ class SpinJState:
         return f"SpinJState(j={self._j}, {np.array2string(self._amps, precision=6)})"
 
 
+def _hypot1(psi: complex) -> float:
+    """sqrt(1 + |psi|^2) for a finite label; BadParams where |psi| overflows the doubles."""
+    try:
+        return math.hypot(1.0, abs(psi))
+    except OverflowError:
+        raise BadParams(f"label |psi| overflows the double range, got psi = {psi!r}") from None
+
+
 def coherent(p: PointLike) -> PureState:
     """Qubit coherent state (|0> + psi |1>) / sqrt(1 + |psi|^2); INFINITY -> |1>.
 
@@ -146,7 +154,7 @@ def coherent(p: PointLike) -> PureState:
     if q.is_infinity:
         return PureState([0.0, 1.0])
     psi = q.value
-    denom = math.hypot(1.0, abs(psi))
+    denom = _hypot1(psi)
     return PureState([1.0 / denom, psi / denom])
 
 
@@ -181,7 +189,7 @@ def symmetric_state(p: PointLike, kind: SymmetryKind) -> PureState:
     if q.is_infinity or (kind in (SymmetryKind.UNIT_CIRCLE, SymmetryKind.ANTIPODAL) and q.value == 0):
         return coherent(symmetric_point(q, kind))
     psi = q.value
-    denom = math.hypot(1.0, abs(psi))
+    denom = _hypot1(psi)
     conj = psi.conjugate()
     if kind is SymmetryKind.CONJUGATE:
         return PureState([1.0 / denom, conj / denom])
@@ -240,7 +248,7 @@ def spin_j_coherent(j: float, p: PointLike) -> SpinJState:
         amps[n] = 1.0
         return SpinJState(j, amps)
     psi = q.value
-    denom = math.hypot(1.0, abs(psi)) ** n
+    denom = _hypot1(psi) ** n
     amps = np.array(
         [math.sqrt(math.comb(n, k)) * psi**k / denom for k in range(n + 1)], dtype=complex
     )
@@ -264,7 +272,7 @@ def spin_j_overlap_closed(j: float, p_bra: PointLike, p_ket: PointLike) -> compl
     phi = as_point(p_bra).value
     psi = as_point(p_ket).value
     num = (1.0 + phi.conjugate() * psi) ** n
-    den = (math.hypot(1.0, abs(phi)) * math.hypot(1.0, abs(psi))) ** n
+    den = (_hypot1(phi) * _hypot1(psi)) ** n
     return num / den
 
 

@@ -20,11 +20,10 @@ are diagnostics; NumPy is the only dependency.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,12 +52,12 @@ __all__ = [
 FOUND = "FOUND"
 ALWAYS_ONE = "ALWAYS_ONE"
 NO_REVIVAL = "NO_REVIVAL"
+"""A fidelity that leaves the band and never returns.  No accepted input reaches it:
+F depends on t only through sin^2(|J| t / hbar), which has period pi hbar / |J|,
+so a fidelity that leaves the band returns within one period (see `revival_time`)."""
 
-_REVIVAL_THRESHOLD = 1.0 - 1e-9
-_REVIVAL_PERIODS = 10
-_BISECT_TOL = 1e-9
-_PEAK_TOL = 1e-12
-_PEAK_MAX_ITER = 50
+# The revival band is F >= 1 - _REVIVAL_BAND.
+_REVIVAL_BAND = 1e-9
 # Rows: the Bell states Phi+, Phi-, Psi+, Psi- over |00>, |01>, |10>, |11>.
 _BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
 
@@ -138,34 +137,43 @@ def _p_plus_spectrum(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, 
     return energies, weights
 
 
-def _p_plus_series(params: CouplingParams, p: PointLike, t_grid) -> tuple[TimeSeries, TimeSeries]:
-    """Concurrence C(t) = |A(2t)| and fidelity F(t) = |A(t)|^2 of the evolved P+(psi).
+def _p_plus_grid(params: CouplingParams, p: PointLike, t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The time grid with the energies and weights of `_p_plus_spectrum`.
 
-    A(t) = sum_k w_k e^{-i E_k t / hbar} from `_p_plus_spectrum`.  C is the
-    hypot of the real sums at 2t, not sqrt(F(2t)), which loses accuracy
-    near C = 0.  Both are capped at 1 so rounding cannot push them past
-    their bound.
+    Raises BadParams unless the largest phase E t / hbar at 2t, where the
+    concurrence is read, is finite: a non-finite time, energy or phase
+    raises here instead of turning into NaN.
     """
     ts = np.asarray(t_grid, dtype=float)
     energies, weights = _p_plus_spectrum(params, p)
-    # The largest phase, formed as below: a non-finite time, energy or
-    # phase raises here instead of turning into NaN.
     e_max, t_max = float(np.max(np.abs(energies))), float(np.max(np.abs(ts), initial=0.0))
     if not math.isfinite(e_max * (2.0 * t_max) / params.hbar):
         raise BadParams(f"phases E t / hbar must be finite, got |E| up to {e_max!r}, |t| up to {t_max!r}")
+    return ts, energies, weights
+
+
+def _p_plus_series(params: CouplingParams, p: PointLike, t_grid) -> tuple[TimeSeries, TimeSeries]:
+    """Concurrence C(t) = |A(2t)| and fidelity F(t) = |A(t)|^2 of the evolved P+(psi).
+
+    A(t) = sum_k w_k e^{-i E_k t / hbar} from `_p_plus_spectrum`.  Both are
+    capped at 1 so rounding cannot push them past their bound.
+    """
+    ts, energies, weights = _p_plus_grid(params, p, t_grid)
+    concurrence = _spectral_concurrence(energies, weights, ts, params.hbar)
     fidelity = _spectral_fidelity(energies, weights, ts, params.hbar)
-    concurrence = np.hypot(*_spectral_sums(energies, weights, 2.0 * ts, params.hbar))
     return TimeSeries(ts, np.minimum(concurrence, 1.0)), TimeSeries(ts, np.minimum(fidelity, 1.0))
 
 
 def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
     """Concurrence of the evolved P+(psi) on the time grid, capped at 1 (see `_p_plus_series`)."""
-    return _p_plus_series(params, p, t_grid)[0]
+    ts, energies, weights = _p_plus_grid(params, p, t_grid)
+    return TimeSeries(ts, np.minimum(_spectral_concurrence(energies, weights, ts, params.hbar), 1.0))
 
 
 def fidelity_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
     """Fidelity |<psi(t)|P+(psi)>|^2 of the evolved state with its initial state, capped at 1."""
-    return _p_plus_series(params, p, t_grid)[1]
+    ts, energies, weights = _p_plus_grid(params, p, t_grid)
+    return TimeSeries(ts, np.minimum(_spectral_fidelity(energies, weights, ts, params.hbar), 1.0))
 
 
 def closed_form_fidelity(theta: float, t, j: float, hbar: float = 1.0):
@@ -212,127 +220,47 @@ def _spectral_fidelity(energies: np.ndarray, weights: np.ndarray, t, hbar: float
     return re**2 + im**2
 
 
-def _peak_time(rates: np.ndarray, weights: np.ndarray, lo: float, t: float, hi: float) -> float:
-    """Newton's maximum of F(t) = |A(t)|^2, A(t) = sum_k w_k e^{-i E_k t / hbar}, from t in [lo, hi].
-
-    `rates` are E_k / hbar.  With a_k = w_k e^{r_k t} and r_k = -i E_k / hbar,
-    A' = sum r_k a_k and A'' = sum r_k^2 a_k, so F' = 2 Re(conj(A) A') and
-    F'' = 2 (|A'|^2 + Re(conj(A) A'')).  Steps are clamped to [lo, hi] and
-    taken only while F'' < 0; a point that is not concave is no revival
-    peak, and the band check of the caller rejects it.
-
-    The derivatives are taken in the time unit 1 / omega, omega the power
-    of two just above max |r|, so r^2 cannot overflow when |E| / hbar is
-    near the top of the double range.  Scaling by a power of two is exact,
-    so every step equals the unscaled one wherever that one is finite.
-    """
-    r = -1j * rates
-    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(r), initial=0.0)))[1])
-    s = scale * r
-    s2 = s * s
-    for _ in range(_PEAK_MAX_ITER):
-        a = weights * np.exp(r * t)
-        amp, d1, d2 = a.sum(), s @ a, s2 @ a
-        f1 = 2.0 * (amp.conjugate() * d1).real
-        f2 = 2.0 * (abs(d1) ** 2 + (amp.conjugate() * d2).real)
-        if not f2 < 0.0:
-            break
-        t_next = min(max(t - f1 / f2 * scale, lo), hi)
-        step, t = t_next - t, t_next
-        if abs(step) <= _PEAK_TOL:
-            break
-    return float(t)
-
-
-def _first_revival(
-    ts: np.ndarray,
-    f: np.ndarray,
-    first_below: int,
-    fidelity: Callable,
-    peak: Callable[[float, float, float], float],
-    rate: float,
-) -> Optional[float]:
-    """The first scan peak after `first_below` whose refined fidelity re-enters the band.
-
-    `peak(lo, t, hi)` refines a sampled peak t to the fidelity maximum in [lo, hi].
-    The upward crossing is bisected in the dimensionless time rate * t,
-    rate = |J| / hbar, so it ends at the same point of the curve at any scale.
-    """
-    # The band [1 - 1e-9, 1] is a few 1e-5 wide in t near a revival, far
-    # narrower than the scan step, so raw samples almost never land in it.
-    # Locate the fidelity peaks instead, refine each, and take the first
-    # whose refined value re-enters the band.
-    peaks = 1 + np.nonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0]
-    for k in peaks:
-        if k <= first_below:
-            continue
-        t_peak = peak(float(ts[k - 1]), float(ts[k]), float(ts[k + 1]))
-        if fidelity(t_peak) < _REVIVAL_THRESHOLD:
-            continue
-        left = k - 1
-        while left > 0 and f[left] >= _REVIVAL_THRESHOLD:
-            left -= 1
-        lo, hi = float(ts[left]), t_peak
-        while (hi - lo) * rate > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            # Should mid round onto an end, the bracket is as narrow as
-            # doubles near t allow: hi is final.
-            if not lo < mid < hi:
-                break
-            if fidelity(mid) >= _REVIVAL_THRESHOLD:
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
-    return None
+def _spectral_concurrence(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
+    """C(t) = |A(2t)| as the hypot of the real sums at 2t, not sqrt(F(2t)), which loses accuracy near C = 0."""
+    return np.hypot(*_spectral_sums(energies, weights, 2.0 * t, hbar))
 
 
 def revival_time(params: CouplingParams, p: PointLike) -> Revival:
-    """Smallest t > 0 at which the P+(psi) fidelity returns above 1 - 1e-9.
+    """Smallest t > 0 at which the P+(psi) fidelity returns above 1 - 1e-9, in closed form.
 
-    Samples the fidelity on a fine grid (dt = 1e-3 hbar/J), locates the
-    first peak after it leaves the band whose value, refined by Newton
-    (`_peak_time`), re-enters it, and bisects the upward crossing to
-    1e-9 hbar/|J|, the same point of the curve at every scale.  Scan and
-    bisection evaluate the fidelity in real arithmetic
-    (`_spectral_fidelity`) on the energies and weights of
-    `_p_plus_spectrum`.  The samples of one period
-    (2 pi hbar / J) are scanned first, since the revival of the XX model
-    sits at pi hbar / J; ten periods are scanned only if none is confirmed
-    there.  The shorter scan is a prefix of the longer one, so both
-    confirm the same first revival.  A fidelity that never leaves the
-    band over ten periods is ALWAYS_ONE (the theta = 0 degenerate case);
-    one that leaves and never returns is NO_REVIVAL.  Raises BadParams
-    when |J| / hbar, the scan step or ten periods fall outside the normal
-    doubles (|J| / hbar below about 3.5e-307 or above about 4.5e304).
+    XX couplings have the Bell energies (0, 0, 2J, -2J), and P+(psi) is
+    symmetric under qubit exchange, so its Psi- weight w_3 is exactly 0.
+    With a = w_0 + w_1, b = w_2 and tau = |J| t / hbar the fidelity is
+    F = (a + b)^2 - 4ab sin^2(tau), 4ab = sin^2(2 theta) on the unit circle
+    (`closed_form_fidelity`).  P+(psi) is a unit vector, so F(0) = a + b = 1
+    exactly, and F stays in the band while sin^2(tau) <= q = 1e-9 / 4ab.
+    It first returns at tau = pi - asin(sqrt(q)), taken as
+    pi/2 + asin(sqrt(1 - q)) where q is near 1.  Where 4ab <= 1e-9 it
+    never leaves the band: ALWAYS_ONE (theta within about 1.6e-5 of a
+    multiple of pi/2).  Taking F(0) = 1 rather than the rounded (a + b)^2
+    keeps the rounding of the weights out of the 1e-9 gap.  Only q near 1,
+    where sin^2(2 theta) barely exceeds 1e-9, stays sensitive: there
+    sqrt(1 - q) amplifies the relative rounding of 4ab.
+
+    Raises BadParams off XX couplings, for labels more than 1e-6 off the
+    unit circle, and where tau hbar / |J| for tau in [pi/2, pi] is not a
+    finite normal double (hbar / |J| below about 1.4e-308 or above about
+    5.7e307).
     """
     if not is_xx_like(params):
         raise BadParams("revival detection is defined for XX-form couplings")
     psi = as_point(p)
     if psi.is_infinity or abs(abs(psi.value) - 1.0) > 1e-6:
         raise BadParams("revival detection needs a unit-circle label psi = e^{i theta}")
+    j, hbar = abs(params.jx), params.hbar
+    unit = hbar / j
+    if not (0.5 * math.pi * unit >= sys.float_info.min and math.pi * unit < math.inf):
+        raise BadParams(f"revival time pi hbar / |J| at |J| = {j!r}, hbar = {hbar!r} is not a normal double")
 
-    j = abs(params.jx)
-    hbar = params.hbar
-    dt = 1e-3 * hbar / j
-    t_period = 2.0 * math.pi * hbar / j
-    t_max = _REVIVAL_PERIODS * 2.0 * math.pi * hbar / j
-    # Where |J| / hbar overflows or underflows, so does the scan step or ten periods.
-    if not (dt >= sys.float_info.min and t_max < math.inf):
-        raise BadParams(f"|J| / hbar = {j!r} / {hbar!r} is outside the range the revival scan resolves")
-
-    energies, weights = _p_plus_spectrum(params, psi)
-    # In range, |E| / hbar is finite, so divide it in real arithmetic once:
-    # a complex division would take 1 / hbar, which overflows for subnormal hbar.
-    rates = energies / hbar
-    fidelity = functools.partial(_spectral_fidelity, rates, weights)
-    peak = functools.partial(_peak_time, rates, weights)
-    for n in (int(math.ceil(t_period / dt)) + 1, int(math.ceil(t_max / dt))):
-        ts = dt * np.arange(1, n + 1)
-        f = fidelity(ts)
-        below = f < _REVIVAL_THRESHOLD
-        if below.any():
-            t = _first_revival(ts, f, int(np.argmax(below)), fidelity, peak, j / hbar)
-            if t is not None:
-                return Revival(FOUND, t)
-    return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)
+    _, weights = _p_plus_spectrum(params, psi)
+    four_ab = 4.0 * float(weights[0] + weights[1]) * float(weights[2])
+    if four_ab <= _REVIVAL_BAND:
+        return Revival(ALWAYS_ONE)
+    q = _REVIVAL_BAND / four_ab
+    tau = math.pi - math.asin(math.sqrt(q)) if q < 0.5 else 0.5 * math.pi + math.asin(math.sqrt(1.0 - q))
+    return Revival(FOUND, tau * unit)

@@ -448,7 +448,20 @@ def _check_surface_extrema(rng) -> float:
 
 
 def _check_evolution_core(rng) -> float:
+    """The XX fidelity law, the propagator's norm, group law and energy, and the Bell-spectrum
+    series against concurrence and overlap of evolve(h, P+(psi), t) on XYZ couplings off the circle."""
     worst = 0.0
+    ts = np.linspace(0.0, 10.0, 21)
+    for jx, jy, jz in rng.uniform(-1.5, 1.5, (4, 3)):
+        xyz = sm.CouplingParams.xyz(jx=jx, jy=jy, jz=jz, hbar=float(rng.uniform(0.5, 2.0)))
+        h = ev.exchange_hamiltonian(xyz)
+        for psi in _random_shell(rng, 2):
+            state0 = eb.entangled_state("P+", psi)
+            evolved = [ev.evolve(h, state0, t, xyz.hbar) for t in ts]
+            conc = [em.concurrence_det(state) for state in evolved]
+            fid = [abs(np.vdot(state0.amplitudes, state.amplitudes)) ** 2 for state in evolved]
+            worst = max(worst, float(np.max(np.abs(ev.concurrence_series(xyz, psi, ts).values - conc))))
+            worst = max(worst, float(np.max(np.abs(ev.fidelity_series(xyz, psi, ts).values - fid))))
     params = sm.CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
     h = ev.exchange_hamiltonian(params)
     for theta in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8):

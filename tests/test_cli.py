@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -130,6 +131,53 @@ def test_surface_bytes_match_per_value_format(tmp_path, argv, sid, params, windo
     expected = header + "\n" + _fmt_rows(*columns)
     # Lines, not one string: a failure then reports the first differing row.
     assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def _per_row_format(columns):
+    """The per-row route `_write_rows` replaced: one `%` per row."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    return "".join(row % r for r in zip(*values))
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0, -7.0, 0.1]
+
+
+@pytest.mark.parametrize("n_rows", [1, len(SPECIAL_VALUES), cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 37])
+@pytest.mark.parametrize("n_cols", [3, 5])
+def test_write_rows_matches_per_row_format(n_rows, n_cols):
+    """Block formatting writes the bytes one `%` per row wrote: signed zeros, subnormals, +-1e300,
+    one row, and row counts on and off a multiple of the block size."""
+    rng = np.random.default_rng(n_rows * n_cols)
+    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows) for _ in range(n_cols)]
+    for k, column in enumerate(columns):
+        m = min(n_rows, len(SPECIAL_VALUES))
+        column[:m] = np.roll(SPECIAL_VALUES, k)[:m]
+    out = io.StringIO()
+    cli._write_rows(out, columns)
+    assert out.getvalue() == _per_row_format(columns)
+
+
+# SHA-256 of `evolve` bodies (footer lines dropped) as the per-row writer
+# wrote them.  NumPy's sin and cos are not correctly rounded, so a NumPy
+# build with another libm may differ in a last digit and fail here.
+EVOLVE_BODY_SHA256 = [
+    (["--j", "1.3", "--theta", "0.7"], "77d9e97bc38e971f1dd7235863a7f02dd46e8c1aa9fa937e4fbb4dd19a8cda1d"),
+    (["--j", "1", "--theta", "0.5", "--t-max", "100", "--dt", "0.01"],
+     "3672cc7758b16d12cd5c10ced518f391e8bf963198975849fd2711fb2fb94595"),
+    (["--j", "2.5", "--hbar", "0.7", "--psi", "1.0000001,0"],
+     "17f5cd1657fc5b178e02578778201c977bbe1cd5d26e8bcd4c6df26916ab13d7"),
+    (["--jx", "0.8", "--jy=-0.3", "--jz", "1.1", "--psi", "0.5,0.4"],
+     "1662880f3096ce9fba19135f4b948d5cd8113ead176c267b25b987b78ad921f3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EVOLVE_BODY_SHA256)
+def test_evolve_body_digests(argv, digest, tmp_path):
+    target = tmp_path / "series.csv"
+    assert main(["evolve", *argv, "--output", str(target)]) == 0
+    body = "".join(line for line in target.read_text().splitlines(keepends=True) if not line.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_evolve_bytes_match_per_value_format(tmp_path):
@@ -319,6 +367,25 @@ def test_usage_errors_exit_two(capsys):
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--state", "P+", "--psi", "1.7e308,1.7e308"],
+        ["state", "--state", "PG-", "--psi=-1.7e308,1.7e308"],
+        ["evolve", "--j", "1", "--psi", "1.7e308,1.7e308"],
+        ["evolve", "--jx", "0.8", "--jy", "0.3", "--psi", "1.7e308,-1.7e308"],
+    ],
+)
+def test_label_whose_modulus_overflows_exits_two(argv, capsys):
+    """A finite label whose |psi| overflows is a one-line usage error, not an OverflowError traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qcs {argv[0]}: label |psi| overflows") and err.count("\n") == 1, err
+
+
 # One process, one parser: label flags that must not leak into the next
 # call, two surface windows, and an argparse error between good calls.
 PARSER_SEQUENCE = [
@@ -388,7 +455,7 @@ def test_evolve_footer_at_extreme_coupling(tmp_path):
 
 
 def test_evolve_rejects_revival_coupling_before_writing(tmp_path, capsys):
-    """A coupling the revival scan rejects exits 2 and writes nothing, to a file or to stdout."""
+    """A coupling the revival search rejects exits 2 and writes nothing, to a file or to stdout."""
     argv = ["evolve", "--jx", "1e300", "--jy", "1e300", "--jz", "0", "--hbar", "1e-10", "--theta", "0.7"]
     target = tmp_path / "series.csv"
     assert main(argv + ["--output", str(target)]) == 2
@@ -396,7 +463,7 @@ def test_evolve_rejects_revival_coupling_before_writing(tmp_path, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("qcs evolve: ") and "revival scan" in err
+    assert err.startswith("qcs evolve: ") and "revival time" in err
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

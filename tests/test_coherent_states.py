@@ -21,7 +21,7 @@ from qcs.coherent_states import (
     symmetric_state,
 )
 from qcs.complex_geometry import INFINITY, SymmetryKind, symmetric_point
-from qcs.errors import DimensionMismatch, NotNormalized
+from qcs.errors import BadParams, DimensionMismatch, NotNormalized
 
 TOL = 1e-12
 
@@ -191,3 +191,14 @@ def test_canonical_phase_pins_largest_amplitude():
     k = int(np.argmax(np.abs(fixed.amplitudes)))
     assert abs(fixed.amplitudes[k].imag) < TOL
     assert fixed.amplitudes[k].real > 0
+
+
+def test_labels_whose_modulus_overflows_raise_bad_params():
+    """|psi| beyond the doubles raises BadParams in every constructor; |psi| just inside still works."""
+    huge = complex(1.7e308, -1.7e308)
+    builders = [coherent, lambda p: spin_j_coherent(0.5, p), lambda p: spin_j_overlap_closed(0.5, p, 0.5)]
+    builders += [lambda p, kind=kind: symmetric_state(p, kind) for kind in SymmetryKind]
+    for build in builders:
+        with pytest.raises(BadParams, match="overflows"):
+            build(huge)
+        build(complex(1e308, -1e308))

@@ -1,8 +1,10 @@
+import functools
 import math
 import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -36,6 +38,7 @@ from qcs.spin_models import CouplingParams
 XX = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
 # Revival times are checked to 1e-4 hbar / |J| of pi hbar / |J|.
 REVIVAL_TOL = 1e-4
+EPS = np.finfo(float).eps
 
 
 def unit_label(theta):
@@ -240,67 +243,201 @@ def test_series_are_capped_at_one(j, radius, angle, ts):
     assert np.array_equal(fid, np.minimum(ev._spectral_fidelity(energies, weights, ts, params.hbar), 1.0))
     uncapped = np.hypot(*ev._spectral_sums(energies, weights, 2.0 * ts, params.hbar))
     assert np.array_equal(conc, np.minimum(uncapped, 1.0))
+    both = ev._p_plus_series(params, psi, ts)
+    assert np.array_equal(both[0].values, conc) and np.array_equal(both[1].values, fid)
 
 
-def _ten_period_revival(params, psi, scipy_peak=False):
-    """Revival search over all ten periods at once, kept as the reference.
+def test_each_series_evaluates_only_its_own_sums(monkeypatch):
+    """fidelity_series takes the sums at t only, concurrence_series at 2t only, and `_p_plus_series`,
+    which `qcs evolve` calls, takes each once."""
+    calls = []
+    sums = ev._spectral_sums
+    monkeypatch.setattr(ev, "_spectral_sums", lambda e, w, t, hbar=1.0: calls.append(t) or sums(e, w, t, hbar))
+    params, ts = CouplingParams.xyz(jx=0.8, jy=-0.3, jz=1.1), np.linspace(0.5, 3.0, 26)
+    fidelity_series(params, 0.5 + 0.4j, ts)
+    assert len(calls) == 1 and np.array_equal(calls[0], ts)
+    calls.clear()
+    concurrence_series(params, 0.5 + 0.4j, ts)
+    assert len(calls) == 1 and np.array_equal(calls[0], 2.0 * ts)
+    calls.clear()
+    ev._p_plus_series(params, 0.5 + 0.4j, ts)
+    assert len(calls) == 2 and sorted(float(t[-1]) for t in calls) == [3.0, 6.0]
 
-    Peaks are refined by the library's Newton step (`ev._peak_time`), or by
-    `minimize_scalar` when `scipy_peak` is set.
+
+def _peak_time(rates, weights, lo, t, hi):
+    """Newton's maximum of F(t) = |A(t)|^2, A(t) = sum_k w_k e^{-i E_k t / hbar}, from t in [lo, hi].
+
+    `rates` are E_k / hbar.  With a_k = w_k e^{r_k t} and r_k = -i E_k / hbar,
+    A' = sum r_k a_k and A'' = sum r_k^2 a_k, so F' = 2 Re(conj(A) A') and
+    F'' = 2 (|A'|^2 + Re(conj(A) A'')).  Steps are clamped to [lo, hi] and
+    taken only while F'' < 0; a point that is not concave is no revival
+    peak, and the band check of the caller rejects it.  The derivatives
+    are taken in the time unit 1 / omega, omega the power of two just
+    above max |r|, so r^2 cannot overflow.
     """
-    j, hbar = abs(params.jx), params.hbar
-    dt = 1e-3 * hbar / j
-    t_max = 10 * 2.0 * math.pi * hbar / j
-    energies, weights = ev._p_plus_spectrum(params, psi)
+    r = -1j * rates
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(r), initial=0.0)))[1])
+    s = scale * r
+    s2 = s * s
+    for _ in range(50):
+        a = weights * np.exp(r * t)
+        amp, d1, d2 = a.sum(), s @ a, s2 @ a
+        f1 = 2.0 * (amp.conjugate() * d1).real
+        f2 = 2.0 * (abs(d1) ** 2 + (amp.conjugate() * d2).real)
+        if not f2 < 0.0:
+            break
+        t_next = min(max(t - f1 / f2 * scale, lo), hi)
+        step, t = t_next - t, t_next
+        if abs(step) <= 1e-12:
+            break
+    return float(t)
 
-    def fidelity(t):
-        amp = weights @ np.exp(-1j * np.multiply.outer(energies, t) / hbar)
-        return np.abs(amp) ** 2
 
-    def peak(lo, t, hi):
-        if scipy_peak:  # bounded Brent, the peak step before Newton
-            result = minimize_scalar(
-                lambda s: -fidelity(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-            )
-            return float(result.x)
-        return ev._peak_time(energies / hbar, weights, lo, t, hi)
+SCAN_THRESHOLD = 1.0 - 1e-9
 
-    threshold = 1.0 - 1e-9
-    ts = dt * np.arange(1, int(math.ceil(t_max / dt)) + 1)
-    f = fidelity(ts)
-    below = f < threshold
-    if not below.any():
-        return Revival(ALWAYS_ONE)
-    first_below = int(np.argmax(below))
+
+def _first_revival(ts, f, first_below, fidelity, peak, rate):
+    """The first scan peak after `first_below` whose refined fidelity re-enters the band.
+
+    `peak(lo, t, hi)` refines a sampled peak t to the fidelity maximum in
+    [lo, hi]; the upward crossing is then bisected to 1e-9 in rate * t.
+    """
     peaks = 1 + np.nonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:]))[0]
     for k in peaks:
         if k <= first_below:
             continue
         t_peak = peak(float(ts[k - 1]), float(ts[k]), float(ts[k + 1]))
-        if fidelity(t_peak) < threshold:
+        if fidelity(t_peak) < SCAN_THRESHOLD:
             continue
         left = k - 1
-        while left > 0 and f[left] >= threshold:
+        while left > 0 and f[left] >= SCAN_THRESHOLD:
             left -= 1
         lo, hi = float(ts[left]), t_peak
-        while (hi - lo) * j / hbar > 1e-9:
+        while (hi - lo) * rate > 1e-9:
             mid = 0.5 * (lo + hi)
-            if fidelity(mid) >= threshold:
+            if not lo < mid < hi:
+                break
+            if fidelity(mid) >= SCAN_THRESHOLD:
                 hi = mid
             else:
                 lo = mid
-        return Revival(FOUND, float(hi))
-    return Revival(NO_REVIVAL)
+        return float(hi)
+    return None
+
+
+def _scan_revival(params, psi, scipy_peak=False):
+    """A sampled revival search, kept as the reference for the closed form of `revival_time`.
+
+    The fidelity is sampled at steps of 1e-3 hbar / |J|, over one period and
+    then, if no revival is confirmed there, ten; each sampled peak is
+    refined by Newton (`_peak_time`), or by bounded Brent when `scipy_peak`
+    is set, and the upward crossing of 1 - 1e-9 is bisected to 1e-9 in
+    |J| t / hbar.  The fidelity is the library's own rounded F(t), so the
+    scan resolves the crossing only to about eps / F'(t) (see `_scan_resolution`).
+    """
+    j, hbar = abs(params.jx), params.hbar
+    dt = 1e-3 * hbar / j
+    energies, weights = ev._p_plus_spectrum(params, psi)
+    rates = energies / hbar
+    fidelity = functools.partial(ev._spectral_fidelity, rates, weights)
+
+    def peak(lo, t, hi):
+        if scipy_peak:
+            result = minimize_scalar(
+                lambda s: -fidelity(s), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+            )
+            return float(result.x)
+        return _peak_time(rates, weights, lo, t, hi)
+
+    for n in (int(math.ceil(2.0 * math.pi * hbar / j / dt)) + 1, int(math.ceil(20.0 * math.pi * hbar / j / dt))):
+        ts = dt * np.arange(1, n + 1)
+        f = fidelity(ts)
+        below = f < SCAN_THRESHOLD
+        if below.any():
+            t = _first_revival(ts, f, int(np.argmax(below)), fidelity, peak, j / hbar)
+            if t is not None:
+                return Revival(FOUND, t)
+    return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)
+
+
+def _mp_revival(params, psi):
+    """The first upward crossing of 1 - 1e-9 by the 50-digit fidelity of P+(psi), as (t, q).
+
+    Amplitudes, Bell weights and F(t) = |sum_k w_k e^{-i E_k t / hbar}|^2 are
+    taken at 50 digits from the formulas, not from the library, and the
+    crossing is the root of F - (1 - 1e-9) on tau = |J| t / hbar in
+    [pi/2, pi], where F rises.  q = 1e-9 / 4ab sets the conditioning of the
+    closed form.  Returns None where F(pi/2), the minimum, is in the band.
+    """
+    with mpmath.workdps(50):
+        z = mpmath.mpc(psi.real, psi.imag)
+        norm = mpmath.sqrt(1 + abs(z) ** 2)
+        k, a = (1 / norm, z / norm), (-mpmath.conj(z) / norm, 1 / norm)
+        amps = [(k[m] * k[n] + a[m] * a[n]) / mpmath.sqrt(2) for m in (0, 1) for n in (0, 1)]
+        bell = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+        w = [abs(sum(c * x for c, x in zip(row, amps))) ** 2 / 2 for row in bell]
+        jx, jy, jz, hbar = (mpmath.mpf(v) for v in (params.jx, params.jy, params.jz, params.hbar))
+        energies = (jx - jy + jz, -jx + jy + jz, jx + jy - jz, -jx - jy - jz)
+        unit = hbar / abs(jx)
+        threshold = 1 - mpmath.mpf(1e-9)
+
+        def gap(tau):
+            return abs(sum(wk * mpmath.expj(-e * tau / abs(jx)) for wk, e in zip(w, energies))) ** 2 - threshold
+
+        if gap(mpmath.pi / 2) >= 0:
+            return None
+        tau = mpmath.findroot(gap, (mpmath.pi / 2, mpmath.pi), solver="anderson")
+        return float(tau * unit), float(mpmath.mpf(1e-9) / (4 * (w[0] + w[1]) * w[2]))
+
+
+def _sin2_2theta(psi):
+    return math.sin(2.0 * math.atan2(psi.imag, psi.real)) ** 2
+
+
+def _scan_resolution(psi):
+    """How far the scan's crossing may sit from the exact one, in hbar / |J|.
+
+    Its bisection stops within 1e-9, and its rounded F, a few eps off,
+    moves the crossing by that over the slope F' = 2 sqrt(1e-9 (4ab - 1e-9))
+    there (4ab = sin^2(2 theta)).
+    """
+    excess = max(_sin2_2theta(psi) - 1e-9, 1e-30)
+    return 1e-9 + 4.0 * EPS / (2.0 * math.sqrt(1e-9 * excess))
+
+
+def _revival_sweep(n, rng):
+    """XX couplings J = +-10^U(-3, 3), hbar = 10^U(-2, 2), random theta, every other label 1e-6 off the circle."""
+    for i in range(n):
+        j = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=float(10.0 ** rng.uniform(-2.0, 2.0)))
+        radius = 1.0 + rng.uniform(-1e-6, 1e-6) if i % 2 else 1.0
+        yield params, radius * unit_label(rng.uniform(-math.pi, math.pi))
+
+
+def _ill_conditioned_sweep(n, rng):
+    """Labels within 10^U(-6, -4) of a multiple of pi/2, where sin^2(2 theta) is within a few 1e-9 or below."""
+    for params, psi in _revival_sweep(n, rng):
+        theta = rng.integers(-2, 3) * math.pi / 2 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -4.0)
+        yield params, abs(psi) * unit_label(theta)
+
+
+REVIVAL_SWEEP = list(_revival_sweep(640, np.random.default_rng(16)))
+ILL_CONDITIONED = list(_ill_conditioned_sweep(64, np.random.default_rng(17)))
 
 
 @pytest.mark.parametrize("hbar", [0.8, 1.0])
 @pytest.mark.parametrize("j", [0.37, 1.0, 2.5])
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.1, math.pi / 8, 0.6, math.pi / 2])
 def test_revival_matches_ten_period_scan(theta, j, hbar):
-    """Scanning one period first confirms exactly the revival the full scan does."""
+    """The closed form finds the scan's status, and its time to within the scan's resolution."""
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
     psi = unit_label(theta)
-    assert revival_time(params, psi) == _ten_period_revival(params, psi)
+    got, want = revival_time(params, psi), _scan_revival(params, psi)
+    assert got.status == want.status
+    if want.status == FOUND:
+        assert abs(got.time - want.time) <= _scan_resolution(psi) * hbar / j
+    else:
+        assert got.time is None and want.time is None
 
 
 def _random_revival_cases(n, rng):
@@ -316,30 +453,58 @@ def _random_revival_cases(n, rng):
     + list(_random_revival_cases(24, np.random.default_rng(8))),
 )
 def test_revival_peak_matches_minimize_scalar(theta, j, hbar):
-    """Newton's peak gives the status a minimize_scalar peak does, and the time within 1e-9."""
+    """A scan refining its peaks by minimize_scalar, not Newton, agrees with the closed form the same way."""
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
     psi = unit_label(theta)
-    got = revival_time(params, psi)
-    want = _ten_period_revival(params, psi, scipy_peak=True)
+    got, want = revival_time(params, psi), _scan_revival(params, psi, scipy_peak=True)
     assert got.status == want.status
     if want.status == FOUND:
-        assert abs(got.time - want.time) <= 1e-9
+        assert abs(got.time - want.time) <= _scan_resolution(psi) * hbar / abs(j)
     else:
         assert got.time is None and want.time is None
 
 
-def test_peak_time_reaches_the_fidelity_maximum():
-    """Newton stops on the analytic maximum, inside its bracket, and does not climb a valley."""
-    params = CouplingParams.xyz(jx=1.0, jy=1.0, jz=0.0)
-    energies, weights = ev._p_plus_spectrum(params, unit_label(0.6))
-    rates = energies / params.hbar
-    # F(t) = 1 - sin^2(2 theta) sin^2(t) peaks at t = pi and dips at t = pi / 2.
-    t = ev._peak_time(rates, weights, math.pi - 1e-3, math.pi + 4e-4, math.pi + 1e-3)
-    assert abs(t - math.pi) <= 1e-12
-    t = ev._peak_time(rates, weights, 3.0, 3.05, 3.1)
-    assert t == 3.1  # clamped: the maximum lies beyond the bracket
-    t = ev._peak_time(rates, weights, 1.5, 1.56, 1.6)
-    assert t == 1.56  # convex there: no step
+@pytest.mark.parametrize("cases", [REVIVAL_SWEEP, ILL_CONDITIONED], ids=["sweep", "ill-conditioned"])
+def test_revival_matches_the_scan(cases):
+    """No status differs from the scan's, and every time is within the scan's resolution.
+
+    The sweep has 640 couplings and labels, half of them up to 1e-6 off the
+    circle; the ill-conditioned cases sit within 1e-4 of a multiple of
+    pi/2, where the scan's rounded F moves its crossing by up to about
+    1e-6 hbar / |J| (1.1e-6 measured, at 0.69 of `_scan_resolution`).
+    """
+    for params, psi in cases:
+        got, want = revival_time(params, psi), _scan_revival(params, psi)
+        assert got.status == want.status, (params, psi)
+        if want.status == FOUND:
+            unit = params.hbar / abs(params.jx)
+            assert abs(got.time - want.time) <= _scan_resolution(psi) * unit, (params, psi)
+        else:
+            assert got.time is None and want.time is None
+
+
+# Relative rounding of 4ab in the closed form.  The weights carry a few eps
+# on the circle, but off it near theta = pi/2 the Phi+ weight w_0 comes
+# from a cancelling sum: 4ab was measured up to about 1e-14 off there.
+FOUR_AB_ROUNDING = 1e-13
+
+
+@pytest.mark.parametrize("cases", [REVIVAL_SWEEP, ILL_CONDITIONED], ids=["sweep", "ill-conditioned"])
+def test_revival_matches_a_50_digit_crossing(cases):
+    """Against the 50-digit crossing the status agrees everywhere, and the time is within the rounding
+    of 4ab carried through asin, amplified by 1 / sqrt(1 - q) where q = 1e-9 / 4ab is near 1.
+
+    Measured: 8.7e-16 hbar / |J| at worst on the sweep, 2.2e-14 on the ill-conditioned cases.
+    """
+    for params, psi in cases:
+        got, want = revival_time(params, psi), _mp_revival(params, psi)
+        if want is None:
+            assert got.status == ALWAYS_ONE, (params, psi)
+            continue
+        assert got.status == FOUND, (params, psi)
+        t, q = want
+        unit = params.hbar / abs(params.jx)
+        assert abs(got.time - t) <= FOUR_AB_ROUNDING * (math.pi + 1.0 / math.sqrt(1.0 - q)) * unit, (params, psi)
 
 
 def test_revival_near_pi():
@@ -368,7 +533,8 @@ def test_revival_guards():
 
 
 def test_spectral_fidelity_matches_complex_form():
-    """The real-arithmetic scan is |w . exp(-i E t / hbar)|^2 to within 1e-13 over ten periods."""
+    """The real-arithmetic F of the series and the reference scan is |w . exp(-i E t / hbar)|^2 to within
+    1e-13 over ten periods."""
     rng = np.random.default_rng(12)
     for theta, j, hbar in _random_revival_cases(30, rng):
         params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
@@ -377,18 +543,18 @@ def test_spectral_fidelity_matches_complex_form():
         complex_form = np.abs(weights @ np.exp(-1j * np.multiply.outer(energies, ts) / hbar)) ** 2
         real_form = ev._spectral_fidelity(energies / hbar, weights, ts)
         assert np.max(np.abs(real_form - complex_form)) <= 1e-13
-        # Bisection calls it with one time at a time.
+        # The scan's bisection calls it with one time at a time.
         assert abs(ev._spectral_fidelity(energies / hbar, weights, float(ts[777])) - real_form[777]) <= 1e-15
 
 
 @pytest.mark.parametrize(
     "j, hbar",
     [(1e-6, 1.0), (1.0, 1.0), (-3.0, 1e-3), (1e100, 1.0), (1e155, 1.0), (1e200, 1.0), (-1e200, 1.0),
-     (1.0, 1e-300), (1e-310, 1e-310), (3e-310, 1e-309)],
+     (1.0, 1e-300), (1e-310, 1e-310), (3e-310, 1e-309), (1e307, 1.0), (1e-300, 1e7)],
 )
 def test_revival_at_extreme_couplings(j, hbar):
-    """Newton's peak holds for |J| / hbar from 1e-6 to 1e300: r^2 no longer overflows,
-    and a subnormal hbar no longer overflows 1 / hbar."""
+    """The revival is found for |J| / hbar from 1e-307 to 1e307, subnormal J and hbar included, with no
+    RuntimeWarning; the last two couplings lay outside the range the scan resolved."""
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -400,14 +566,14 @@ def test_revival_at_extreme_couplings(j, hbar):
 
 @pytest.mark.parametrize("j, hbar", [(1e300, 1e-10), (1e-10, 1e300)])
 def test_revival_rejects_couplings_outside_the_double_range(j, hbar):
-    """|J| / hbar = 1e310 leaves no normal scan step, 1e-310 overflows ten periods: BadParams, no warning."""
+    """hbar / |J| = 1e-310 puts the revival below the normal doubles, 1e310 overflows: BadParams, no warning."""
     params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
-    with pytest.raises(BadParams, match="revival scan"):
+    with pytest.raises(BadParams, match="not a normal double"):
         revival_time(params, unit_label(0.7))
 
 
 def test_revival_crossing_is_the_same_at_every_scale():
-    """The crossing is bisected in |J| t / hbar, so (t - pi hbar/J) / (hbar/J) reads one value at any scale."""
+    """The crossing is taken in tau = |J| t / hbar, so (t - pi hbar/J) / (hbar/J) reads one value at any scale."""
     readings = []
     for j, hbar in ((1e-7, 1.0), (1.0, 1.0), (1e100, 1.0), (1e300, 1.0), (1.0, 1e-300), (1e-310, 1e-310),
                     (3e-310, 1e-309)):
@@ -415,7 +581,7 @@ def test_revival_crossing_is_the_same_at_every_scale():
         unit = hbar / j
         readings.append((rev.time - math.pi * unit) / unit)
     assert max(readings) - min(readings) <= 1e-8, readings
-    assert max(readings) < -1e-5  # the band crossing, ahead of the refined peak at pi hbar / J
+    assert max(readings) < -1e-5  # the band crossing, ahead of the fidelity peak at pi hbar / J
 
 
 TINY_COUPLINGS = """
@@ -432,10 +598,10 @@ assert main(["evolve", "--j", "3e-7", "--theta", "0.5", "--dt", "1e5", "--output
 
 
 def test_revival_bisection_ends_at_tiny_couplings():
-    """Revivals near t = pi hbar / J ~ 1e7 are found, and the bisection ends.
+    """Revivals near t = pi hbar / J ~ 1e7 are found, and `evolve` writes its footer there.
 
-    It runs in a child process with a timeout, so a bisection that never
-    ends fails this test instead of stalling the suite.
+    It runs in a child process with a timeout, so a revival search that
+    never ends fails this test instead of stalling the suite.
     """
     proc = subprocess.run(
         [sys.executable, "-c", TINY_COUPLINGS], capture_output=True, text=True, timeout=60
@@ -450,6 +616,15 @@ def test_revival_bisection_ends_at_tiny_couplings():
 
 
 BELL_LABELS = [0.0, 1.0, 1j, -0.3 + 0.8j, 2.5 - 1.5j, 1e-8, 1e8j, 1e150, INFINITY]
+
+
+def test_p_plus_has_no_psi_minus_weight():
+    """P+(psi) is symmetric under qubit exchange, so its Psi- weight is exactly 0: the closed revival relies on it."""
+    rng = np.random.default_rng(71)
+    radii = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 1000), 1.0 + rng.uniform(-1e-6, 1e-6, 1000)])
+    labels = [r * unit_label(a) for r, a in zip(radii, rng.uniform(-math.pi, math.pi, radii.size))]
+    for psi in labels + BELL_LABELS:
+        assert ev._p_plus_spectrum(XX, psi)[1][3] == 0.0, psi
 
 
 def test_bell_basis_diagonalizes_the_exchange_hamiltonian():
