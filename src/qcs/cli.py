@@ -270,7 +270,7 @@ def cmd_evolve(args) -> int:
     n_steps = int(math.floor(t_max / args.dt + 0.5))
     ts = args.dt * np.arange(n_steps + 1)
 
-    conc, fid = ev._p_plus_series(params, psi, ts)
+    conc, fid = ev.concurrence_series(params, psi, ts), ev.fidelity_series(params, psi, ts)
     # The closed forms and the revival footer both need psi = e^{i theta}.
     on_circle = xx_like and abs(abs(psi) - 1.0) <= 1e-9
     closed_c = closed_f = None

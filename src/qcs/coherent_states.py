@@ -248,10 +248,13 @@ def spin_j_coherent(j: float, p: PointLike) -> SpinJState:
         amps[n] = 1.0
         return SpinJState(j, amps)
     psi = q.value
-    denom = _hypot1(psi) ** n
-    amps = np.array(
-        [math.sqrt(math.comb(n, k)) * psi**k / denom for k in range(n + 1)], dtype=complex
-    )
+    try:
+        denom = _hypot1(psi) ** n
+        amps = np.array(
+            [math.sqrt(math.comb(n, k)) * psi**k / denom for k in range(n + 1)], dtype=complex
+        )
+    except OverflowError:
+        raise BadParams(f"spin-{j} amplitudes of psi = {psi!r} overflow the double range") from None
     return SpinJState(j, amps)
 
 
@@ -267,12 +270,16 @@ def spin_j_overlap_closed(j: float, p_bra: PointLike, p_ket: PointLike) -> compl
 
     Both labels must be finite.  Vanishes exactly when the labels are
     antipodal (psi = -1/conj(phi)), matching the direct summation.
+    Raises BadParams where a 2j-th power overflows the doubles.
     """
     n = _two_j(j)
     phi = as_point(p_bra).value
     psi = as_point(p_ket).value
-    num = (1.0 + phi.conjugate() * psi) ** n
-    den = (_hypot1(phi) * _hypot1(psi)) ** n
+    try:
+        num = (1.0 + phi.conjugate() * psi) ** n
+        den = (_hypot1(phi) * _hypot1(psi)) ** n
+    except OverflowError:
+        raise BadParams(f"spin-{j} overlap of {phi!r} and {psi!r} overflows the double range") from None
     return num / den
 
 

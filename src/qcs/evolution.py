@@ -137,43 +137,37 @@ def _p_plus_spectrum(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, 
     return energies, weights
 
 
-def _p_plus_grid(params: CouplingParams, p: PointLike, t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The time grid with the energies and weights of `_p_plus_spectrum`.
+def _p_plus_sums(params: CouplingParams, p: PointLike, t_grid, scale: float):
+    """The time grid ts with w . cos phi and w . sin phi, phi = (E (x) scale ts) / hbar.
 
-    Raises BadParams unless the largest phase E t / hbar at 2t, where the
-    concurrence is read, is finite: a non-finite time, energy or phase
-    raises here instead of turning into NaN.
+    E and w are from `_p_plus_spectrum`; the sums are Re A and -Im A at
+    scale * t, read at scale 1 for F(t) and 2 for C(t).  Forming E t before
+    dividing by hbar keeps phi finite wherever E t / hbar is.  Both scales
+    raise BadParams unless the largest phase at 2t is finite, so a
+    non-finite time, energy or phase raises instead of turning into NaN.
     """
     ts = np.asarray(t_grid, dtype=float)
     energies, weights = _p_plus_spectrum(params, p)
     e_max, t_max = float(np.max(np.abs(energies))), float(np.max(np.abs(ts), initial=0.0))
     if not math.isfinite(e_max * (2.0 * t_max) / params.hbar):
         raise BadParams(f"phases E t / hbar must be finite, got |E| up to {e_max!r}, |t| up to {t_max!r}")
-    return ts, energies, weights
-
-
-def _p_plus_series(params: CouplingParams, p: PointLike, t_grid) -> tuple[TimeSeries, TimeSeries]:
-    """Concurrence C(t) = |A(2t)| and fidelity F(t) = |A(t)|^2 of the evolved P+(psi).
-
-    A(t) = sum_k w_k e^{-i E_k t / hbar} from `_p_plus_spectrum`.  Both are
-    capped at 1 so rounding cannot push them past their bound.
-    """
-    ts, energies, weights = _p_plus_grid(params, p, t_grid)
-    concurrence = _spectral_concurrence(energies, weights, ts, params.hbar)
-    fidelity = _spectral_fidelity(energies, weights, ts, params.hbar)
-    return TimeSeries(ts, np.minimum(concurrence, 1.0)), TimeSeries(ts, np.minimum(fidelity, 1.0))
+    phi = np.multiply.outer(energies, scale * ts) / params.hbar
+    return ts, weights @ np.cos(phi), weights @ np.sin(phi)
 
 
 def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Concurrence of the evolved P+(psi) on the time grid, capped at 1 (see `_p_plus_series`)."""
-    ts, energies, weights = _p_plus_grid(params, p, t_grid)
-    return TimeSeries(ts, np.minimum(_spectral_concurrence(energies, weights, ts, params.hbar), 1.0))
+    """Concurrence C(t) = |A(2t)| of the evolved P+(psi) on the time grid, capped at 1.
+
+    The hypot of the sums at 2t, not sqrt(F(2t)), which loses accuracy near C = 0.
+    """
+    ts, re, im = _p_plus_sums(params, p, t_grid, 2.0)
+    return TimeSeries(ts, np.minimum(np.hypot(re, im), 1.0))
 
 
 def fidelity_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:
-    """Fidelity |<psi(t)|P+(psi)>|^2 of the evolved state with its initial state, capped at 1."""
-    ts, energies, weights = _p_plus_grid(params, p, t_grid)
-    return TimeSeries(ts, np.minimum(_spectral_fidelity(energies, weights, ts, params.hbar), 1.0))
+    """Fidelity |<psi(t)|P+(psi)>|^2 = |A(t)|^2 of the evolved state with its initial state, capped at 1."""
+    ts, re, im = _p_plus_sums(params, p, t_grid, 1.0)
+    return TimeSeries(ts, np.minimum(re**2 + im**2, 1.0))
 
 
 def closed_form_fidelity(theta: float, t, j: float, hbar: float = 1.0):
@@ -198,31 +192,6 @@ def closed_form_concurrence_reading(theta: float, t, j: float, hbar: float = 1.0
     s2 = math.sin(theta) ** 2
     out = 0.25 * np.sqrt(a * a + 8.0 * a * s2 * np.cos(2.0 * j * t / hbar) + 16.0 * s2 * s2)
     return float(out) if out.ndim == 0 else out
-
-
-def _spectral_sums(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
-    """Re A(t) and -Im A(t) as w . cos phi and w . sin phi, phi = (E (x) t) / hbar, for real w_k.
-
-    Forming E t before dividing by hbar keeps phi finite wherever E t / hbar
-    is, even where E / hbar overflows.  Callers that pass rates E / hbar
-    keep hbar = 1, which divides exactly.
-    """
-    phi = np.multiply.outer(energies, t) / hbar
-    return weights @ np.cos(phi), weights @ np.sin(phi)
-
-
-def _spectral_fidelity(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
-    """F(t) = |A(t)|^2 = (w . cos phi)^2 + (w . sin phi)^2 (see `_spectral_sums`).
-
-    Real arithmetic only, equal to the complex form to within rounding.
-    """
-    re, im = _spectral_sums(energies, weights, t, hbar)
-    return re**2 + im**2
-
-
-def _spectral_concurrence(energies: np.ndarray, weights: np.ndarray, t, hbar: float = 1.0):
-    """C(t) = |A(2t)| as the hypot of the real sums at 2t, not sqrt(F(2t)), which loses accuracy near C = 0."""
-    return np.hypot(*_spectral_sums(energies, weights, 2.0 * t, hbar))
 
 
 def revival_time(params: CouplingParams, p: PointLike) -> Revival:

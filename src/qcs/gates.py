@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .coherent_states import PureState, coherent, symmetric_state
+from .coherent_states import PureState, _hypot1, coherent, symmetric_state
 from .complex_geometry import MobiusMap, PointLike, SymmetryKind, as_point
 from .errors import DimensionMismatch, InfinitePoint
 
@@ -112,7 +112,7 @@ def coherent_generator(p: PointLike) -> UnitaryGate:
     if q.is_infinity:
         raise InfinitePoint("coherent generator needs a finite label")
     psi = q.value
-    denom = math.hypot(1.0, abs(psi))
+    denom = _hypot1(psi)
     return UnitaryGate(np.array([[1.0, -psi.conjugate()], [psi, 1.0]]) / denom)
 
 

@@ -395,7 +395,6 @@ def _source(source: str) -> str:
     return kind
 
 
-@lru_cache(maxsize=256)
 def _surface_function(params: CouplingParams, state_id: str, source: str, bonds: str) -> Callable:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
@@ -409,8 +408,8 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
 
     The direct route divides <a|H|a> by <a|a>, which cancels the rounding
     of the batched amplitudes' norm as PureState's renormalization does for
-    `q_symbol_direct`.  Kernels are cached, so a surface's grid and
-    refinements fetch the Hamiltonian once.
+    `q_symbol_direct`.  Kernels are not cached: building one costs about a
+    microsecond, and the Hamiltonian it fetches is cached by `hamiltonian`.
     """
     sid = state_id.upper()
     if _source(source) == "closed":
@@ -438,6 +437,9 @@ def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[
     nx, ny = (math.floor(s + 0.5) + 1 if s < MAX_GRID_NODES else MAX_GRID_NODES + 1 for s in spans)
     if nx * ny > MAX_GRID_NODES:
         raise BadParams(f"window {window} at step {step} needs more than {MAX_GRID_NODES} grid nodes")
+    # Nodes increase along each axis, so the far node is the one that can overflow.
+    if not (math.isfinite(x_min + step * (nx - 1)) and math.isfinite(y_min + step * (ny - 1))):
+        raise BadParams(f"window {window} at step {step} has grid nodes beyond the double range")
     return x_min + step * np.arange(nx), y_min + step * np.arange(ny)
 
 

@@ -310,6 +310,21 @@ def test_oversized_window_exits_two():
     assert proc.returncode == 2 and "grid nodes" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["surface", "extrema"])
+def test_window_whose_far_nodes_overflow_exits_two(command, capsys):
+    """A finite window whose last grid node rounds past the doubles is a one-line usage error, with no
+    RuntimeWarning."""
+    argv = [command, "--state", "P+", "--jx", "1", "--jy", "0.5",
+            "--window=1.7e308,1.75e308,1.7e308,1.75e308", "--step", "1e307"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qcs {command}: window") and "beyond the double range" in err, err
+    assert err.count("\n") == 1, err
+
+
 BAD_TIME_GRIDS = [
     ["--dt", "0"],
     ["--t-max", "inf"],
@@ -432,14 +447,15 @@ def test_main_builds_its_parser_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_evolve_propagates_once(monkeypatch):
-    """Concurrence and fidelity columns of an off-circle `evolve` come from one Bell spectrum."""
+def test_evolve_calls_each_public_series_once(monkeypatch):
+    """The concurrence and fidelity columns of `evolve` come from one call of each public series."""
     calls = []
-    spectrum = ev._p_plus_spectrum
-    monkeypatch.setattr(ev, "_p_plus_spectrum", lambda params, p: calls.append(1) or spectrum(params, p))
+    for name in ("concurrence_series", "fidelity_series"):
+        series = getattr(ev, name)
+        monkeypatch.setattr(ev, name, lambda *args, name=name, series=series: calls.append(name) or series(*args))
     assert main(["evolve", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--psi", "1,0",
                  "--t-max", "0.5", "--dt", "0.25", "--output", os.devnull]) == 0
-    assert len(calls) == 1
+    assert calls == ["concurrence_series", "fidelity_series"]
 
 
 def test_evolve_footer_at_extreme_coupling(tmp_path):

@@ -22,6 +22,7 @@ from qcs.coherent_states import (
 )
 from qcs.complex_geometry import INFINITY, SymmetryKind, symmetric_point
 from qcs.errors import BadParams, DimensionMismatch, NotNormalized
+from qcs.gates import coherent_generator, coherent_hadamard_basis
 
 TOL = 1e-12
 
@@ -194,11 +195,28 @@ def test_canonical_phase_pins_largest_amplitude():
 
 
 def test_labels_whose_modulus_overflows_raise_bad_params():
-    """|psi| beyond the doubles raises BadParams in every constructor; |psi| just inside still works."""
+    """|psi| beyond the doubles raises BadParams in every constructor, gates included; |psi| just inside
+    still works."""
     huge = complex(1.7e308, -1.7e308)
     builders = [coherent, lambda p: spin_j_coherent(0.5, p), lambda p: spin_j_overlap_closed(0.5, p, 0.5)]
+    builders += [coherent_generator, coherent_hadamard_basis]
     builders += [lambda p, kind=kind: symmetric_state(p, kind) for kind in SymmetryKind]
     for build in builders:
         with pytest.raises(BadParams, match="overflows"):
             build(huge)
         build(complex(1e308, -1e308))
+
+
+def test_spin_j_powers_that_overflow_raise_bad_params():
+    """A finite |psi| whose 2j-th power overflows raises BadParams; powers just inside the doubles still work."""
+    with pytest.raises(BadParams, match="overflow"):
+        spin_j_coherent(1.5, 1e103)
+    with pytest.raises(BadParams, match="overflow"):
+        spin_j_coherent(1.5, 1e103j)
+    with pytest.raises(BadParams, match="overflow"):
+        spin_j_overlap_closed(1.5, 1e103, 1.0)
+    with pytest.raises(BadParams, match="overflow"):
+        spin_j_overlap_closed(1.5, 1e60, 1e60)
+    state = spin_j_coherent(1.5, 1e102)
+    assert abs(state.amplitudes[3] - 1.0) <= 1e-15
+    assert abs(spin_j_overlap_closed(1.5, 1e51, 1e51) - 1.0) <= 1e-14

@@ -239,29 +239,23 @@ def test_series_are_capped_at_one(j, radius, angle, ts):
     conc = concurrence_series(params, psi, ts).values
     fid = fidelity_series(params, psi, ts).values
     assert conc.max() <= 1.0 and fid.max() <= 1.0
-    energies, weights = ev._p_plus_spectrum(params, psi)
-    assert np.array_equal(fid, np.minimum(ev._spectral_fidelity(energies, weights, ts, params.hbar), 1.0))
-    uncapped = np.hypot(*ev._spectral_sums(energies, weights, 2.0 * ts, params.hbar))
-    assert np.array_equal(conc, np.minimum(uncapped, 1.0))
-    both = ev._p_plus_series(params, psi, ts)
-    assert np.array_equal(both[0].values, conc) and np.array_equal(both[1].values, fid)
+    _, re, im = ev._p_plus_sums(params, psi, ts, 1.0)
+    assert np.array_equal(fid, np.minimum(re**2 + im**2, 1.0))
+    _, re, im = ev._p_plus_sums(params, psi, ts, 2.0)
+    assert np.array_equal(conc, np.minimum(np.hypot(re, im), 1.0))
 
 
 def test_each_series_evaluates_only_its_own_sums(monkeypatch):
-    """fidelity_series takes the sums at t only, concurrence_series at 2t only, and `_p_plus_series`,
-    which `qcs evolve` calls, takes each once."""
+    """fidelity_series takes the sums at scale 1 only, concurrence_series at scale 2 only."""
     calls = []
-    sums = ev._spectral_sums
-    monkeypatch.setattr(ev, "_spectral_sums", lambda e, w, t, hbar=1.0: calls.append(t) or sums(e, w, t, hbar))
+    sums = ev._p_plus_sums
+    monkeypatch.setattr(ev, "_p_plus_sums", lambda *args: calls.append(args[-1]) or sums(*args))
     params, ts = CouplingParams.xyz(jx=0.8, jy=-0.3, jz=1.1), np.linspace(0.5, 3.0, 26)
     fidelity_series(params, 0.5 + 0.4j, ts)
-    assert len(calls) == 1 and np.array_equal(calls[0], ts)
+    assert calls == [1.0]
     calls.clear()
     concurrence_series(params, 0.5 + 0.4j, ts)
-    assert len(calls) == 1 and np.array_equal(calls[0], 2.0 * ts)
-    calls.clear()
-    ev._p_plus_series(params, 0.5 + 0.4j, ts)
-    assert len(calls) == 2 and sorted(float(t[-1]) for t in calls) == [3.0, 6.0]
+    assert calls == [2.0]
 
 
 def _peak_time(rates, weights, lo, t, hi):
@@ -294,6 +288,13 @@ def _peak_time(rates, weights, lo, t, hi):
 
 
 SCAN_THRESHOLD = 1.0 - 1e-9
+
+
+def _fidelity(energies, weights, t, hbar=1.0):
+    """F(t) = (w . cos phi)^2 + (w . sin phi)^2, phi = (E (x) t) / hbar: the real-arithmetic F of the
+    reference scan, the same operations as `fidelity_series` before its cap at 1."""
+    phi = np.multiply.outer(energies, t) / hbar
+    return (weights @ np.cos(phi)) ** 2 + (weights @ np.sin(phi)) ** 2
 
 
 def _first_revival(ts, f, first_below, fidelity, peak, rate):
@@ -339,7 +340,7 @@ def _scan_revival(params, psi, scipy_peak=False):
     dt = 1e-3 * hbar / j
     energies, weights = ev._p_plus_spectrum(params, psi)
     rates = energies / hbar
-    fidelity = functools.partial(ev._spectral_fidelity, rates, weights)
+    fidelity = functools.partial(_fidelity, rates, weights)
 
     def peak(lo, t, hi):
         if scipy_peak:
@@ -533,18 +534,19 @@ def test_revival_guards():
 
 
 def test_spectral_fidelity_matches_complex_form():
-    """The real-arithmetic F of the series and the reference scan is |w . exp(-i E t / hbar)|^2 to within
-    1e-13 over ten periods."""
+    """`fidelity_series` and the real-arithmetic F of the reference scan are |w . exp(-i E t / hbar)|^2 to
+    within 1e-13 over ten periods."""
     rng = np.random.default_rng(12)
     for theta, j, hbar in _random_revival_cases(30, rng):
         params = CouplingParams.xyz(jx=j, jy=j, jz=0.0, hbar=hbar)
         energies, weights = ev._p_plus_spectrum(params, unit_label(theta))
         ts = 1e-3 * hbar / abs(j) * np.arange(1, 62833)
         complex_form = np.abs(weights @ np.exp(-1j * np.multiply.outer(energies, ts) / hbar)) ** 2
-        real_form = ev._spectral_fidelity(energies / hbar, weights, ts)
+        assert np.max(np.abs(fidelity_series(params, unit_label(theta), ts).values - complex_form)) <= 1e-13
+        real_form = _fidelity(energies / hbar, weights, ts)
         assert np.max(np.abs(real_form - complex_form)) <= 1e-13
         # The scan's bisection calls it with one time at a time.
-        assert abs(ev._spectral_fidelity(energies / hbar, weights, float(ts[777])) - real_form[777]) <= 1e-15
+        assert abs(_fidelity(energies / hbar, weights, float(ts[777])) - real_form[777]) <= 1e-15
 
 
 @pytest.mark.parametrize(
