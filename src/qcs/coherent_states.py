@@ -268,19 +268,16 @@ def spin_j_overlap(bra: SpinJState, ket: SpinJState) -> complex:
 def spin_j_overlap_closed(j: float, p_bra: PointLike, p_ket: PointLike) -> complex:
     """Closed-form coherent-state overlap (1 + conj(phi) psi)^{2j} / ((1+|phi|^2)(1+|psi|^2))^j.
 
-    Both labels must be finite.  Vanishes exactly when the labels are
-    antipodal (psi = -1/conj(phi)), matching the direct summation.
-    Raises BadParams where a 2j-th power overflows the doubles.
+    Both labels must be finite.  Vanishes when the labels are antipodal
+    (psi = -1/conj(phi)), matching the direct summation.  The ratio
+    (1 + conj(phi) psi) / (sqrt(1+|phi|^2) sqrt(1+|psi|^2)) is formed
+    first; its modulus is at most 1, so its 2j-th power cannot overflow.
     """
     n = _two_j(j)
     phi = as_point(p_bra).value
     psi = as_point(p_ket).value
-    try:
-        num = (1.0 + phi.conjugate() * psi) ** n
-        den = (_hypot1(phi) * _hypot1(psi)) ** n
-    except OverflowError:
-        raise BadParams(f"spin-{j} overlap of {phi!r} and {psi!r} overflows the double range") from None
-    return num / den
+    h_phi, h_psi = _hypot1(phi), _hypot1(psi)
+    return ((1.0 / h_phi) * (1.0 / h_psi) + (phi.conjugate() / h_phi) * (psi / h_psi)) ** n
 
 
 def equal_up_to_phase(

@@ -399,12 +399,11 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per block of whole rows (`_evaluate_grid`).  Refining a
-    seed calls it once for the seed's 13-label `_stencil` and once for the
-    1-label value at the final point; Newton adds one 13-label stencil per
-    further iterate and one 1-label call per line-search point, and the
-    saddle hunt one 4-label `_gradient` per simplex point and one 13-label
-    stencil at its final point (see `refine_extremum`).
+    call it once per block of whole rows (`_evaluate_grid`).  Refinement
+    calls it in two shapes (see `refine_extremum`): a 13-label `_stencil`
+    at the seed and at every Newton line-search trial, and a 4-label
+    `_gradient` per simplex point of the saddle hunt, which ends on one
+    more stencil.
 
     The direct route divides <a|H|a> by <a|a>, which cancels the rounding
     of the batched amplitudes' norm as PureState's renormalization does for
@@ -537,10 +536,11 @@ def _newton(
     The Hessian's eigenvalues are replaced by max(|lambda|, 1e-8), so every
     step goes downhill even where the iterate's Hessian is not definite;
     steps are capped at _TRUST_RADIUS and halved while sign * f rises
-    beyond rounding.  Stops once the step or the gradient is below
-    tolerance; the gradient floor ends the jitter that difference noise
-    causes near a degenerate extremum.  Raises NoConvergence after
-    _NEWTON_MAX_ITER iterations.
+    beyond rounding, at most 30 times, then taken as it is.  Each trial is
+    one `_stencil`, and the accepted one is the next iterate's.  Stops
+    once the step or the gradient is below tolerance; the gradient floor
+    ends the jitter that difference noise causes near a degenerate
+    extremum.  Raises NoConvergence after _NEWTON_MAX_ITER iterations.
     """
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         value, grad, hess = stencil
@@ -551,11 +551,13 @@ def _newton(
         step *= min(1.0, _TRUST_RADIUS / float(np.linalg.norm(step)))
         level = sign * value + 1e-13 * (1.0 + abs(value))
         for _ in range(30):
-            if sign * float(f(x + float(step[0]), y + float(step[1]))) <= level:
+            stencil = _stencil(f, x + float(step[0]), y + float(step[1]))
+            if sign * stencil[0] <= level:
                 break
             step /= 2.0
+        else:
+            stencil = _stencil(f, x + float(step[0]), y + float(step[1]))
         x, y = x + float(step[0]), y + float(step[1])
-        stencil = _stencil(f, x, y)
         if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
             return x, y, iteration, stencil
     raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
@@ -585,13 +587,14 @@ def refine_extremum(
     1e-6.  A flat seed is returned as CONSTANT.  Raises NoConvergence when
     Newton exceeds its iteration cap or the simplex stalls.
 
-    The kind comes from the eigenvalues of the `_stencil` Hessian at the
-    final point: the seed's when Newton leaves the seed in place, Newton's
-    last when it moves, and one more stencil after the saddle hunt.  The
-    value is one 1-label kernel call at the final point.  So a seed left in
-    place costs 13 labels and 1; a moved seed 13 per iterate, 1 per
-    line-search point and 1 for the value; a saddle 13 at the seed, 4 per
-    simplex point, 13 at its final point and 1 for the value.
+    The kind and the value come from the `_stencil` at the final point
+    (its Hessian's eigenvalues and its centre): the seed's when Newton
+    leaves the seed in place, Newton's last when it moves, and one more
+    stencil after the saddle hunt.  So the kernel sees two call shapes:
+    one 13-label stencil per Newton point (the seed, and each line-search
+    trial) and the saddle hunt's 4-label `_gradient`s.  A seed left in
+    place costs one stencil; a saddle costs one at the seed, one 4-label
+    call per simplex point and one at its final point.
     """
     f = _surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
@@ -617,14 +620,14 @@ def refine_extremum(
             raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
         x, y, iterations = float(res.x[0]), float(res.x[1]), int(res.nit)
         stencil = _stencil(f, x, y)
-    _, grad, hess = stencil
+    value, grad, hess = stencil
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
             (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(grad)),
         )
     kind = _kind(eigs if stencil is seed_stencil else np.linalg.eigvalsh(hess))
-    return Extremum(x, y, float(f(x, y)), kind)
+    return Extremum(x, y, value, kind)
 
 
 def _merge_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:

@@ -180,6 +180,43 @@ def test_evolve_body_digests(argv, digest, tmp_path):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+# SHA-256 of `extrema` output: the six `extrema` rows of the benchmark's
+# cli-surface table at unscaled couplings, a closed G+ surface near jx = jy
+# whose saddle seed takes the Nelder-Mead hunt, and a G+ window whose
+# minimum seeds Newton moves off their grid nodes.
+PG_FLAGS = ["--model=xyz", "--j-plus=-1.0", "--j-minus=-1.0", "--jz=-1.0"]
+GEN_FLAGS = ["--model=xyz", "--jx=1.1", "--jy=-0.4", "--jz=0.9"]
+EXTREMA_SHA256 = [
+    (["--state=P+", "--model=xxz", "--j=1.0", "--jz=-2.0", "--source=closed", "--window=-2.5,2.5,-2.5,2.5",
+      "--step=0.1"], "a941f12e5123e12b58f56ecfaea3dac8b8d0599a770723770529c14b075749d7"),
+    (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
+     "54f78bfbed794a75a3f1153d95933b8855609ff1ac991dac2aea0608a69561a6"),
+    (["--state=PG-", *PG_FLAGS, "--window=-1.36,1.36,-1.36,1.36", "--step=0.08"],
+     "65a400c8f111089b0d67010337fae33477ecc5cc3c30303b4655e9d9f5c21a14"),
+    (["--state=G+", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
+     "7489175ea1e83826db799ca5d183513493e60bbdb746929bb5b97e9647d9328f"),
+    (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
+     "9b91d8e051d1c8acaed904f53e816eb7755fc159054c35920c8112e8d7528d56"),
+    (["--state=G-", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
+     "8e34b3270a9e8754d5a9c85f60ccd66440ae2b3bc447d372f6f2c7c5f1027828"),
+    (["--state=G+", "--jx=0.465721243863944", "--jy=0.45666640033603256", "--jz=0.6800728488750654",
+      "--source=closed", "--step=0.1",
+      "--window=-2.457453444314526,2.542546555685474,-2.4792202943370514,2.5207797056629486"],
+     "90c5b7ad5d5b3d1214a74b0afc88052ba31a4525466c95667e183e3c8534e821"),
+    (["--state=G+", "--jx=1.2654864670238135", "--jy=1.2770941634217208", "--jz=0.14200448231306373",
+      "--source=closed", "--step=0.099652006380203",
+      "--window=-2.512951134121445,2.487048865878555,-2.544793412870247,2.455206587129753"],
+     "21694b7db7c2909563d324a4acd3d2eedb2d92d8fa4233774950b51bff051c06"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EXTREMA_SHA256)
+def test_extrema_digests(argv, digest, tmp_path):
+    target = tmp_path / "extrema.csv"
+    assert main(["extrema", *argv, "--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 def test_evolve_bytes_match_per_value_format(tmp_path):
     """`evolve` rows and footer are the library series written with format(x, ".17g"), on and off the circle."""
     target = tmp_path / "series.csv"

@@ -208,15 +208,16 @@ def test_labels_whose_modulus_overflows_raise_bad_params():
 
 
 def test_spin_j_powers_that_overflow_raise_bad_params():
-    """A finite |psi| whose 2j-th power overflows raises BadParams; powers just inside the doubles still work."""
+    """A finite |psi| whose 2j-th power overflows raises BadParams in the state; powers just inside
+    the doubles still work, and the closed overlap, a power of a ratio of modulus <= 1, never overflows."""
     with pytest.raises(BadParams, match="overflow"):
         spin_j_coherent(1.5, 1e103)
     with pytest.raises(BadParams, match="overflow"):
         spin_j_coherent(1.5, 1e103j)
-    with pytest.raises(BadParams, match="overflow"):
-        spin_j_overlap_closed(1.5, 1e103, 1.0)
-    with pytest.raises(BadParams, match="overflow"):
-        spin_j_overlap_closed(1.5, 1e60, 1e60)
+    assert abs(spin_j_overlap_closed(1.5, 1e103, 1.0) - 0.5**1.5) <= 1e-15
+    assert abs(spin_j_overlap_closed(1.5, 1e60, 1e60) - 1.0) <= 1e-15
+    direct = spin_j_overlap(spin_j_coherent(1.5, 1e60), spin_j_coherent(1.5, 1e60))
+    assert abs(spin_j_overlap_closed(1.5, 1e60, 1e60) - direct) <= 1e-15
     state = spin_j_coherent(1.5, 1e102)
     assert abs(state.amplitudes[3] - 1.0) <= 1e-15
     assert abs(spin_j_overlap_closed(1.5, 1e51, 1e51) - 1.0) <= 1e-14

@@ -637,24 +637,63 @@ def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
     ]
 
 
+def _newton_iterates(points):
+    """The iterates among the `_stencil` points of one Newton run: the seed, then each accepted trial.
+
+    A rejected trial is followed by the trial at half its step from the same
+    iterate, so a point is accepted unless the next one is that midpoint.
+    """
+    iterates = [points[0]]
+    for a, b in zip(points[1:], points[2:] + [None]):
+        x, y = iterates[-1]
+        tol = 1e-6 * math.hypot(a[0] - x, a[1] - y) + 1e-15 * (1.0 + abs(x) + abs(y))
+        if b is None or math.hypot(b[0] - (x + a[0]) / 2, b[1] - (y + a[1]) / 2) > tol:
+            iterates.append(a)
+    return iterates
+
+
 def test_newton_steps_are_capped_and_descend(monkeypatch):
     """On a smoothed cusp the full Newton step overshoots five-fold; the safeguards still converge."""
     cusp = lambda x, y: (1e-4 + x * x) ** 0.6 + y * y
     stencil = sm._stencil
-    iterates = [(1.0, 0.5)]
+    points = [(1.0, 0.5)]
 
     def recording_stencil(f, x, y):
-        iterates.append((x, y))
+        points.append((x, y))
         return stencil(f, x, y)
 
     monkeypatch.setattr(sm, "_stencil", recording_stencil)
     x, y, iterations, _ = sm._newton(cusp, 1.0, 0.5, 1.0, stencil(cusp, 1.0, 0.5))
-    iterates.append((x, y))
+    iterates = _newton_iterates(points)
+    assert iterates[-1] == (x, y) and len(iterates) == iterations + 1
+    assert len(points) > len(iterates)  # some trials were rejected
     assert math.hypot(x, y) <= 1e-9
     assert iterations >= 5  # 0.25 at a time over a distance of 1.12
     for (xa, ya), (xb, yb) in zip(iterates, iterates[1:]):
         assert math.hypot(xb - xa, yb - ya) <= sm._TRUST_RADIUS * (1.0 + 1e-12)
         assert cusp(xb, yb) <= cusp(xa, ya) + 1e-13 * (1.0 + cusp(xa, ya))
+
+
+def test_exhausted_line_search_takes_the_last_halved_step(monkeypatch):
+    """When all 30 halvings rise, Newton moves by the step halved 30 times and reads its stencil there."""
+    # A downward spike at the seed: every trial beside it lies above the seed's value.
+    spiked = lambda x, y: (x - 1.0) ** 2 + (y - 0.5) ** 2 - ((x == 0.0) & (y == 0.0))
+    stencil = sm._stencil
+    seed_stencil = stencil(spiked, 0.0, 0.0)
+    trials = []
+
+    def recording_stencil(f, x, y):
+        trials.append((x, y, stencil(f, x, y)))
+        return trials[-1][2]
+
+    monkeypatch.setattr(sm, "_stencil", recording_stencil)
+    x, y, iterations, final = sm._newton(spiked, 0.0, 0.0, 1.0, seed_stencil)
+    assert len(trials) == 31 and iterations == 1
+    level = seed_stencil[0] + 1e-13 * (1.0 + abs(seed_stencil[0]))
+    assert all(t[2][0] > level for t in trials)
+    (x_first, y_first, _), (x_last, y_last, last) = trials[0], trials[-1]
+    assert (x, y) == (x_last, y_last) == (x_first / 2**30, y_first / 2**30) != (0.0, 0.0)
+    assert final is last
 
 
 def test_degenerate_maxima_converge():
@@ -792,8 +831,8 @@ def _spy_on_kernel_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
-    """A seed Newton leaves in place costs one 13-label and one 1-label kernel call, no 9-label call."""
+def test_seed_left_in_place_costs_one_stencil(monkeypatch):
+    """A seed Newton leaves in place costs one 13-label kernel call, whose centre is the value."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
@@ -804,11 +843,12 @@ def test_seed_left_in_place_costs_one_stencil_and_one_value(monkeypatch):
         sizes.clear()
         e = sm.refine_extremum(params, sid, seed_point, source, bonds)
         assert (e.x, e.y, e.kind) == (*seed_point, kind)
-        assert sizes == [13, 1]
+        assert sizes == [13]
+        assert e.value == float(sm._surface_function(params, sid, source, bonds)(*seed_point))
 
 
 def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
-    """Moved, step-stopped and saddle seeds end on a 13-label stencil and a 1-label value, never 9 labels."""
+    """Refinement calls the kernel with 13-label stencils and the saddle hunt's 4-label gradients only."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     stencil, refine = sm._stencil, sm.refine_extremum
     points = []
@@ -822,16 +862,17 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
         sizes.clear()
         points.clear()
         e = refine(*args)
-        assert 9 not in sizes
-        if sizes == [13, 1]:
+        assert set(sizes) <= {13, 4}
+        if sizes == [13]:
             routes["in place"] += 1
             return e
-        assert sizes[0] == sizes[-2] == 13 and sizes[-1] == 1
-        (xa, ya), (xb, yb) = points[-2:]
+        assert sizes[0] == sizes[-1] == 13 and (e.x, e.y) == points[-1]
         if 4 in sizes:
-            assert set(sizes[1:-2]) == {4}
+            assert set(sizes[1:-1]) == {4}
             routes["saddle"] += 1
-        elif math.hypot(xb - xa, yb - ya) <= 1e-10 * (1.0 + math.hypot(xb, yb)):
+            return e
+        (xa, ya), (xb, yb) = _newton_iterates(points)[-2:]
+        if math.hypot(xb - xa, yb - ya) <= 1e-10 * (1.0 + math.hypot(xb, yb)):
             routes["step size"] += 1
         else:
             routes["gradient floor"] += 1
