@@ -24,6 +24,7 @@ from .complex_geometry import (
     ComplexPoint,
     PointLike,
     SymmetryKind,
+    _reflection,
     as_point,
     symmetric_point,
 )
@@ -186,20 +187,13 @@ def symmetric_state(p: PointLike, kind: SymmetryKind) -> PureState:
     computational-basis limit coherent(symmetric_point(...)) is returned.
     """
     q = as_point(p)
-    if q.is_infinity or (kind in (SymmetryKind.UNIT_CIRCLE, SymmetryKind.ANTIPODAL) and q.value == 0):
+    negate, invert = _reflection(kind)
+    if q.is_infinity or (invert and q.value == 0):
         return coherent(symmetric_point(q, kind))
     psi = q.value
     denom = _hypot1(psi)
-    conj = psi.conjugate()
-    if kind is SymmetryKind.CONJUGATE:
-        return PureState([1.0 / denom, conj / denom])
-    if kind is SymmetryKind.NEG_CONJUGATE:
-        return PureState([1.0 / denom, -conj / denom])
-    if kind is SymmetryKind.UNIT_CIRCLE:
-        return PureState([conj / denom, 1.0 / denom])
-    if kind is SymmetryKind.ANTIPODAL:
-        return PureState([-conj / denom, 1.0 / denom])
-    raise TypeError(f"unknown symmetry kind: {kind!r}")
+    conj = -psi.conjugate() if negate else psi.conjugate()
+    return PureState([conj / denom, 1.0 / denom] if invert else [1.0 / denom, conj / denom])
 
 
 def overlap(bra: Union[PureState, SpinJState], ket: Union[PureState, SpinJState]) -> complex:

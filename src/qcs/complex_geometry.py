@@ -7,9 +7,10 @@ imaginary axis, unit circle, and the antipodal map) produce the symmetric
 points used to build orthogonal partner states.  Stereographic projection
 ties the plane to the unit sphere, south pole at infinity.
 
-All operations are total on the extended plane: both Möbius application
-and the cross ratio are evaluated in homogeneous coordinates, so poles and
-the point at infinity need no special-casing by callers.
+Every map goes through homogeneous coordinates (num, den): each forms a
+pair and returns through `_from_ratio`, so poles and the point at infinity
+need no special case.  `_from_ratio` alone decides what a ratio becomes:
+INFINITY where den is 0, BadParams where num / den overflows the doubles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import DegenerateTriple
+from .errors import BadParams, DegenerateTriple
 
 __all__ = [
     "ComplexPoint",
@@ -131,7 +132,10 @@ def _homogeneous(p: ComplexPoint) -> tuple[complex, complex]:
 def _from_ratio(num: complex, den: complex) -> ComplexPoint:
     if den == 0:
         return INFINITY
-    return ComplexPoint(num / den)
+    try:
+        return ComplexPoint(num / den)
+    except ValueError:
+        raise BadParams(f"{num!r} / {den!r} lies beyond the double range") from None
 
 
 @dataclass(frozen=True)
@@ -207,13 +211,7 @@ def cross_ratio(p: PointLike, p1: PointLike, p2: PointLike, p3: PointLike) -> Co
 
 
 class SymmetryKind(Enum):
-    """Reflections of the extended plane used to build partner states.
-
-    CONJUGATE      : psi -> conj(psi)        (real axis)
-    NEG_CONJUGATE  : psi -> -conj(psi)       (imaginary axis)
-    UNIT_CIRCLE    : psi -> 1/conj(psi)      (unit circle; 0 <-> INFINITY)
-    ANTIPODAL      : psi -> -1/conj(psi)     (sphere antipode; 0 <-> INFINITY)
-    """
+    """Reflections of the extended plane used to build partner states; see `symmetric_point`."""
 
     CONJUGATE = "conjugate"
     NEG_CONJUGATE = "neg_conjugate"
@@ -221,34 +219,37 @@ class SymmetryKind(Enum):
     ANTIPODAL = "antipodal"
 
 
-def symmetric_point(p: PointLike, kind: SymmetryKind) -> ComplexPoint:
-    """Symmetric point of p under the given reflection.
+_REFLECTIONS = {
+    SymmetryKind.CONJUGATE: (False, False),
+    SymmetryKind.NEG_CONJUGATE: (True, False),
+    SymmetryKind.UNIT_CIRCLE: (False, True),
+    SymmetryKind.ANTIPODAL: (True, True),
+}
 
-    All four kinds are involutions.  The two circle reflections exchange
-    0 and INFINITY; the two axis reflections fix INFINITY.
+
+def _reflection(kind: SymmetryKind) -> tuple[bool, bool]:
+    try:
+        return _REFLECTIONS[kind]
+    except KeyError:
+        raise TypeError(f"unknown symmetry kind: {kind!r}") from None
+
+
+def symmetric_point(p: PointLike, kind: SymmetryKind) -> ComplexPoint:
+    """Symmetric point of p under a reflection; `_REFLECTIONS` holds each as (negate, invert):
+
+    CONJUGATE      (False, False)  psi -> conj(psi)     real axis
+    NEG_CONJUGATE  (True,  False)  psi -> -conj(psi)    imaginary axis
+    UNIT_CIRCLE    (False, True)   psi -> 1/conj(psi)   unit circle, 0 <-> INFINITY
+    ANTIPODAL      (True,  True)   psi -> -1/conj(psi)  sphere antipode, 0 <-> INFINITY
+
+    All four are involutions.  An image beyond the double range raises BadParams.
     """
     q = as_point(p)
-    if kind is SymmetryKind.CONJUGATE:
-        if q.is_infinity:
-            return INFINITY
-        return ComplexPoint(q.value.conjugate())
-    if kind is SymmetryKind.NEG_CONJUGATE:
-        if q.is_infinity:
-            return INFINITY
-        return ComplexPoint(-q.value.conjugate())
-    if kind is SymmetryKind.UNIT_CIRCLE:
-        if q.is_infinity:
-            return ComplexPoint(0.0)
-        if q.value == 0:
-            return INFINITY
-        return ComplexPoint(1.0 / q.value.conjugate())
-    if kind is SymmetryKind.ANTIPODAL:
-        if q.is_infinity:
-            return ComplexPoint(0.0)
-        if q.value == 0:
-            return INFINITY
-        return ComplexPoint(-1.0 / q.value.conjugate())
-    raise TypeError(f"unknown symmetry kind: {kind!r}")
+    negate, invert = _reflection(kind)
+    num, den = (c.conjugate() for c in _homogeneous(q))
+    if invert:
+        num, den = den, num
+    return _from_ratio(-num if negate else num, den)
 
 
 @dataclass(frozen=True)
@@ -300,10 +301,8 @@ def stereo_project(s: SpherePoint) -> ComplexPoint:
     form (1-z)/(x-iy) is used there.
     """
     if s.z >= 0.0:
-        return ComplexPoint(complex(s.x, s.y) / (1.0 + s.z))
-    if s.x == 0.0 and s.y == 0.0:
-        return INFINITY
-    return ComplexPoint((1.0 - s.z) / complex(s.x, -s.y))
+        return _from_ratio(complex(s.x, s.y), 1.0 + s.z)
+    return _from_ratio(1.0 - s.z, complex(s.x, -s.y))
 
 
 def stereo_lift(p: PointLike) -> SpherePoint:
@@ -311,14 +310,16 @@ def stereo_lift(p: PointLike) -> SpherePoint:
 
     psi -> (2 Re psi, 2 Im psi, 1 - |psi|^2) / (1 + |psi|^2), with
     INFINITY -> (0, 0, -1).  Antipodal points of the plane lift to
-    antipodal points of the sphere.
+    antipodal points of the sphere.  Labels whose |psi|^2 overflows lift
+    to (0, 0, -1) too, which is within 2/|psi| < 1.5e-154 of their lift.
     """
     q = as_point(p)
-    if q.is_infinity:
-        return SpherePoint(0.0, 0.0, -1.0)
-    z = q.value
-    r2 = z.real**2 + z.imag**2
+    try:
+        r2 = math.inf if q.is_infinity else q.real**2 + q.imag**2
+    except OverflowError:  # float ** 2 raises where float * float gives inf
+        r2 = math.inf
     if math.isinf(r2):
         return SpherePoint(0.0, 0.0, -1.0)
+    z = q.value
     denom = 1.0 + r2
     return SpherePoint(2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - r2) / denom)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .complex_geometry import PointLike, as_point
-from .entangled_basis import entangled_amplitudes, entangled_state
+from .entangled_basis import _state_id, entangled_amplitudes, entangled_state
 from .errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
 from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus, spin_z
 
@@ -275,7 +275,7 @@ def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> floa
     topology.  Raises FormulaUnavailable for anything else.
     """
     psi = _require_finite(p)
-    return float(_closed_values(params, state_id.upper(), psi.real, psi.imag))
+    return float(_closed_values(params, _state_id(state_id), psi.real, psi.imag))
 
 
 def _closed_values(params: CouplingParams, sid: str, x, y):
@@ -409,11 +409,14 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     of the batched amplitudes' norm as PureState's renormalization does for
     `q_symbol_direct`.  Kernels are not cached: building one costs about a
     microsecond, and the Hamiltonian it fetches is cached by `hamiltonian`.
+    Both sources check the state id and the bonds here.
     """
-    sid = state_id.upper()
+    sid = _state_id(state_id)
+    n_qubits = 3 if sid.startswith("PG") else 2
+    _bond_list(n_qubits, bonds)
     if _source(source) == "closed":
         return lambda x, y: _closed_values(params, sid, x, y)
-    h = hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
+    h = hamiltonian(params, n_qubits, bonds)
 
     def direct(x, y):
         psi = np.asarray(x) + 1j * np.asarray(y)

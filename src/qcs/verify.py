@@ -25,8 +25,6 @@ from . import spin_models as sm
 
 __all__ = ["CheckResult", "run_suite", "format_report", "WARN_CHECKS"]
 
-WARN_CHECKS = ("xxz-p-plus-closed-vs-direct", "concurrence-closed-form")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -556,6 +554,8 @@ _CHECKS: list[tuple[str, float, Callable]] = [
     ("concurrence-series-structure", 1e-10, _check_concurrence_series_structure),
     ("concurrence-closed-form", None, _check_concurrence_closed_form),
 ]
+
+WARN_CHECKS = tuple(name for name, tolerance, _ in _CHECKS if tolerance is None)
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:

@@ -217,6 +217,32 @@ def test_extrema_digests(argv, digest, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of `state` runs, per state, over these labels: signed zeros, the
+# axes, a subnormal, a huge label and seeded random labels.  Each run adds
+# its exit code, stdout and stderr to the digest.
+STATE_LABELS = ["0,0", "-0,0", "0,-0", "1,0", "-1,0", "0,1", "0,-1", "1e-320,0", "0,1e-320",
+                "1e300,0", "1e300,-1e300"] + [
+    f"{x!r},{y!r}" for x, y in np.random.default_rng(19).uniform(-3.0, 3.0, (16, 2)).tolist()]
+STATE_SHA256 = {
+    "P+": "8cd8c8cdb804ba732ccb9cd433b57138ca097ba10db024ab657ba50d123c06e0",
+    "P-": "337f9abeeea8b5e47a9728e51827324a90f41562fc8640ad7360a0f9fdd60cff",
+    "G+": "a13003e4375f2ec8351e16ba2f07b4946a68cdf427f006b7ec1346ee5ddc1cd6",
+    "G-": "ff1caea7fd4d73839393fbe2cb1983247d49d38587bcad78e8e751dca3b20ac1",
+    "PG+": "f9c010367c2c5cd8d6c12009dc933907559bda4cdbf0b75d43d18387aea33d24",
+    "PG-": "ef20c73ca6ef8aa560a2bb80a6eb4946c5217ae786a5259fee08df0a8a464d54",
+}
+
+
+@pytest.mark.parametrize("sid, digest", STATE_SHA256.items())
+def test_state_digests(sid, digest, capsys):
+    runs = []
+    for label in STATE_LABELS:
+        code = main(["state", "--state", sid, f"--psi={label}"])
+        out, err = capsys.readouterr()
+        runs.append(f"{code}\n{out}{err}")
+    assert hashlib.sha256("".join(runs).encode()).hexdigest() == digest
+
+
 def test_evolve_bytes_match_per_value_format(tmp_path):
     """`evolve` rows and footer are the library series written with format(x, ".17g"), on and off the circle."""
     target = tmp_path / "series.csv"
@@ -250,6 +276,15 @@ def test_evolve_bytes_match_per_value_format(tmp_path):
         ev.fidelity_series(params, 0.5 + 0.4j, ts).values,
     )
     assert target.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_surface_unknown_state_reads_the_same_on_both_sources():
+    for source in ("direct", "closed"):
+        proc = subprocess.run(CLI + ["surface", "--state", "XX", "--jx", "1", "--source", source],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qcs surface: unknown state id 'XX'")
 
 
 def test_surface_constant_marker():

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from qcs.coherent_states import PureState, symmetric_state
 from qcs.complex_geometry import (
     INFINITY,
     ComplexPoint,
@@ -17,7 +19,7 @@ from qcs.complex_geometry import (
     stereo_project,
     symmetric_point,
 )
-from qcs.errors import DegenerateTriple
+from qcs.errors import BadParams, DegenerateTriple, QcsError
 
 TOL = 1e-12
 
@@ -136,6 +138,64 @@ def test_symmetric_point_composition():
     assert chained.isclose(symmetric_point(z, SymmetryKind.ANTIPODAL))
 
 
+# Each kind's documented map on finite nonzero labels, and its image of 0
+# and INFINITY: the axis reflections fix both, the circle reflections swap them.
+DOCUMENTED_MAPS = {
+    SymmetryKind.CONJUGATE: (lambda z: z.conjugate(), False),
+    SymmetryKind.NEG_CONJUGATE: (lambda z: -z.conjugate(), False),
+    SymmetryKind.UNIT_CIRCLE: (lambda z: 1.0 / z.conjugate(), True),
+    SymmetryKind.ANTIPODAL: (lambda z: -1.0 / z.conjugate(), True),
+}
+AXIS_LABELS = [complex(v, 0.0) for v in (1.0, -1.0, 2.5, -0.3, 1e-5, 7e4)] + [
+    complex(0.0, v) for v in (1.0, -1.0, 0.4, -3.5, 2e-7, 1e5)] + [complex(-0.0, 1.5), complex(2.0, -0.0)]
+RANDOM_LABELS = [complex(x, y) for x, y in np.random.default_rng(19).uniform(-4.0, 4.0, (300, 2)).tolist()]
+SPECIAL_LABELS = [ComplexPoint(0.0), ComplexPoint(-0.0), ComplexPoint(complex(0.0, -0.0)), INFINITY]
+
+
+@pytest.mark.parametrize("kind", list(SymmetryKind))
+def test_symmetric_point_is_its_documented_involution(kind):
+    reflect, swaps = DOCUMENTED_MAPS[kind]
+    for q in SPECIAL_LABELS:
+        expected = (ComplexPoint(0.0) if q.is_infinity else INFINITY) if swaps else q
+        assert symmetric_point(q, kind) == expected
+        assert symmetric_point(expected, kind) == q
+    for z in AXIS_LABELS + RANDOM_LABELS:
+        image = symmetric_point(z, kind)
+        assert image == reflect(z)
+        back = complex(symmetric_point(image, kind))
+        if swaps:
+            assert abs(back - z) <= 1e-15 * abs(z)
+        else:
+            assert back == z
+
+
+@pytest.mark.parametrize("kind", list(SymmetryKind))
+def test_symmetric_state_is_its_documented_amplitudes(kind):
+    """Bit for bit, signed zeros included: (1, +-conj psi) / d or (+-conj psi, 1) / d
+    for finite labels, and the basis state at the symmetric point where that is 0 or INFINITY."""
+    _, swaps = DOCUMENTED_MAPS[kind]
+    negate = kind in (SymmetryKind.NEG_CONJUGATE, SymmetryKind.ANTIPODAL)
+    for q in SPECIAL_LABELS + AXIS_LABELS + RANDOM_LABELS:
+        q = ComplexPoint(q)
+        image = symmetric_point(q, kind)
+        if q.is_infinity or image.is_infinity:
+            expected = [0.0, 1.0] if image.is_infinity else [1.0, 0.0]
+        else:
+            z, d = q.value, math.hypot(1.0, abs(q.value))
+            c = -z.conjugate() if negate else z.conjugate()
+            expected = [c / d, 1.0 / d] if swaps else [1.0 / d, c / d]
+        assert symmetric_state(q, kind).amplitudes.tobytes() == PureState(expected).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("label", [0.0, 1.5 - 2j, INFINITY])
+@pytest.mark.parametrize("kind", ["conjugate", "ANTIPODAL", 3, None])
+def test_unknown_symmetry_kind_raises_type_error(label, kind):
+    with pytest.raises(TypeError):
+        symmetric_point(label, kind)
+    with pytest.raises(TypeError):
+        symmetric_state(label, kind)
+
+
 def test_sphere_point_validation():
     with pytest.raises(ValueError):
         SpherePoint(1.0, 1.0, 1.0)
@@ -174,3 +234,54 @@ def test_mobius_apply_helper():
     assert mobius_apply(m, 2.0).isclose(0.5)
     assert mobius_apply(m, 0).is_infinity
     assert mobius_apply(m, INFINITY) == 0
+
+
+EXTREMES = [0.0, 5e-324, -5e-324, 1e-300, 1e300, 1.7e308, -1.7e308]
+extreme_points = st.one_of(
+    st.just(INFINITY),
+    st.builds(complex, st.sampled_from(EXTREMES), st.sampled_from(EXTREMES)),
+)
+
+
+def _value_or_qcs_error(call):
+    """Run call with every warning an error: it returns, or raises a QcsError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except QcsError:
+            pass
+
+
+@seed(19)
+@settings(max_examples=300, deadline=None)
+@given(p=extreme_points, q=extreme_points, r=extreme_points, s=extreme_points,
+       coefficients=st.lists(st.sampled_from(EXTREMES + [1.0, -1.0]), min_size=4, max_size=4))
+def test_extreme_inputs_return_a_value_or_raise_qcs_error(p, q, r, s, coefficients):
+    for kind in SymmetryKind:
+        _value_or_qcs_error(lambda: symmetric_point(p, kind))
+        _value_or_qcs_error(lambda: symmetric_state(p, kind))
+    _value_or_qcs_error(lambda: stereo_project(stereo_lift(p)))
+    _value_or_qcs_error(lambda: cross_ratio(p, q, r, s))
+    try:
+        m = MobiusMap(*coefficients)
+    except ValueError:  # a degenerate map: |ad - bc| at or below the floor
+        assume(False)
+    _value_or_qcs_error(lambda: mobius_apply(m, p))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: symmetric_point(1e-320, SymmetryKind.UNIT_CIRCLE),
+    lambda: symmetric_point(1e-320j, SymmetryKind.ANTIPODAL),
+    lambda: stereo_project(SpherePoint(1e-320, 0.0, -1.0)),
+    lambda: mobius_apply(MobiusMap(1e200, 0, 0, 1e-200), 1e200),
+])
+def test_ratios_beyond_the_double_range_raise_bad_params(call):
+    with pytest.raises(BadParams, match="beyond the double range"):
+        call()
+
+
+@pytest.mark.parametrize("label", [1e200, 1e300 + 1e300j, -1.7e308j, 1.3e154 + 1.3e154j])
+def test_labels_whose_square_overflows_lift_to_the_south_pole(label):
+    assert stereo_lift(label) == SpherePoint(0.0, 0.0, -1.0)
+    assert stereo_project(stereo_lift(label)).is_infinity

@@ -199,6 +199,27 @@ def test_q_symbol_closed_unavailable():
         q_symbol_closed(CouplingParams.xxz(j=1.0, delta=0.5), "P-", 0.0)
 
 
+@pytest.mark.parametrize("source", ["direct", "closed"])
+def test_both_surface_sources_check_state_id_and_bonds(source):
+    params = CouplingParams.xyz(jx=1.0, jy=0.5, jz=0.2)
+    with pytest.raises(ValueError, match="unknown state id 'XX'"):
+        energy_surface(params, "XX", (-1, 1, -1, 1), 0.5, source=source)
+    with pytest.raises(BadParams, match="unknown bond topology 'bogus'"):
+        energy_surface(params, "P+", (-1, 1, -1, 1), 0.5, source=source, bonds="bogus")
+    with pytest.raises(BadParams, match="unknown bond topology 'bogus'"):
+        sm.refine_extremum(params, "PG+", (0.0, 0.0), source=source, bonds="bogus")
+
+
+def test_closed_route_keeps_formula_unavailable_for_valid_pairs():
+    with pytest.raises(ValueError, match="unknown state id 'XX'"):
+        q_symbol_closed(CouplingParams.xyz(jx=1.0, jy=0.5, jz=0.2), "XX", 0.5)
+    with pytest.raises(FormulaUnavailable):
+        energy_surface(CouplingParams.xxx(j=1.0), "G+", (-1, 1, -1, 1), 0.5, source="closed")
+    with pytest.raises(FormulaUnavailable):
+        energy_surface(CouplingParams.xxz(j=1.0, jz=0.5), "PG-", (-1, 1, -1, 1), 0.5, source="closed",
+                       bonds="chain")
+
+
 def test_q_symbol_infinite_label():
     with pytest.raises(InfinitePoint):
         q_symbol_closed(CouplingParams.xxx(j=1.0), "P+", INFINITY)
