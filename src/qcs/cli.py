@@ -36,7 +36,8 @@ BROKEN_PIPE = 141
 # not an option: no caller needs more, and a tiny --dt must fail before
 # anything is allocated.
 MAX_TIME_STEPS = 1_000_000
-# `_write_rows` formats this many rows with one `%` and one write.
+# `_write_rows` formats this many rows, and `_write_grid` this many grid
+# nodes (or one grid row if longer), with one `%` and one write.
 _ROW_BLOCK = 4096
 
 
@@ -64,14 +65,26 @@ def _write_rows(out, columns) -> None:
 def _write_grid(out, xs: np.ndarray, ys: np.ndarray, planes) -> None:
     """Write `x,y,<planes>` CSV rows, y outer and x inner, each value as _fmt writes it.
 
-    planes are (ys.size, xs.size) arrays.  Each axis value is formatted once,
-    not once per node, and the output is written one grid row at a time.
+    planes are (ys.size, xs.size) arrays, taken as one (ny, nx, k) table and
+    written in blocks of whole rows of at most _ROW_BLOCK nodes (one row when
+    a row is longer).  Each axis value is formatted once.  In a block, each
+    distinct double (by bit pattern, so -0 stays apart from 0) is formatted
+    once and gathered into the cells, and the block is written by one `%`
+    over row templates that hold the x cells and the row's y cell, so only
+    one block of text and cells is alive at once.
     """
+    table = np.stack([np.asarray(p, dtype=float) for p in planes], axis=-1)
+    tail = "," + ",".join(["%s"] * len(planes)) + "\n"
     x_cells = ["%.17g," % x for x in xs.tolist()]
-    for i, y in enumerate(ys.tolist()):
-        y_cell = "%.17g," % y
-        cells = zip(*(["%.17g" % v for v in plane[i].tolist()] for plane in planes))
-        out.write("".join([x + y_cell + ",".join(v) + "\n" for x, v in zip(x_cells, cells)]))
+    # A y cell joined over seps is that row's template: `x,y,%s...` per node.
+    seps = x_cells[:1] + [tail + x for x in x_cells[1:]] + [tail]
+    y_cells = ["%.17g" % y for y in ys.tolist()]
+    rows = max(1, _ROW_BLOCK // len(x_cells))
+    for start in range(0, len(y_cells), rows):
+        bits, index = np.unique(table[start:start + rows].view(np.int64), return_inverse=True)
+        text = ("%.17g\0" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\0")
+        cells = np.array(text, dtype=object)[index.ravel()]
+        out.write("".join([y.join(seps) for y in y_cells[start:start + rows]]) % tuple(cells.tolist()))
 
 
 @contextmanager

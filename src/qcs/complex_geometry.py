@@ -129,20 +129,24 @@ def _homogeneous(p: ComplexPoint) -> tuple[complex, complex]:
     return p.value, 1.0 + 0.0j
 
 
-def _from_ratio(num: complex, den: complex) -> ComplexPoint:
+def _from_ratio(num: complex, den: complex, exp: int = 0) -> ComplexPoint:
+    """The point (num / den) * 2**exp."""
     if den == 0:
         return INFINITY
+    z = num / den
     try:
-        return ComplexPoint(num / den)
-    except ValueError:
-        raise BadParams(f"{num!r} / {den!r} lies beyond the double range") from None
+        return ComplexPoint(complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp)))
+    except (ValueError, OverflowError):
+        scale = f" * 2**{exp}" if exp else ""
+        raise BadParams(f"{num!r} / {den!r}{scale} lies beyond the double range") from None
 
 
 @dataclass(frozen=True)
 class MobiusMap:
     """Linear fractional map z -> (a z + b) / (c z + d) on the extended plane.
 
-    Requires |ad - bc| > 1e-14; degenerate (constant) maps are rejected.
+    Requires a finite ad - bc with |ad - bc| > 1e-14; degenerate (constant)
+    maps and determinants beyond the double range raise BadParams.
     """
 
     a: complex
@@ -153,10 +157,12 @@ class MobiusMap:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.determinant) <= DET_FLOOR:
-            raise ValueError(
-                f"degenerate map: |ad - bc| = {abs(self.determinant):.3e} <= {DET_FLOOR}"
-            )
+        det = self.determinant
+        if not (math.isfinite(det.real) and math.isfinite(det.imag)):
+            raise BadParams(f"determinant ad - bc = {det!r} lies beyond the double range")
+        # |det| >= max(|Re det|, |Im det|), so abs() runs only where it cannot overflow.
+        if max(abs(det.real), abs(det.imag)) <= DET_FLOOR and abs(det) <= DET_FLOOR:
+            raise BadParams(f"degenerate map: |ad - bc| = {abs(det):.3e} <= {DET_FLOOR}")
 
     @property
     def determinant(self) -> complex:
@@ -193,21 +199,25 @@ def cross_ratio(p: PointLike, p1: PointLike, p2: PointLike, p3: PointLike) -> Co
 
     Total on the extended plane: each pairwise difference is formed in
     homogeneous coordinates, so any single argument may be INFINITY and
-    coincidences with the reference points yield 0, 1, or INFINITY.  The
-    reference points p1, p2, p3 must be pairwise distinct.
+    coincidences with the reference points yield 0, 1, or INFINITY.  Each
+    difference is scaled by a power of two before the products, so a ratio
+    within the double range is returned even where the products are not.
+    The reference points p1, p2, p3 must be pairwise distinct.
     """
     q, q1, q2, q3 = (as_point(x) for x in (p, p1, p2, p3))
     if q1 == q2 or q1 == q3 or q2 == q3:
         raise DegenerateTriple("reference points must be pairwise distinct")
 
-    def diff(u: ComplexPoint, v: ComplexPoint) -> complex:
+    def diff(u: ComplexPoint, v: ComplexPoint) -> tuple[complex, int]:
+        """u - v in homogeneous coordinates, as (m, e) with u - v = m * 2**e and m of order 1."""
         nu, du = _homogeneous(u)
         nv, dv = _homogeneous(v)
-        return nu * dv - nv * du
+        z = nu * dv - nv * du
+        e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
 
-    num = diff(q, q2) * diff(q1, q3)
-    den = diff(q, q3) * diff(q1, q2)
-    return _from_ratio(num, den)
+    (m0, e0), (m1, e1), (m2, e2), (m3, e3) = (diff(q, q2), diff(q1, q3), diff(q, q3), diff(q1, q2))
+    return _from_ratio(m0 * m1, m2 * m3, e0 + e1 - e2 - e3)
 
 
 class SymmetryKind(Enum):

@@ -158,6 +158,36 @@ def test_write_rows_matches_per_row_format(n_rows, n_cols):
     assert out.getvalue() == _per_row_format(columns)
 
 
+@pytest.mark.parametrize("ny, nx", [
+    (1, 1),
+    (64, 64),  # exactly one block of rows
+    (3 * 64 + 5, 64),  # off a multiple of the block
+    (3, cli._ROW_BLOCK + 3),  # each row longer than a block: one row per write
+])
+@pytest.mark.parametrize("n_planes", [1, 2])
+def test_write_grid_matches_per_value_format(ny, nx, n_planes):
+    """`_write_grid` writes each cell as format(v, ".17g"), one write per block of rows: signed
+    zeros, subnormals, +-1e300, and values repeated inside and across blocks."""
+    rng = np.random.default_rng(ny * nx + n_planes)
+    pool = np.concatenate([SPECIAL_VALUES, rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40)])
+    xs, ys = (np.concatenate([SPECIAL_VALUES, rng.choice(pool, n)])[:n] for n in (nx, ny))
+    planes = [rng.choice(pool, (ny, nx)) for _ in range(n_planes)]
+    planes[0][0, :len(SPECIAL_VALUES)] = SPECIAL_VALUES[:nx]
+
+    writes = []
+    out = io.StringIO()
+    out.write = lambda text: writes.append(text)
+    cli._write_grid(out, xs, ys, planes)
+
+    rows_per_block = max(1, cli._ROW_BLOCK // nx)
+    assert len(writes) == -(-ny // rows_per_block)
+    expected = [
+        ",".join(format(v, ".17g") for v in (x, y, *(p[i, j] for p in planes))) + "\n"
+        for i, y in enumerate(ys.tolist()) for j, x in enumerate(xs.tolist())
+    ]
+    assert "".join(writes).splitlines(keepends=True) == expected
+
+
 # SHA-256 of `evolve` bodies (footer lines dropped) as the per-row writer
 # wrote them.  NumPy's sin and cos are not correctly rounded, so a NumPy
 # build with another libm may differ in a last digit and fail here.
@@ -214,6 +244,37 @@ EXTREMA_SHA256 = [
 def test_extrema_digests(argv, digest, tmp_path):
     target = tmp_path / "extrema.csv"
     assert main(["extrema", *argv, "--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of `surface` output as the per-row grid writer wrote it: the six
+# `surface` rows of the benchmark's cli-surface table at unscaled couplings,
+# a PG- window that is neither square nor symmetric, and the default
+# 121 x 121 window.
+XXZ_FLAGS = ["--model=xxz", "--j=1.0", "--jz=-2.0"]
+SURFACE_SHA256 = [
+    (["--state=P+", *XXZ_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
+     "fdc4853d57ffcd1913818b9e00cb16308245339267fd202d48e6bf3da26e8795"),
+    (["--state=P+", *XXZ_FLAGS, "--source=closed", "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
+     "3f7d263cfa1866ed271b45cfc0937d6bd98b59f3e519aa8a6f7ffb5533e022a6"),
+    (["--state=G+", *GEN_FLAGS, "--window=-1.5,1.5,-1.5,1.5", "--step=0.06"],
+     "906939625a2fc84f260e2e104cedf3f8d286c36e227e6756e6f29f6a6656f4d2"),
+    (["--state=PG+", *GEN_FLAGS, "--window=-1.02,1.02,-1.02,1.02", "--step=0.06"],
+     "fe32df117799ea61657c285f15836c61107b4d84abedf06a41324efb6d4cd635"),
+    (["--state=P-", *GEN_FLAGS, "--source=closed", "--window=-2,2,-2,2", "--step=0.08"],
+     "f6fe87c10382faf083fceda176c64f6e5f9017c783ae676ca185298a03dca9e6"),
+    (["--state=P+", "--model=xxx", "--j=1.0", "--window=-1.25,1.25,-1.25,1.25", "--step=0.05"],
+     "611620331acd52eecf440f4cf31d9ac67cecf4aab6002fe52545db2adf0e0a1e"),
+    (["--state=PG-", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.3,2.1,-0.7,0.9", "--step=0.1"],
+     "6b170d3d66486cbf2267938d77862724dcafdad9bd44629981db7b768c7c343f"),
+    (["--state=G+", *GEN_FLAGS], "9d474ccef0c474ec2451b9eefdf2c65491e6ccd3e164348c24a3382b7ac38352"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SURFACE_SHA256)
+def test_surface_digests(argv, digest, tmp_path):
+    target = tmp_path / "surface.csv"
+    assert main(["surface", *argv, "--output", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qcs.coherent_states import PureState, symmetric_state
@@ -256,18 +256,37 @@ def _value_or_qcs_error(call):
 @seed(19)
 @settings(max_examples=300, deadline=None)
 @given(p=extreme_points, q=extreme_points, r=extreme_points, s=extreme_points,
-       coefficients=st.lists(st.sampled_from(EXTREMES + [1.0, -1.0]), min_size=4, max_size=4))
+       coefficients=st.lists(st.builds(complex, st.sampled_from(EXTREMES + [1.0, -1.0]),
+                                       st.sampled_from(EXTREMES + [1.0, -1.0])), min_size=4, max_size=4))
 def test_extreme_inputs_return_a_value_or_raise_qcs_error(p, q, r, s, coefficients):
     for kind in SymmetryKind:
         _value_or_qcs_error(lambda: symmetric_point(p, kind))
         _value_or_qcs_error(lambda: symmetric_state(p, kind))
     _value_or_qcs_error(lambda: stereo_project(stereo_lift(p)))
     _value_or_qcs_error(lambda: cross_ratio(p, q, r, s))
-    try:
-        m = MobiusMap(*coefficients)
-    except ValueError:  # a degenerate map: |ad - bc| at or below the floor
-        assume(False)
-    _value_or_qcs_error(lambda: mobius_apply(m, p))
+    # A degenerate map, or one whose determinant overflows, raises BadParams when built.
+    _value_or_qcs_error(lambda: mobius_apply(MobiusMap(*coefficients), p))
+
+
+def test_mobius_determinant_is_checked_without_overflow():
+    m = MobiusMap(1.7e308, 0, 0, 1 + 1j)  # |ad - bc| overflows; its components do not
+    assert m.determinant == complex(1.7e308, 1.7e308)
+    assert m(1.0) == complex(1.7e308 / 2, -1.7e308 / 2)
+    for coefficients in [(1.7e308,) * 4, (1e200, 0, 0, 1e200), (math.inf, 0, 0, 1)]:
+        with pytest.raises(BadParams, match="beyond the double range"):
+            MobiusMap(*coefficients)
+    with pytest.raises(BadParams, match="degenerate"):
+        MobiusMap(1e-10, 0, 0, 1e-10)
+
+
+@pytest.mark.parametrize("points, expected", [
+    ((1e160, 2e160, 1, 2), 1.0),  # each difference rounds to its far point
+    ((1e200, -1e200, 1, 2), 1.0),
+    ((0, 1, 1e200, 1e-200), -1e200),
+    ((1e-200, 2e-200, 3e-200, 4e-200), (-2 * -2) / (-3 * -1)),
+])
+def test_cross_ratio_of_far_or_near_points_is_its_value(points, expected):
+    assert cross_ratio(*points).isclose(expected, tol=1e-15 * abs(expected))
 
 
 @pytest.mark.parametrize("call", [
