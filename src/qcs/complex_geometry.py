@@ -58,7 +58,7 @@ class ComplexPoint:
             self._value = value._value
             return
         z = complex(value)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        if not _is_finite(z):
             raise ValueError(
                 "finite components required; use INFINITY for the point at infinity"
             )
@@ -129,13 +129,26 @@ def _homogeneous(p: ComplexPoint) -> tuple[complex, complex]:
     return p.value, 1.0 + 0.0j
 
 
+def _exponent(*zs: complex) -> int:
+    """The binary exponent e of the largest component of zs: each z * 2**-e has components below 1."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in zs))[1]
+
+
+def _scaled(z: complex, e: int) -> complex:
+    """z * 2**e, rounded only where a component leaves the normal doubles."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _is_finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def _from_ratio(num: complex, den: complex, exp: int = 0) -> ComplexPoint:
     """The point (num / den) * 2**exp."""
     if den == 0:
         return INFINITY
-    z = num / den
     try:
-        return ComplexPoint(complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp)))
+        return ComplexPoint(_scaled(num / den, exp))
     except (ValueError, OverflowError):
         scale = f" * 2**{exp}" if exp else ""
         raise BadParams(f"{num!r} / {den!r}{scale} lies beyond the double range") from None
@@ -145,8 +158,10 @@ def _from_ratio(num: complex, den: complex, exp: int = 0) -> ComplexPoint:
 class MobiusMap:
     """Linear fractional map z -> (a z + b) / (c z + d) on the extended plane.
 
-    Requires a finite ad - bc with |ad - bc| > 1e-14; degenerate (constant)
-    maps and determinants beyond the double range raise BadParams.
+    Requires finite coefficients and |ad - bc| > 1e-14; degenerate
+    (constant) maps and non-finite coefficients raise BadParams.  Where ad
+    or bc overflows, ad - bc is judged on a copy whose rows (a, b) and
+    (c, d) are scaled by powers of two; the stored coefficients are kept.
     """
 
     a: complex
@@ -156,13 +171,19 @@ class MobiusMap:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        det = self.determinant
-        if not (math.isfinite(det.real) and math.isfinite(det.imag)):
-            raise BadParams(f"determinant ad - bc = {det!r} lies beyond the double range")
-        # |det| >= max(|Re det|, |Im det|), so abs() runs only where it cannot overflow.
-        if max(abs(det.real), abs(det.imag)) <= DET_FLOOR and abs(det) <= DET_FLOOR:
-            raise BadParams(f"degenerate map: |ad - bc| = {abs(det):.3e} <= {DET_FLOOR}")
+            z = complex(getattr(self, name))
+            if not _is_finite(z):
+                raise BadParams(f"coefficient {name} = {z!r} lies beyond the double range")
+            object.__setattr__(self, name, z)
+        det, e = self.determinant, 0
+        if not _is_finite(det):
+            p, q = _exponent(self.a, self.b), _exponent(self.c, self.d)
+            a, b, c, d = _scaled(self.a, -p), _scaled(self.b, -p), _scaled(self.c, -q), _scaled(self.d, -q)
+            det, e = a * d - b * c, p + q
+        # ad - bc = det * 2**e; |det| >= max(|Re det|, |Im det|), so abs() runs only where it cannot overflow.
+        floor = math.ldexp(DET_FLOOR, -e)
+        if max(abs(det.real), abs(det.imag)) <= floor and abs(det) <= floor:
+            raise BadParams(f"degenerate map: |ad - bc| = {math.ldexp(abs(det), e):.3e} <= {DET_FLOOR}")
 
     @property
     def determinant(self) -> complex:
@@ -201,7 +222,8 @@ def cross_ratio(p: PointLike, p1: PointLike, p2: PointLike, p3: PointLike) -> Co
     homogeneous coordinates, so any single argument may be INFINITY and
     coincidences with the reference points yield 0, 1, or INFINITY.  Each
     difference is scaled by a power of two before the products, so a ratio
-    within the double range is returned even where the products are not.
+    within the double range is returned even where the products are not;
+    a difference that overflows is taken from the halved points.
     The reference points p1, p2, p3 must be pairwise distinct.
     """
     q, q1, q2, q3 = (as_point(x) for x in (p, p1, p2, p3))
@@ -212,9 +234,12 @@ def cross_ratio(p: PointLike, p1: PointLike, p2: PointLike, p3: PointLike) -> Co
         """u - v in homogeneous coordinates, as (m, e) with u - v = m * 2**e and m of order 1."""
         nu, du = _homogeneous(u)
         nv, dv = _homogeneous(v)
-        z = nu * dv - nv * du
-        e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-        return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+        z, halved = nu * dv - nv * du, 0
+        if not _is_finite(z):
+            # du and dv are 0 or 1, so both products are finite and so is the difference of their halves.
+            z, halved = (0.5 * nu) * dv - (0.5 * nv) * du, 1
+        e = _exponent(z)
+        return _scaled(z, -e), e + halved
 
     (m0, e0), (m1, e1), (m2, e2), (m3, e3) = (diff(q, q2), diff(q1, q3), diff(q, q3), diff(q1, q2))
     return _from_ratio(m0 * m1, m2 * m3, e0 + e1 - e2 - e3)

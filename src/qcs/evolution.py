@@ -98,7 +98,7 @@ def exchange_hamiltonian(params: CouplingParams, n_qubits: int = 2) -> np.ndarra
         raise BadParams("dynamics are parameterized by XYZ exchange couplings")
     if n_qubits != 2:
         raise BadParams("exchange dynamics implemented for two qubits")
-    ((xx, yy, zz),) = _embedded_terms("XYZ", params.hbar, 2, "all-pairs")
+    ((xx, yy, zz),) = _embedded_terms("XYZ", 2, "all-pairs")
     return params.jx * xx + params.jy * yy + params.jz * zz
 
 

@@ -10,11 +10,11 @@ its first call, so importing this module does not load SciPy.
 
 Two evaluation routes exist: `q_symbol_direct` (matrix element, the
 oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
-specific model/state pairs).  Unit conventions follow the construction of
-each model: XXX and XXZ are written in spin operators and carry hbar^2;
-XYZ is written in bare Pauli matrices with a 1/2 prefactor and carries no
-hbar.  Three-qubit energies depend on the bond topology; the closed
-forms correspond to the open chain (1,2)+(2,3).
+specific model/state pairs).  Each bond is three hbar-free unit operators
+(`_unit_terms`) times coefficients that carry hbar (`_term_couplings`):
+XXX and XXZ are written in spin operators and carry hbar^2, XYZ in bare
+Pauli matrices with a 1/2 prefactor and no hbar.  Three-qubit energies
+depend on the bond topology; the closed forms take the open chain (1,2)+(2,3).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import _state_id, entangled_amplitudes, entangled_state
 from .errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
-from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus, spin_z
+from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus
 
 __all__ = [
     "CouplingParams",
@@ -106,6 +106,8 @@ class CouplingParams:
                 raise BadParams(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise BadParams(f"hbar must be positive, got {self.hbar}")
+        if not all(map(math.isfinite, _term_couplings(self))):
+            raise BadParams(f"bond coefficients {_term_couplings(self)} overflow at hbar={self.hbar}")
         if self.model == "XXZ" and abs(self.jz - self.j * self.delta) > 1e-12 * (
             1.0 + abs(self.jz)
         ):
@@ -178,35 +180,31 @@ def _bond_list(n_qubits: int, bonds: str) -> tuple[tuple[int, int], ...]:
     return ((0, 1), (0, 2), (1, 2))
 
 
-def _unit_terms(model: str, hbar: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(left, right) single-site operators of one bond's terms, in `_term_couplings` order."""
+def _unit_terms(model: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(left, right) hbar-free single-site operators of one bond's terms, in `_term_couplings` order."""
     if model == "XYZ":
         return ((sigma_x(), sigma_x()), (sigma_y(), sigma_y()), (sigma_z(), sigma_z()))
-    return (
-        (spin_plus(hbar), spin_minus(hbar)),
-        (spin_minus(hbar), spin_plus(hbar)),
-        (spin_z(hbar), spin_z(hbar)),
-    )
+    return ((spin_plus(), spin_minus()), (spin_minus(), spin_plus()), (sigma_z(), sigma_z()))
 
 
 def _term_couplings(params: CouplingParams) -> tuple[float, float, float]:
-    """The coefficient of each of one bond's terms."""
-    if params.model == "XXX":
-        return (-params.j, -params.j, -2.0 * params.j)
-    if params.model == "XXZ":
-        return (-params.j, -params.j, 2.0 * params.delta)
-    return (0.5 * params.jx, 0.5 * params.jy, 0.5 * params.jz)
+    """The coefficient of each of one bond's `_unit_terms`, hbar rounded in as the spin operators round it."""
+    if params.model == "XYZ":
+        return (0.5 * params.jx, 0.5 * params.jy, 0.5 * params.jz)
+    hb = params.hbar
+    zz = (-2.0 * params.j if params.model == "XXX" else 2.0 * params.delta) * ((hb / 2.0) * (hb / 2.0))
+    return (-params.j * (hb * hb), -params.j * (hb * hb), zz)
 
 
 @lru_cache(maxsize=64)
-def _embedded_terms(model: str, hbar: float, n_qubits: int, bonds: str) -> tuple[tuple[np.ndarray, ...], ...]:
+def _embedded_terms(model: str, n_qubits: int, bonds: str) -> tuple[tuple[np.ndarray, ...], ...]:
     """Each bond's unit two-site operators embedded in n_qubits, one tuple per bond; read-only.
 
-    Couplings do not enter, so a scan over couplings builds these once.
+    Neither couplings nor hbar enter, so a scan over either builds these once.
     """
     embedded = []
     for i, j in _bond_list(n_qubits, bonds):
-        ops = tuple(embed_pair(left, right, i, j, n_qubits) for left, right in _unit_terms(model, hbar))
+        ops = tuple(embed_pair(left, right, i, j, n_qubits) for left, right in _unit_terms(model))
         for op in ops:
             op.flags.writeable = False
         embedded.append(ops)
@@ -217,9 +215,12 @@ def _embedded_terms(model: str, hbar: float, n_qubits: int, bonds: str) -> tuple
 def _hamiltonian_cached(params: CouplingParams, n_qubits: int, bonds: str) -> np.ndarray:
     h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     couplings = _term_couplings(params)
-    for bond in _embedded_terms(params.model, params.hbar, n_qubits, bonds):
-        for coeff, op in zip(couplings, bond):
-            h += coeff * op
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bond in _embedded_terms(params.model, n_qubits, bonds):
+            for coeff, op in zip(couplings, bond):
+                h += coeff * op
+    if not np.isfinite(h).all():
+        raise BadParams(f"the {n_qubits}-qubit {bonds} Hamiltonian overflows at bond coefficients {couplings}")
     h.flags.writeable = False
     return h
 
@@ -233,8 +234,9 @@ def hamiltonian(params: CouplingParams, n_qubits: int = 2, bonds: str = "all-pai
 
     For three qubits the topology is "chain" ((1,2)+(2,3)) or "all-pairs".
     H is summed term by term, bond by bond, from unit two-site operators
-    embedded once per (model, hbar, n_qubits, bonds), so new couplings
-    cost no Kronecker products.  The returned array is cached and read-only.
+    embedded once per (model, n_qubits, bonds), so new couplings or hbar
+    cost no Kronecker products.  The returned array is cached and read-only;
+    couplings whose sum over bonds overflows raise BadParams.
     """
     if n_qubits not in (2, 3):
         raise BadParams(f"n_qubits must be 2 or 3, got {n_qubits}")
@@ -409,7 +411,9 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     of the batched amplitudes' norm as PureState's renormalization does for
     `q_symbol_direct`.  Kernels are not cached: building one costs about a
     microsecond, and the Hamiltonian it fetches is cached by `hamiltonian`.
-    Both sources check the state id and the bonds here.
+    Both sources check the state id and the bonds here.  Where an energy
+    overflows, the closed kernel raises BadParams and the direct one
+    returns inf or nan without a warning; its callers check the values.
     """
     sid = _state_id(state_id)
     n_qubits = 3 if sid.startswith("PG") else 2
@@ -421,7 +425,8 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     def direct(x, y):
         psi = np.asarray(x) + 1j * np.asarray(y)
         a = entangled_amplitudes(sid, psi)
-        energy = np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a)
         return _real(energy).reshape(psi.shape)[()]
 
     return direct
@@ -453,10 +458,14 @@ def _evaluate_grid(
     One kernel call per block of whole rows: as many rows as fit in
     _GRID_BLOCK labels, or one row when a row is longer.  The kernel treats
     each label on its own, so the values equal one call per row to the bit.
+    Raises BadParams where a value overflows.
     """
     f = _surface_function(params, sid, source, bonds)
     rows = max(1, _GRID_BLOCK // xs.size)
-    return np.vstack([f(xs[None, :], ys[i : i + rows, None]) for i in range(0, ys.size, rows)])
+    values = np.vstack([f(xs[None, :], ys[i : i + rows, None]) for i in range(0, ys.size, rows)])
+    if not np.isfinite(values).all():
+        raise BadParams("energies on this grid overflow; couplings this large are beyond the double range")
+    return values
 
 
 def _neighbor_extreme(extreme: np.ufunc, values: np.ndarray) -> np.ndarray:
@@ -495,7 +504,7 @@ _STENCIL = np.hstack([
 ])
 
 
-def _gradient_of(e: np.ndarray) -> np.ndarray:
+def _gradient_of(e) -> np.ndarray:
     return np.array([(e[0] - e[1]) / (2.0 * _GRAD_STEP), (e[2] - e[3]) / (2.0 * _GRAD_STEP)])
 
 
@@ -507,14 +516,18 @@ def _gradient(f: Callable, x: float, y: float) -> np.ndarray:
 def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(value, gradient, Hessian) at (x, y) from one 13-label kernel call over `_STENCIL`.
 
-    This is the only place refinement takes a Hessian from.
+    This is the only place refinement takes a Hessian from.  The
+    differences are taken in Python floats (the same IEEE arithmetic, with
+    no warning where it overflows); BadParams where one is not finite.
     """
-    e = f(x + _STENCIL[0], y + _STENCIL[1])
-    c = e[4]
+    e = f(x + _STENCIL[0], y + _STENCIL[1]).tolist()
+    c, grad = e[4], _gradient_of(e)
     fxx = (e[5] - 2.0 * c + e[6]) / _HESS_STEP**2
     fyy = (e[7] - 2.0 * c + e[8]) / _HESS_STEP**2
     fxy = (e[9] - e[10] - e[11] + e[12]) / (4.0 * _HESS_STEP**2)
-    return float(c), _gradient_of(e[:4]), np.array([[fxx, fxy], [fxy, fyy]])
+    if not all(map(math.isfinite, (c, *grad, fxx, fyy, fxy))):
+        raise BadParams(f"the stencil at ({x}, {y}) overflows; couplings this large are beyond the double range")
+    return c, grad, np.array([[fxx, fxy], [fxy, fyy]])
 
 
 def _kind(eigs: np.ndarray) -> str:
@@ -547,7 +560,7 @@ def _newton(
     """
     for iteration in range(1, _NEWTON_MAX_ITER + 1):
         value, grad, hess = stencil
-        if float(np.linalg.norm(grad)) <= _NEWTON_GRAD_TOL:
+        if math.hypot(*grad) <= _NEWTON_GRAD_TOL:  # np.linalg.norm squares, and overflows from 1e154
             return x, y, iteration - 1, stencil
         lam, vecs = np.linalg.eigh(sign * hess)
         step = -vecs @ ((vecs.T @ (sign * grad)) / np.maximum(np.abs(lam), 1e-8))
@@ -627,7 +640,7 @@ def refine_extremum(
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
-            (x0, y0), state_id.upper(), route, iterations, float(np.linalg.norm(grad)),
+            (x0, y0), state_id.upper(), route, iterations, math.hypot(*grad),
         )
     kind = _kind(eigs if stencil is seed_stencil else np.linalg.eigvalsh(hess))
     return Extremum(x, y, value, kind)
@@ -680,13 +693,15 @@ def energy_surface(
     seed whose refinement raises NoConvergence is dropped (also logged at
     DEBUG) and the other extrema are kept.  A surface whose spread is
     below 1e-10 * (1 + |max|) is flagged constant and carries no extrema.
+    A grid energy or a refinement stencil beyond the double range raises
+    BadParams.
     """
     sid = state_id.upper()
     source = _source(source)
     xs, ys = _grid_axes(window, step)
     values = _evaluate_grid(params, sid, source, bonds, xs, ys)
 
-    spread = float(values.max() - values.min())
+    spread = float(values.max()) - float(values.min())  # a Python float: inf, not a warning, if it overflows
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
     extrema: tuple[Extremum, ...] = ()
     if not constant and refine:

@@ -534,6 +534,33 @@ def test_label_whose_modulus_overflows_exits_two(argv, capsys):
     assert err.startswith(f"qcs {argv[0]}: label |psi| overflows") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # hbar^2 overflows in the XXZ and XXX bond coefficients.
+        (["surface", "--state", "G+", "--model", "xxz", "--j", "1", "--delta", "0.5", "--hbar", "1e300"],
+         "bond coefficients"),
+        (["extrema", "--state", "G+", "--model", "xxz", "--j", "1", "--delta", "0.5", "--hbar", "1e160"],
+         "bond coefficients"),
+        (["surface", "--state", "P+", "--model", "xxx", "--j", "1e300", "--hbar", "1e10"], "bond coefficients"),
+        # Huge XYZ couplings: finite coefficients whose energies or stencil differences overflow.
+        (["surface", "--state", "PG-", "--jx", "1.7e308", "--jy", "1e8", "--jz", "-1", "--window=-1,0.5,-0,1",
+          "--step", "0.5"], "grid overflow"),
+        (["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"], "stencil"),
+        (["surface", "--state", "PG+", "--jx", "1", "--jy", "1", "--jz", "1.7e308", "--step", "0.5"],
+         "Hamiltonian overflows"),
+    ],
+)
+def test_overflowing_couplings_exit_two(argv, message, capsys):
+    """Couplings or hbar whose energies overflow are a one-line BadParams, with no output and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"qcs {argv[0]}: ") and message in err and err.count("\n") == 1, err
+
+
 # One process, one parser: label flags that must not leak into the next
 # call, two surface windows, and an argparse error between good calls.
 PARSER_SEQUENCE = [

@@ -272,9 +272,18 @@ def test_mobius_determinant_is_checked_without_overflow():
     m = MobiusMap(1.7e308, 0, 0, 1 + 1j)  # |ad - bc| overflows; its components do not
     assert m.determinant == complex(1.7e308, 1.7e308)
     assert m(1.0) == complex(1.7e308 / 2, -1.7e308 / 2)
-    for coefficients in [(1.7e308,) * 4, (1e200, 0, 0, 1e200), (math.inf, 0, 0, 1)]:
-        with pytest.raises(BadParams, match="beyond the double range"):
-            MobiusMap(*coefficients)
+    # ad - bc overflows, so it is judged on a copy scaled by powers of two; the coefficients are kept.
+    scaled_identity = MobiusMap(1e200, 0, 0, 1e200)
+    assert (scaled_identity.a, scaled_identity.d) == (1e200, 1e200)
+    assert scaled_identity(3.0 - 2.0j) == 3.0 - 2.0j
+    composed = scaled_identity.compose(MobiusMap(1e100, 0, 0, 1e100))
+    assert (composed.a, composed.b, composed.c, composed.d) == (1e300, 0, 0, 1e300)
+    with pytest.raises(BadParams, match="degenerate"):
+        MobiusMap(*(1.7e308,) * 4)
+    with pytest.raises(BadParams, match="beyond the double range"):
+        MobiusMap(math.inf, 0, 0, 1)
+    with pytest.raises(BadParams, match="beyond the double range"):
+        scaled_identity.compose(scaled_identity)  # its coefficients, 1e400, overflow
     with pytest.raises(BadParams, match="degenerate"):
         MobiusMap(1e-10, 0, 0, 1e-10)
 
@@ -284,6 +293,8 @@ def test_mobius_determinant_is_checked_without_overflow():
     ((1e200, -1e200, 1, 2), 1.0),
     ((0, 1, 1e200, 1e-200), -1e200),
     ((1e-200, 2e-200, 3e-200, 4e-200), (-2 * -2) / (-3 * -1)),
+    ((1.7e308, 0, -1.7e308, 1), (2 * -1) / ((1 - 1 / 1.7e308) * 1.7e308)),  # 1.7e308 - -1.7e308 overflows
+    ((-1.7e308j, 1, 1.7e308j, 2), -2j / 1.7e308),  # 2 / 1.7e308**2 below it is beyond the doubles
 ])
 def test_cross_ratio_of_far_or_near_points_is_its_value(points, expected):
     assert cross_ratio(*points).isclose(expected, tol=1e-15 * abs(expected))

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qcs.entangled_basis import STATE_IDS, entangled_state
 from qcs.errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
 from qcs.operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus, spin_z
 from qcs.spin_models import (
+    MIN,
     CouplingParams,
     energy_surface,
     hamiltonian,
@@ -130,7 +132,7 @@ def test_hamiltonian_from_cached_terms_is_byte_identical(model, j, hbar, shape):
     assert h.tobytes() == _hamiltonian_term_by_term(params, n, bonds).tobytes()
     with pytest.raises(ValueError):
         h[0, 0] = 1.0
-    for bond in sm._embedded_terms(params.model, params.hbar, n, bonds):
+    for bond in sm._embedded_terms(params.model, n, bonds):
         for op in bond:
             with pytest.raises(ValueError):
                 op[0, 0] = 1.0
@@ -982,3 +984,94 @@ def test_closed_form_overflow_raises(params, sid):
         assert abs(value - q_symbol_direct(params, sid, p, bonds)) < 1e-12
         grid = energy_surface(params, sid, window, big, "closed", bonds, refine=False)
         assert np.all(grid.values == value)
+
+
+SHAPES = [(2, "all-pairs"), (3, "chain"), (3, "all-pairs")]
+
+
+def test_xxx_is_xxz_at_delta_minus_j():
+    """XXX and XXZ share one coefficient branch: xxx(J) and xxz(J, delta=-J) have the same H bytes."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        j, hbar = float(rng.uniform(-3.0, 3.0)), float(10.0 ** rng.uniform(-2.0, 2.0))
+        xxx, xxz = CouplingParams.xxx(j=j, hbar=hbar), CouplingParams.xxz(j=j, delta=-j, hbar=hbar)
+        assert sm._term_couplings(xxx) == sm._term_couplings(xxz)
+        for n, bonds in SHAPES:
+            assert hamiltonian(xxx, n, bonds).tobytes() == hamiltonian(xxz, n, bonds).tobytes()
+
+
+def test_hbar_scan_embeds_each_unit_operator_set_once():
+    """hbar lives in the coefficients, so 50 hbar values miss the operator cache once per key."""
+    sm._embedded_terms.cache_clear()
+    for hbar in np.geomspace(1e-3, 1e3, 50).tolist():
+        for params in (CouplingParams.xxx(j=0.7, hbar=hbar), CouplingParams.xxz(j=1.1, delta=-0.4, hbar=hbar),
+                       CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9, hbar=hbar)):
+            for n, bonds in SHAPES:
+                hamiltonian(params, n, bonds)
+    info = sm._embedded_terms.cache_info()
+    assert info.misses == 3 * len(SHAPES)  # (model, n_qubits, bonds)
+    assert info.hits == 50 * 3 * len(SHAPES) - info.misses
+
+
+def _pauli_couplings(h, n_qubits, i, j):
+    """C[a, b] = Tr(H sigma_a(i) sigma_b(j)) / 2^n, with sigma_0 the identity."""
+    paulis = (np.eye(2, dtype=complex), sigma_x(), sigma_y(), sigma_z())
+    return np.array([[np.trace(h @ embed_pair(pa, pb, i, j, n_qubits)).real / 2**n_qubits for pb in paulis]
+                     for pa in paulis])
+
+
+@pytest.mark.parametrize("n, bonds", SHAPES)
+def test_term_couplings_are_the_pauli_coupling_table(n, bonds):
+    """Each bond of H is sum_a K_a sigma_a sigma_a, with K read from `_term_couplings`.
+
+    K is (c0, c1, c2) for XYZ and (c0/2, c1/2, c2) for XXX and XXZ, whose
+    S+ S- and S- S+ terms each carry half of sx sx + sy sy.  No identity,
+    one-site or cross term appears, and pairs that are not bonds couple by 0.
+    """
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        j, hbar = rng.uniform(-2.0, 2.0, 3).tolist(), float(10.0 ** rng.uniform(-1.0, 1.0))
+        for params in (CouplingParams.xxx(j=j[0], hbar=hbar), CouplingParams.xxz(j=j[0], delta=j[1], hbar=hbar),
+                       CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2], hbar=hbar)):
+            c0, c1, c2 = sm._term_couplings(params)
+            k = (c0, c1, c2) if params.model == "XYZ" else (c0 / 2.0, c1 / 2.0, c2)
+            h = hamiltonian(params, n, bonds)
+            for pair in ((0, 1), (0, 2), (1, 2))[: 1 if n == 2 else 3]:
+                want = np.diag([0.0, *k]) if pair in sm._bond_list(n, bonds) else np.zeros((4, 4))
+                assert np.allclose(_pauli_couplings(h, n, *pair), want, rtol=0.0, atol=1e-15 * max(map(abs, k)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CouplingParams.xxz(j=1.0, delta=0.5, hbar=1e300),
+    lambda: CouplingParams.xxz(j=1.0, delta=0.5, hbar=1e160),
+    lambda: CouplingParams.xxx(j=1e300, hbar=1e10),
+    lambda: CouplingParams.xxx(j=1.7e308),  # -2J overflows
+    lambda: CouplingParams.xxz(j=1.0, delta=1e308),
+])
+def test_overflowing_bond_coefficients_raise_before_any_array(build):
+    """Direct route, closed route and CLI share these params, so all three reject them with this message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="bond coefficients"):
+            build()
+
+
+def test_huge_xyz_couplings_raise_bad_params_without_warnings():
+    """Overflow in the summed H, on the grid or in a refinement stencil is BadParams, never inf or a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="Hamiltonian overflows"):  # three bonds of 8.5e307
+            hamiltonian(CouplingParams.xyz(jx=1.0, jy=1.0, jz=1.7e308), 3, "all-pairs")
+        with pytest.raises(BadParams, match="grid overflow"):
+            energy_surface(CouplingParams.xyz(jx=1.7e308, jy=1e8, jz=-1.0), "PG-", (-1.0, 0.5, 0.0, 1.0), 0.5)
+        with pytest.raises(BadParams, match="stencil"):  # a finite grid whose differences overflow
+            energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
+        f = sm._surface_function(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", "direct", "all-pairs")
+        with pytest.raises(BadParams, match="stencil"):
+            sm._stencil(f, 1.0, 0.0)
+        # Finite energies from -1.7e308 to 1.7e308: their spread overflows, the surface does not.
+        grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=-1.7e308), "G+", step=0.5, refine=False)
+        assert np.isfinite(grid.values).all() and not grid.constant
+        # 1e200 is large but its differences are finite: the extrema come out scaled, with no warning.
+        grid = energy_surface(CouplingParams.xyz(jx=1e200, jy=3.0, jz=1.0), "G+", step=0.5)
+        assert [e.kind for e in grid.extrema] == [MIN, MIN] and grid.extrema[0].value == pytest.approx(-5e199)
