@@ -28,7 +28,7 @@ import numpy as np
 
 from .coherent_states import PureState, coherent, overlap, symmetric_state
 from .complex_geometry import PointLike, SymmetryKind
-from .errors import DimensionMismatch, InfinitePoint
+from .errors import BadParams, DimensionMismatch, InfinitePoint
 from .gates import gate_cnot, gate_hadamard, UnitaryGate
 from .operators import kron_all
 
@@ -149,7 +149,7 @@ def entangled_basis_3q(p: PointLike) -> tuple[PureState, PureState]:
 def _state_id(state_id: str) -> str:
     sid = state_id.upper()
     if sid not in STATE_IDS:
-        raise ValueError(f"unknown state id {state_id!r}; expected one of {STATE_IDS}")
+        raise BadParams(f"unknown state id {state_id!r}; expected one of {STATE_IDS}")
     return sid
 
 

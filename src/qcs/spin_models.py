@@ -4,9 +4,8 @@ The Q symbol of a model is the diagonal expectation E(psi) =
 <B(psi)|H|B(psi)> taken in one maximally entangled basis member B; plotted
 over the label plane it forms an energy surface whose isolated extrema
 are located on a grid and refined: minima and maxima by safeguarded
-Newton on difference stencils, saddles by Nelder-Mead on the squared
-gradient.  Only the saddle route uses SciPy, and `minimize` imports it on
-its first call, so importing this module does not load SciPy.
+Newton on difference stencils, saddles by moving them to the nearest label
+where every surface of their state is stationary (`_stationary_point`).
 
 Two evaluation routes exist: `q_symbol_direct` (matrix element, the
 oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -260,13 +259,16 @@ def _real(val):
 def q_symbol_direct(
     params: CouplingParams, state_id: str, p: PointLike, bonds: str = "all-pairs"
 ) -> float:
-    """Q symbol <B(psi)|H|B(psi)> by direct matrix element (the oracle route)."""
+    """Q symbol <B(psi)|H|B(psi)> by direct matrix element (the oracle route); BadParams where it overflows."""
     psi = _require_finite(p)
     sid = state_id.upper()
     n = 3 if sid.startswith("PG") else 2
     h = hamiltonian(params, n, bonds)
     a = entangled_state(sid, psi).amplitudes
-    return float(_real(complex(np.vdot(a, h @ a))))
+    energy = float(_real(complex(np.vdot(a, h @ a))))  # an overflow makes the real part inf or nan
+    if not math.isfinite(energy):
+        raise BadParams(f"the energy at {psi} overflows; couplings this large are beyond the double range")
+    return energy
 
 
 def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> float:
@@ -281,15 +283,24 @@ def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> floa
 
 
 def _closed_values(params: CouplingParams, sid: str, x, y):
-    """`_closed_form`, raising BadParams where it overflows at a finite label (|psi| from about 1e50)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = _closed_form(params, sid, x, y)
-    except OverflowError:  # float ** int raises where float * float gives inf
-        val = math.inf
+    """`_closed_form`, raising BadParams where it overflows.  The forms are linear in the couplings, so the
+    overflow is the labels' (|psi| from about 1e50) where it persists at couplings scaled to at most 1 and hbar 1."""
+    val = _closed_or_inf(params, sid, x, y)
     if not (np.isfinite(val).all() if isinstance(val, np.ndarray) else math.isfinite(val)):
+        scale = max(1.0, abs(params.j), abs(params.jx), abs(params.jy), abs(params.jz))
+        unit = replace(params, hbar=1.0, **{name: getattr(params, name) / scale for name in ("j", "jx", "jy", "jz")})
+        if np.isfinite(_closed_or_inf(unit, sid, x, y)).all():
+            raise BadParams(f"closed form overflows at couplings this large: {params}")
         raise BadParams("closed form overflows at labels this large; use the direct source")
     return val
+
+
+def _closed_or_inf(params: CouplingParams, sid: str, x, y):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _closed_form(params, sid, x, y)
+    except OverflowError:  # float ** int raises where float * float gives inf
+        return math.inf
 
 
 def _closed_form(params: CouplingParams, sid: str, x, y):
@@ -402,10 +413,9 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
     call it once per block of whole rows (`_evaluate_grid`).  Refinement
-    calls it in two shapes (see `refine_extremum`): a 13-label `_stencil`
-    at the seed and at every Newton line-search trial, and a 4-label
-    `_gradient` per simplex point of the saddle hunt, which ends on one
-    more stencil.
+    calls it in one shape (see `refine_extremum`): a 13-label `_stencil`
+    at the seed, at every Newton line-search trial and at a saddle seed's
+    stationary label.
 
     The direct route divides <a|H|a> by <a|a>, which cancels the rounding
     of the batched amplitudes' norm as PureState's renormalization does for
@@ -504,15 +514,6 @@ _STENCIL = np.hstack([
 ])
 
 
-def _gradient_of(e) -> np.ndarray:
-    return np.array([(e[0] - e[1]) / (2.0 * _GRAD_STEP), (e[2] - e[3]) / (2.0 * _GRAD_STEP)])
-
-
-def _gradient(f: Callable, x: float, y: float) -> np.ndarray:
-    """Central-difference gradient of the kernel f: the 4 gradient labels of `_STENCIL` in one call."""
-    return _gradient_of(f(x + _STENCIL[0, :4], y + _STENCIL[1, :4]))
-
-
 def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(value, gradient, Hessian) at (x, y) from one 13-label kernel call over `_STENCIL`.
 
@@ -521,7 +522,7 @@ def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.nda
     no warning where it overflows); BadParams where one is not finite.
     """
     e = f(x + _STENCIL[0], y + _STENCIL[1]).tolist()
-    c, grad = e[4], _gradient_of(e)
+    c, grad = e[4], np.array([(e[0] - e[1]) / (2.0 * _GRAD_STEP), (e[2] - e[3]) / (2.0 * _GRAD_STEP)])
     fxx = (e[5] - 2.0 * c + e[6]) / _HESS_STEP**2
     fyy = (e[7] - 2.0 * c + e[8]) / _HESS_STEP**2
     fxy = (e[9] - e[10] - e[11] + e[12]) / (4.0 * _HESS_STEP**2)
@@ -580,10 +581,19 @@ def _newton(
 
 
 def minimize(fun, x0, **options):
-    """`scipy.optimize.minimize`, imported on the first call: only saddle seeds need SciPy."""
+    """`scipy.optimize.minimize`, imported on the first call.  Refinement does not use it; the tests'
+    Nelder-Mead reference does, and the benchmark's tracer wraps it until ROADMAP item 1 retires that hook."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **options)
+
+
+def _stationary_point(sid: str, x: float, y: float) -> tuple[float, float]:
+    """The label nearest (x, y) where every `sid` surface is stationary whatever the couplings (README):
+    G, PG: 0, +-1, +-i.  P+: the real axis (foot (x, 0)), +-i.  P-: the imaginary axis (foot (0, y)), +-1."""
+    points = {"P+": ((x, 0.0), (0.0, 1.0), (0.0, -1.0)), "P-": ((0.0, y), (1.0, 0.0), (-1.0, 0.0))}.get(
+        sid, ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+    return min(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
 
 
 def refine_extremum(
@@ -598,19 +608,17 @@ def refine_extremum(
     The route follows the local Hessian at the seed.  A definite Hessian
     (a minimum or maximum seed) is polished by safeguarded Newton on the
     difference stencils (`_newton`), whose steps are halved while the value
-    gets worse beyond rounding; an indefinite one by Nelder-Mead on the
-    squared gradient norm.  Either way the central-difference gradient is driven below
-    1e-6.  A flat seed is returned as CONSTANT.  Raises NoConvergence when
-    Newton exceeds its iteration cap or the simplex stalls.
+    gets worse beyond rounding; an indefinite one (a saddle seed) goes to
+    the nearest label where its surface is stationary exactly
+    (`_stationary_point`).  A flat seed is returned as CONSTANT.  Raises
+    NoConvergence when Newton exceeds its iteration cap.
 
     The kind and the value come from the `_stencil` at the final point
     (its Hessian's eigenvalues and its centre): the seed's when Newton
-    leaves the seed in place, Newton's last when it moves, and one more
-    stencil after the saddle hunt.  So the kernel sees two call shapes:
-    one 13-label stencil per Newton point (the seed, and each line-search
-    trial) and the saddle hunt's 4-label `_gradient`s.  A seed left in
-    place costs one stencil; a saddle costs one at the seed, one 4-label
-    call per simplex point and one at its final point.
+    leaves the seed in place, Newton's last when it moves, and the
+    stationary label's for a saddle seed, which may land on a MIN or a
+    MAX.  So the kernel sees one call shape, the 13-label stencil: one at
+    the seed, then one per Newton line-search trial or one at the label.
     """
     f = _surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
@@ -624,17 +632,8 @@ def refine_extremum(
         route = "newton"
         x, y, iterations, stencil = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, seed_stencil)
     else:
-        route = "stationary"
-        # tolist(): Python floats keep the closed forms in plain scalar arithmetic.
-        res = minimize(
-            lambda v: float(np.sum(_gradient(f, *v.tolist()) ** 2)),
-            np.array([x0, y0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
-        )
-        if not res.success:
-            raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
-        x, y, iterations = float(res.x[0]), float(res.x[1]), int(res.nit)
+        route, iterations = "stationary", 0
+        x, y = _stationary_point(state_id.upper(), x0, y0)
         stencil = _stencil(f, x, y)
     value, grad, hess = stencil
     if _log.isEnabledFor(logging.DEBUG):
@@ -687,7 +686,7 @@ def energy_surface(
 
     Seeds come from strict 8-neighbor dominance with a relative noise
     margin; each seed is refined by `refine_extremum` (Newton for a definite
-    Hessian at the seed, Nelder-Mead on the squared gradient otherwise) and
+    Hessian at the seed, the nearest fixed stationary label otherwise) and
     duplicates within 1e-4 are merged.  Each refinement is logged at DEBUG
     on the "qcs" logger with its route, iterations and final gradient.  A
     seed whose refinement raises NoConvergence is dropped (also logged at

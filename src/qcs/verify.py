@@ -438,7 +438,7 @@ def _check_surface_extrema(rng) -> float:
     ):
         f = sm._surface_function(params, sid, source, bonds)
         for e in surface.extrema:
-            worst = max(worst, float(np.linalg.norm(sm._gradient(f, e.x, e.y))))
+            worst = max(worst, float(np.linalg.norm(sm._stencil(f, e.x, e.y)[1])))
     xxx_grid = sm.energy_surface(sm.CouplingParams.xxx(j=1.0), "P+", step=0.5)
     if not xxx_grid.constant or xxx_grid.extrema:
         return math.inf

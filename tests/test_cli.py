@@ -212,8 +212,9 @@ def test_evolve_body_digests(argv, digest, tmp_path):
 
 # SHA-256 of `extrema` output: the six `extrema` rows of the benchmark's
 # cli-surface table at unscaled couplings, a closed G+ surface near jx = jy
-# whose saddle seed takes the Nelder-Mead hunt, and a G+ window whose
-# minimum seeds Newton moves off their grid nodes.
+# whose saddle seed lands on the SADDLE (1, 0), and a G+ window whose
+# minimum seeds Newton moves off their grid nodes and whose saddle seeds
+# land on (1, 0) and on the MINs at (0, -1) and (0, 1).
 PG_FLAGS = ["--model=xyz", "--j-plus=-1.0", "--j-minus=-1.0", "--jz=-1.0"]
 GEN_FLAGS = ["--model=xyz", "--jx=1.1", "--jy=-0.4", "--jz=0.9"]
 EXTREMA_SHA256 = [
@@ -232,11 +233,11 @@ EXTREMA_SHA256 = [
     (["--state=G+", "--jx=0.465721243863944", "--jy=0.45666640033603256", "--jz=0.6800728488750654",
       "--source=closed", "--step=0.1",
       "--window=-2.457453444314526,2.542546555685474,-2.4792202943370514,2.5207797056629486"],
-     "90c5b7ad5d5b3d1214a74b0afc88052ba31a4525466c95667e183e3c8534e821"),
+     "3d8b969ceda6613642b9053fd9215e16214ce999b682a8c16c6d75dcde0b89ad"),
     (["--state=G+", "--jx=1.2654864670238135", "--jy=1.2770941634217208", "--jz=0.14200448231306373",
       "--source=closed", "--step=0.099652006380203",
       "--window=-2.512951134121445,2.487048865878555,-2.544793412870247,2.455206587129753"],
-     "21694b7db7c2909563d324a4acd3d2eedb2d92d8fa4233774950b51bff051c06"),
+     "ae794222c43b44424d54403afb568dbcb5ed1c82622ce52f97f4aaedaf3cb095"),
 ]
 
 
@@ -559,6 +560,28 @@ def test_overflowing_couplings_exit_two(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"qcs {argv[0]}: ") and message in err and err.count("\n") == 1, err
+
+
+CLOSED_G = ["surface", "--state", "G+", "--source", "closed"]
+
+
+def test_closed_overflow_blames_the_couplings_or_the_labels(tmp_path, capsys):
+    """Huge couplings are named in the message; only huge labels send the user to the direct source."""
+    huge_couplings = CLOSED_G + ["--jx", "1.7e308", "--jy=-1.7e308", "--step", "0.5"]
+    huge_labels = CLOSED_G + ["--jx", "1", "--jy", "0.5", "--window=1e80,2e80,0,1", "--step", "1e80"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(huge_couplings) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qcs surface: closed form overflows at couplings this large: CouplingParams(")
+        assert "jx=1.7e+308, jy=-1.7e+308" in err and "direct" not in err and err.count("\n") == 1, err
+        assert main(huge_labels) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qcs surface: closed form overflows at labels this large; use the direct source\n"
+        direct = huge_labels[:3] + huge_labels[5:]
+        assert main(direct + ["--output", str(tmp_path / "direct.csv")]) == 0
 
 
 # One process, one parser: label flags that must not leak into the next

@@ -6,7 +6,8 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from qcs.coherent_states import coherent, overlap
-from qcs.errors import InfinitePoint
+from qcs.errors import BadParams, InfinitePoint
+from qcs.spin_models import CouplingParams, energy_surface
 from qcs.entangled_basis import (
     STATE_IDS,
     bell_states,
@@ -98,6 +99,15 @@ def test_unknown_state_id():
         entangled_state("Q+", 0)
     with pytest.raises(ValueError):
         entangled_amplitudes("Q+", [0.0])
+
+
+def test_unknown_state_id_is_bad_params():
+    """An unknown state id is a typed BadParams (still a ValueError), from the state and the surface alike."""
+    params = CouplingParams.xyz(jx=1.0, jy=0.5, jz=0.2)
+    for call in (lambda: entangled_state("XX", 0), lambda: entangled_amplitudes("XX", [0.0]),
+                 lambda: energy_surface(params, "XX", (-1, 1, -1, 1), 0.5)):
+        with pytest.raises(BadParams, match="unknown state id 'XX'"):
+            call()
 
 
 wide_labels = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)

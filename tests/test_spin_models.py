@@ -477,7 +477,7 @@ def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bond
     for e, o in zip(kernel.extrema, scalar.extrema):
         assert e.kind == o.kind
         assert math.hypot(e.x - o.x, e.y - o.y) <= 1e-7
-        assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+        assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
 
 
 def test_indefinite_seed_refines_to_saddle(monkeypatch):
@@ -493,7 +493,7 @@ def test_indefinite_seed_refines_to_saddle(monkeypatch):
         assert e.kind == sm.SADDLE
         assert math.hypot(e.x, e.y) <= 1e-7
     assert math.hypot(kernel.x - scalar.x, kernel.y - scalar.y) <= 1e-7
-    assert np.linalg.norm(sm._gradient(oracle, kernel.x, kernel.y)) <= 1e-6
+    assert np.linalg.norm(sm._stencil(oracle, kernel.x, kernel.y)[1]) <= 1e-6
 
 
 def _gradient_pointwise(f, x, y, h):
@@ -511,7 +511,7 @@ def _hessian_pointwise(f, x, y, h):
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
 def test_batched_stencils_match_pointwise_formulas(x, y):
-    """One kernel call per _gradient/_stencil gives the point-by-point difference formulas."""
+    """One kernel call per _stencil gives the point-by-point difference formulas."""
     gh, hh = sm._GRAD_STEP, sm._HESS_STEP
     # Elementwise arithmetic rounds the same in a batch as alone, so these agree exactly.
     poly = lambda u, v: u * u * v - 2.0 * u * v * v + u / (1.0 + v * v) + 0.5 * v
@@ -519,13 +519,11 @@ def test_batched_stencils_match_pointwise_formulas(x, y):
     assert value == poly(x, y)
     assert np.array_equal(grad, _gradient_pointwise(poly, x, y, gh))
     assert np.array_equal(hess, _hessian_pointwise(poly, x, y, hh))
-    assert np.array_equal(sm._gradient(poly, x, y), grad)
     # The direct kernel's einsum may round a label differently inside a batch,
     # so allow a few ulps of each value, divided by the stencil's step.
     f = sm._surface_function(GEN, "PG+", "direct", "all-pairs")
     ulps = 8.0 * np.finfo(float).eps * (1.0 + abs(float(f(x, y))))
     _, grad, hess = sm._stencil(f, x, y)
-    assert np.allclose(sm._gradient(f, x, y), _gradient_pointwise(f, x, y, gh), rtol=0.0, atol=ulps / gh)
     assert np.allclose(grad, _gradient_pointwise(f, x, y, gh), rtol=0.0, atol=ulps / gh)
     assert np.allclose(hess, _hessian_pointwise(f, x, y, hh), rtol=0.0, atol=4.0 * ulps / hh**2)
 
@@ -571,37 +569,9 @@ def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
 
 
 # G+ XYZ near jx = jy: the grid seed near (1.04, 0.02) has Hessian eigenvalues
-# (-0.375, 1.45e-4), so it takes the stationary-point hunt and ends at the SADDLE (1, 0).
+# (-0.375, 1.45e-4), so it takes the stationary route and lands on the SADDLE (1, 0).
 G_NEAR = CouplingParams.xyz(jx=0.465721243863944, jy=0.45666640033603256, jz=0.6800728488750654)
 G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5207797056629486)
-
-
-def test_failed_stationary_hunt_keeps_other_extrema(monkeypatch, caplog):
-    """A stalled Nelder-Mead stationary hunt drops its seed only."""
-    full = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
-    assert [e.kind for e in full.extrema] == [sm.MIN, sm.SADDLE, sm.MAX, sm.MAX]
-    saddle = full.extrema[1]
-    assert math.hypot(saddle.x - 1.0, saddle.y) <= 1e-7
-    minimize = sm.minimize
-    failed = []
-
-    def flaky_minimize(fun, x0, **kwargs):
-        result = minimize(fun, x0, **kwargs)
-        if math.hypot(x0[0] - 1.0, x0[1]) < 0.1:
-            failed.append(tuple(x0))
-            result.success = False
-        return result
-
-    monkeypatch.setattr(sm, "minimize", flaky_minimize)
-    with caplog.at_level("DEBUG", logger="qcs"):
-        partial = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
-    assert len(failed) == 1
-    f = sm._surface_function(G_NEAR, "G+", "closed", "all-pairs")
-    eigs = np.linalg.eigvalsh(sm._stencil(f, *failed[0])[2])
-    assert eigs[0] < 0.0 < eigs[1]
-    assert [e for e in full.extrema if e is not saddle] == list(partial.extrema)
-    assert len(partial.extrema) == 3
-    assert any("dropping seed" in r.getMessage() for r in caplog.records)
 
 
 def test_refinement_logs_route_per_seed(caplog):
@@ -616,23 +586,81 @@ def test_refinement_logs_route_per_seed(caplog):
         assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
 
 
-SADDLE_HUNT = """
+SADDLE_SNAP = """
 import sys
 from qcs import spin_models as sm
-assert "scipy.optimize" not in sys.modules
 params = sm.CouplingParams.xyz(jx={jx!r}, jy={jy!r}, jz={jz!r})
 grid = sm.energy_surface(params, "G+", {window!r}, 0.1, "closed")
-assert "scipy.optimize" in sys.modules
-print([(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema if e.kind == sm.SADDLE])
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print([(e.kind, e.x, e.y) for e in grid.extrema if e.kind == sm.SADDLE])
 """
 
 
-def test_saddle_seed_loads_scipy_on_demand():
-    """SciPy is imported by the first saddle seed's Nelder-Mead hunt, not by importing qcs."""
-    code = SADDLE_HUNT.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW)
+def test_saddle_seed_loads_no_scipy():
+    """A saddle seed lands exactly on its stationary label, and no SciPy module is loaded on the way."""
+    code = SADDLE_SNAP.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[('SADDLE', 1.0, 0.0)]\n"
+
+
+def _fixed_stationary_labels(sid, t):
+    """The table the saddle route reads, written out: t is a coordinate along the P+ or P- axis."""
+    if sid == "P+":
+        return [(t, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    if sid == "P-":
+        return [(0.0, t), (1.0, 0.0), (-1.0, 0.0)]
+    return [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+
+
+@pytest.mark.parametrize("model", ["XXX", "XXZ", "XYZ"])
+def test_fixed_stationary_labels_are_stationary(model):
+    """Every surface is stationary on its state's fixed labels, whatever the couplings, source or bonds.
+
+    Each bond is sum_a K_a sigma_a sigma_a with a diagonal K, so G and PG
+    surfaces are stationary at 0, +-1 and +-i, P+ along the real axis and
+    at +-i, P- along the imaginary axis and at +-1.  The saddle route sends
+    a seed to the nearest of these labels and trusts that it is stationary.
+    """
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(10):
+        j, delta, jz = (rng.uniform(-2.0, 2.0) for _ in range(3))
+        hbar = 10.0 ** rng.uniform(-1.0, 1.0)
+        params = {"XXX": lambda: CouplingParams.xxx(j=j, hbar=hbar),
+                  "XXZ": lambda: CouplingParams.xxz(j=j, delta=delta, hbar=hbar),
+                  "XYZ": lambda: CouplingParams.xyz(jx=j, jy=delta, jz=jz, hbar=hbar)}[model]()
+        for sid in STATE_IDS:
+            ts = [rng.uniform(-3.0, 3.0) for _ in range(3)]
+            labels = {p for t in ts for p in _fixed_stationary_labels(sid, t)}
+            x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            foot = x if sid == "P+" else y
+            nearest = min(_fixed_stationary_labels(sid, foot), key=lambda p: math.hypot(p[0] - x, p[1] - y))
+            assert sm._stationary_point(sid, x, y) == nearest
+            for source in ("direct", "closed"):
+                for bonds in sm.BOND_CHOICES:
+                    try:
+                        f = sm._surface_function(params, sid, source, bonds)
+                        f(0.0, 0.0)  # a closed kernel without a form raises on its first call
+                    except FormulaUnavailable:
+                        continue
+                    for label in labels:
+                        value, grad, _ = sm._stencil(f, *label)
+                        assert np.linalg.norm(grad) <= 1e-8 * (1.0 + abs(value)), (params, sid, source, bonds, label)
+                        checked += 1
+    assert checked >= 10 * 6 * 2 * 5
+
+
+def test_scalar_oracle_raises_where_the_grid_does():
+    """q_symbol_direct raises BadParams, not inf, at a label whose energy overflows on the grid too."""
+    params = CouplingParams.xyz(jx=1.7e308, jy=1e8, jz=-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="overflows"):
+            q_symbol_direct(params, "PG-", 0.5j)
+        with pytest.raises(BadParams, match="grid overflow"):
+            energy_surface(params, "PG-", (-1.0, 0.5, 0.0, 1.0), 0.5, refine=False)
+        assert math.isfinite(q_symbol_direct(params, "PG-", 1.0))
 
 
 def test_shallow_valley_minima_are_kept():
@@ -728,7 +756,7 @@ def test_degenerate_maxima_converge():
     assert [(round(e.x, 6) + 0.0, round(e.y, 6)) for e in maxima] == [(0.0, -1.0), (0.0, 1.0)]
     oracle = _oracle_kernel(params, "G+", "direct", "all-pairs")
     for e in maxima:
-        assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+        assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
 
 
 def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
@@ -744,7 +772,7 @@ def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pair
     elif eigs[1] < 0.0:
         objective = lambda v: -float(f(*v.tolist()))
     else:
-        objective = lambda v: float(np.sum(sm._gradient(f, *v.tolist()) ** 2))
+        objective = lambda v: float(np.sum(sm._stencil(f, *v.tolist())[1] ** 2))
     res = sm.minimize(
         objective,
         np.array([x0, y0]),
@@ -790,7 +818,7 @@ def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
         for e, r in zip(grid.extrema, reference.extrema):
             assert math.hypot(e.x - r.x, e.y - r.y) <= 2e-7
             assert abs(e.value - r.value) <= 1e-10
-            assert np.linalg.norm(sm._gradient(oracle, e.x, e.y)) <= 1e-6
+            assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
         count += len(grid.extrema)
     assert count >= 80
 
@@ -807,15 +835,7 @@ def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="a
     if eigs[0] > 0.0 or eigs[1] < 0.0:
         x, y = sm._newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)[:2]
     else:
-        res = sm.minimize(
-            lambda v: float(np.sum(sm._gradient(f, *v.tolist()) ** 2)),
-            np.array([x0, y0]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 10000, "maxfev": 20000},
-        )
-        if not res.success:
-            raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
-        x, y = float(res.x[0]), float(res.x[1])
+        x, y = sm._stationary_point(state_id.upper(), x0, y0)
     return sm.Extremum(x, y, float(f(x, y)), sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2])))
 
 
@@ -871,11 +891,11 @@ def test_seed_left_in_place_costs_one_stencil(monkeypatch):
 
 
 def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
-    """Refinement calls the kernel with 13-label stencils and the saddle hunt's 4-label gradients only."""
+    """Refinement calls the kernel with 13-label stencils only, on every route."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     stencil, refine = sm._stencil, sm.refine_extremum
     points = []
-    routes = {"in place": 0, "gradient floor": 0, "step size": 0, "saddle": 0}
+    routes = {"in place": 0, "gradient floor": 0, "step size": 0, "stationary": 0}
 
     def recording_stencil(f, x, y):
         points.append((x, y))
@@ -885,14 +905,14 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
         sizes.clear()
         points.clear()
         e = refine(*args)
-        assert set(sizes) <= {13, 4}
+        assert set(sizes) == {13} and len(sizes) == len(points)
         if sizes == [13]:
             routes["in place"] += 1
             return e
-        assert sizes[0] == sizes[-1] == 13 and (e.x, e.y) == points[-1]
-        if 4 in sizes:
-            assert set(sizes[1:-1]) == {4}
-            routes["saddle"] += 1
+        assert (e.x, e.y) == points[-1]
+        if (e.x, e.y) == sm._stationary_point(args[1], *points[0]):
+            assert len(points) == 2  # the seed's stencil, then the stationary label's
+            routes["stationary"] += 1
             return e
         (xa, ya), (xb, yb) = _newton_iterates(points)[-2:]
         if math.hypot(xb - xa, yb - ya) <= 1e-10 * (1.0 + math.hypot(xb, yb)):
