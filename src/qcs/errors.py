@@ -34,4 +34,4 @@ class FormulaUnavailable(QcsError, LookupError):
 
 
 class NoConvergence(QcsError, RuntimeError):
-    """Iterative refinement failed to converge within its budget."""
+    """Refinement found no stationary point of the kind its seed needs (no fixed label of that kind)."""

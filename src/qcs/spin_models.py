@@ -3,9 +3,10 @@
 The Q symbol of a model is the diagonal expectation E(psi) =
 <B(psi)|H|B(psi)> taken in one maximally entangled basis member B; plotted
 over the label plane it forms an energy surface whose isolated extrema
-are located on a grid and refined: minima and maxima by safeguarded
-Newton on difference stencils, saddles by moving them to the nearest label
-where every surface of their state is stationary (`_stationary_point`).
+are located on a grid and refined without a search: every isolated finite
+stationary point sits on a label where every surface of its state is
+stationary whatever the couplings (`_stationary_points`), so a seed moves
+to the nearest such label of the kind it needs.
 
 Two evaluation routes exist: `q_symbol_direct` (matrix element, the
 oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
@@ -64,10 +65,8 @@ _GRAD_STEP = 1e-5
 _HESS_STEP = 1e-4
 _CURVATURE_FLOOR = 1e-5
 _MERGE_DIST = 1e-4
-# Safeguarded Newton refinement: step cap, gradient floor and iteration cap.
-_TRUST_RADIUS = 0.25
-_NEWTON_GRAD_TOL = 1e-9
-_NEWTON_MAX_ITER = 100
+# A definite seed whose stencil gradient is this small is refined in place.
+_STATIONARY_GRAD_TOL = 1e-9
 # Extremum values this close (relative) are ordered by position, not by rounding noise.
 _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
@@ -414,8 +413,7 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
     call it once per block of whole rows (`_evaluate_grid`).  Refinement
     calls it in one shape (see `refine_extremum`): a 13-label `_stencil`
-    at the seed, at every Newton line-search trial and at a saddle seed's
-    stationary label.
+    at the seed and at each fixed stationary label it tries.
 
     The direct route divides <a|H|a> by <a|a>, which cancels the rounding
     of the batched amplitudes' norm as PureState's renormalization does for
@@ -543,43 +541,6 @@ def _kind(eigs: np.ndarray) -> str:
     return CONSTANT
 
 
-def _newton(
-    f: Callable, x: float, y: float, sign: float, stencil: tuple[float, np.ndarray, np.ndarray]
-) -> tuple[float, float, int, tuple[float, np.ndarray, np.ndarray]]:
-    """Minimise sign * f from (x, y) by safeguarded Newton; returns (x, y, iterations, stencil).
-
-    `stencil` is `_stencil(f, x, y)`, and the returned one is `_stencil` at
-    the returned point (the given one itself when Newton stops at once).
-    The Hessian's eigenvalues are replaced by max(|lambda|, 1e-8), so every
-    step goes downhill even where the iterate's Hessian is not definite;
-    steps are capped at _TRUST_RADIUS and halved while sign * f rises
-    beyond rounding, at most 30 times, then taken as it is.  Each trial is
-    one `_stencil`, and the accepted one is the next iterate's.  Stops
-    once the step or the gradient is below tolerance; the gradient floor
-    ends the jitter that difference noise causes near a degenerate
-    extremum.  Raises NoConvergence after _NEWTON_MAX_ITER iterations.
-    """
-    for iteration in range(1, _NEWTON_MAX_ITER + 1):
-        value, grad, hess = stencil
-        if math.hypot(*grad) <= _NEWTON_GRAD_TOL:  # np.linalg.norm squares, and overflows from 1e154
-            return x, y, iteration - 1, stencil
-        lam, vecs = np.linalg.eigh(sign * hess)
-        step = -vecs @ ((vecs.T @ (sign * grad)) / np.maximum(np.abs(lam), 1e-8))
-        step *= min(1.0, _TRUST_RADIUS / float(np.linalg.norm(step)))
-        level = sign * value + 1e-13 * (1.0 + abs(value))
-        for _ in range(30):
-            stencil = _stencil(f, x + float(step[0]), y + float(step[1]))
-            if sign * stencil[0] <= level:
-                break
-            step /= 2.0
-        else:
-            stencil = _stencil(f, x + float(step[0]), y + float(step[1]))
-        x, y = x + float(step[0]), y + float(step[1])
-        if float(np.linalg.norm(step)) <= 1e-10 * (1.0 + math.hypot(x, y)):
-            return x, y, iteration, stencil
-    raise NoConvergence(f"Newton refinement did not converge in {_NEWTON_MAX_ITER} iterations, at ({x}, {y})")
-
-
 def minimize(fun, x0, **options):
     """`scipy.optimize.minimize`, imported on the first call.  Refinement does not use it; the tests'
     Nelder-Mead reference does, and the benchmark's tracer wraps it until ROADMAP item 1 retires that hook."""
@@ -588,12 +549,12 @@ def minimize(fun, x0, **options):
     return scipy_minimize(fun, x0, **options)
 
 
-def _stationary_point(sid: str, x: float, y: float) -> tuple[float, float]:
-    """The label nearest (x, y) where every `sid` surface is stationary whatever the couplings (README):
+def _stationary_points(sid: str, x: float, y: float) -> list[tuple[float, float]]:
+    """The labels where every `sid` surface is stationary whatever the couplings (README), nearest (x, y) first:
     G, PG: 0, +-1, +-i.  P+: the real axis (foot (x, 0)), +-i.  P-: the imaginary axis (foot (0, y)), +-1."""
     points = {"P+": ((x, 0.0), (0.0, 1.0), (0.0, -1.0)), "P-": ((0.0, y), (1.0, 0.0), (-1.0, 0.0))}.get(
         sid, ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
-    return min(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
+    return sorted(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
 
 
 def refine_extremum(
@@ -603,45 +564,47 @@ def refine_extremum(
     source: str = "direct",
     bonds: str = "all-pairs",
 ) -> Extremum:
-    """Polish a coarse extremum seed into a stationary point.
+    """Move a coarse extremum seed onto the stationary point it stands for.
 
-    The route follows the local Hessian at the seed.  A definite Hessian
-    (a minimum or maximum seed) is polished by safeguarded Newton on the
-    difference stencils (`_newton`), whose steps are halved while the value
-    gets worse beyond rounding; an indefinite one (a saddle seed) goes to
-    the nearest label where its surface is stationary exactly
-    (`_stationary_point`).  A flat seed is returned as CONSTANT.  Raises
-    NoConvergence when Newton exceeds its iteration cap.
+    Every isolated finite stationary point of a surface is one of its
+    state's fixed stationary labels (`_stationary_points`; README derives
+    both directions), so refinement picks a label instead of searching.
+    A flat seed is returned as CONSTANT.  A seed whose Hessian is definite
+    and whose gradient is already at most _STATIONARY_GRAD_TOL stays in
+    place.  Every other seed walks the labels nearest first and takes the
+    first whose kind it needs: MIN for a positive-definite seed, MAX for a
+    negative-definite one, any kind for an indefinite (saddle) seed.
+    Raises NoConvergence when no label has that kind.
 
     The kind and the value come from the `_stencil` at the final point
-    (its Hessian's eigenvalues and its centre): the seed's when Newton
-    leaves the seed in place, Newton's last when it moves, and the
-    stationary label's for a saddle seed, which may land on a MIN or a
-    MAX.  So the kernel sees one call shape, the 13-label stencil: one at
-    the seed, then one per Newton line-search trial or one at the label.
+    (its Hessian's eigenvalues and its centre).  So the kernel sees one
+    call shape, the 13-label stencil: one at the seed, then one per label
+    tried, at most five.
     """
     f = _surface_function(params, state_id, source, bonds)
-    x0, y0 = float(seed[0]), float(seed[1])
-    seed_stencil = _stencil(f, x0, y0)
-    value0, grad0, hess0 = seed_stencil
+    sid, x0, y0 = state_id.upper(), float(seed[0]), float(seed[1])
+    value0, grad0, hess0 = _stencil(f, x0, y0)
     if float(np.max(np.abs(hess0))) < _CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
         return Extremum(x0, y0, value0, CONSTANT)
 
     eigs = np.linalg.eigvalsh(hess0)
-    if eigs[0] > 0.0 or eigs[1] < 0.0:
-        route = "newton"
-        x, y, iterations, stencil = _newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, seed_stencil)
-    else:
-        route, iterations = "stationary", 0
-        x, y = _stationary_point(state_id.upper(), x0, y0)
-        stencil = _stencil(f, x, y)
-    value, grad, hess = stencil
+    wanted = MIN if eigs[0] > 0.0 else MAX if eigs[1] < 0.0 else None
+    x, y, value, grad, kind, stencils = x0, y0, value0, grad0, _kind(eigs), 1
+    # math.hypot, not np.linalg.norm, which squares and overflows from about 1e154.
+    if wanted is None or math.hypot(*grad0) > _STATIONARY_GRAD_TOL:
+        for x, y in _stationary_points(sid, x0, y0):
+            value, grad, hess = _stencil(f, x, y)
+            kind, stencils = _kind(np.linalg.eigvalsh(hess)), stencils + 1
+            if wanted in (None, kind):
+                break
+        else:
+            raise NoConvergence(f"no fixed stationary label of the {sid} surface is a {wanted}")
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "refined seed %s of %s surface by %s in %d iterations, |grad| %.3g",
-            (x0, y0), state_id.upper(), route, iterations, math.hypot(*grad),
+            "refined seed %s of %s surface %s, stencils %d, |grad| %.3g",
+            (x0, y0), sid, "in place" if stencils == 1 else f"onto label {(x, y)}", stencils,
+            math.hypot(*grad),
         )
-    kind = _kind(eigs if stencil is seed_stencil else np.linalg.eigvalsh(hess))
     return Extremum(x, y, value, kind)
 
 
@@ -685,12 +648,13 @@ def energy_surface(
     MAX_GRID_NODES nodes raise BadParams before anything is allocated.
 
     Seeds come from strict 8-neighbor dominance with a relative noise
-    margin; each seed is refined by `refine_extremum` (Newton for a definite
-    Hessian at the seed, the nearest fixed stationary label otherwise) and
-    duplicates within 1e-4 are merged.  Each refinement is logged at DEBUG
-    on the "qcs" logger with its route, iterations and final gradient.  A
-    seed whose refinement raises NoConvergence is dropped (also logged at
-    DEBUG) and the other extrema are kept.  A surface whose spread is
+    margin; each seed is refined by `refine_extremum` (in place when it is
+    already stationary, else onto the nearest fixed stationary label of
+    the kind it needs) and duplicates within 1e-4 are merged.  Each
+    refinement is logged at DEBUG on the "qcs" logger with its route, final
+    point, stencil count and final gradient.  A seed with no label of its
+    kind raises NoConvergence and is dropped (also logged at DEBUG); the
+    other extrema are kept.  A surface whose spread is
     below 1e-10 * (1 + |max|) is flagged constant and carries no extrema.
     A grid energy or a refinement stencil beyond the double range raises
     BadParams.

@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qcs import cli
 from qcs import evolution as ev
@@ -213,8 +216,9 @@ def test_evolve_body_digests(argv, digest, tmp_path):
 # SHA-256 of `extrema` output: the six `extrema` rows of the benchmark's
 # cli-surface table at unscaled couplings, a closed G+ surface near jx = jy
 # whose saddle seed lands on the SADDLE (1, 0), and a G+ window whose
-# minimum seeds Newton moves off their grid nodes and whose saddle seeds
-# land on (1, 0) and on the MINs at (0, -1) and (0, 1).
+# off-node MIN and MAX seeds move onto the labels (0, +-1) and 0 and whose
+# saddle seeds land on (1, 0) and on the MINs at (0, -1) and (0, 1).  Every
+# refined extremum sits exactly on a fixed stationary label (0, +-1, +-i).
 PG_FLAGS = ["--model=xyz", "--j-plus=-1.0", "--j-minus=-1.0", "--jz=-1.0"]
 GEN_FLAGS = ["--model=xyz", "--jx=1.1", "--jy=-0.4", "--jz=0.9"]
 EXTREMA_SHA256 = [
@@ -223,7 +227,7 @@ EXTREMA_SHA256 = [
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
      "54f78bfbed794a75a3f1153d95933b8855609ff1ac991dac2aea0608a69561a6"),
     (["--state=PG-", *PG_FLAGS, "--window=-1.36,1.36,-1.36,1.36", "--step=0.08"],
-     "65a400c8f111089b0d67010337fae33477ecc5cc3c30303b4655e9d9f5c21a14"),
+     "c752ac005ae26992baa4a0ab86f14d49693c9cced855e80ae6a04ae8d7bbdad6"),
     (["--state=G+", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
      "7489175ea1e83826db799ca5d183513493e60bbdb746929bb5b97e9647d9328f"),
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
@@ -233,11 +237,11 @@ EXTREMA_SHA256 = [
     (["--state=G+", "--jx=0.465721243863944", "--jy=0.45666640033603256", "--jz=0.6800728488750654",
       "--source=closed", "--step=0.1",
       "--window=-2.457453444314526,2.542546555685474,-2.4792202943370514,2.5207797056629486"],
-     "3d8b969ceda6613642b9053fd9215e16214ce999b682a8c16c6d75dcde0b89ad"),
+     "381257fa28df11bf73d09e81ede3ce891f13674c80e13ffd4cfaec4f8e5983b4"),
     (["--state=G+", "--jx=1.2654864670238135", "--jy=1.2770941634217208", "--jz=0.14200448231306373",
       "--source=closed", "--step=0.099652006380203",
       "--window=-2.512951134121445,2.487048865878555,-2.544793412870247,2.455206587129753"],
-     "ae794222c43b44424d54403afb568dbcb5ed1c82622ce52f97f4aaedaf3cb095"),
+     "483b4f7ce549024bb6cf8e109c545c83f0fd4237bf8de11bcdf4b3e235ccc2be"),
 ]
 
 
@@ -706,3 +710,82 @@ def test_start_path_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", START_PATH], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Edge values of the double range, and ordinary magnitudes in [0.25, 4]: a
+# window span over a step, or t_max over dt, then stays a few thousand nodes
+# or rows unless the command rejects it.  Ordinary values come first, as
+# Hypothesis draws earlier branches more often, so that many argv get past
+# every check.
+EDGE = st.sampled_from(["0", "1e-320", "-1e-320", "1e-300", "1e300", "1.7e308", "-1.7e308", "nan", "inf", "-inf"])
+MAGNITUDE = st.floats(0.25, 4.0).map(repr)
+NEGATIVE = st.floats(0.25, 4.0).map(lambda m: repr(-m))
+FUZZ_VALUES = st.one_of(MAGNITUDE, NEGATIVE, EDGE)
+POSITIVE_VALUES = st.one_of(MAGNITUDE, EDGE)
+MODEL_FLAGS = {"xyz": [["jx", "jy", "jz"], ["j-plus", "j-minus"]], "xxz": [["j", "delta"], ["j", "jz"]], "xxx": [["j"]]}
+COUPLING_FLAGS = ["hbar", "jz", "j", "delta", "jx", "jy", "j-plus", "j-minus"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """Random argv for `state`, `surface`, `extrema` or `evolve`, every value as --flag=value.
+
+    Each model gets one complete set of its coupling flags and may get a
+    stray flag more; a window's ordinary edges lie either side of 0.
+    """
+    command = draw(st.sampled_from(["state", "surface", "extrema", "evolve"]))
+    argv = [command]
+    if command != "evolve":
+        argv.append("--state=" + draw(st.sampled_from(["P+", "P-", "G+", "G-", "PG+", "PG-", "Q+"])))
+    if command != "state":
+        # `evolve` takes XYZ couplings only, and --j alone as the XX model.
+        model = "xyz" if command == "evolve" else draw(st.sampled_from(list(MODEL_FLAGS)))
+        sets = MODEL_FLAGS[model] + ([["j"]] if command == "evolve" else [])
+        flags = draw(st.sampled_from(sets)) + draw(st.lists(st.sampled_from(COUPLING_FLAGS), max_size=1))
+        argv += [f"--model={model}", *(f"--{flag}={draw(FUZZ_VALUES)}" for flag in dict.fromkeys(flags))]
+    if command in ("surface", "extrema"):
+        edges = [draw(st.one_of(NEGATIVE, EDGE) if k % 2 == 0 else POSITIVE_VALUES) for k in range(4)]
+        argv += ["--window=" + ",".join(edges), f"--step={draw(POSITIVE_VALUES)}",
+                 "--source=" + draw(st.sampled_from(["direct", "closed"])),
+                 "--bonds=" + draw(st.sampled_from(["all-pairs", "chain"]))]
+    else:
+        label = draw(st.sampled_from(["psi", "theta", None]))
+        if label == "psi":
+            argv.append(f"--psi={draw(FUZZ_VALUES)},{draw(FUZZ_VALUES)}")
+        elif label == "theta":
+            argv.append(f"--theta={draw(FUZZ_VALUES)}")
+    if command == "state" and draw(st.booleans()):
+        argv.append(f"--hbar={draw(POSITIVE_VALUES)}")
+    if command == "evolve":
+        argv.append(f"--dt={draw(POSITIVE_VALUES)}")
+        if draw(st.booleans()):
+            argv.append(f"--t-max={draw(POSITIVE_VALUES)}")
+    return argv
+
+
+def _numeric_cells(text):
+    """Every cell of the output that reads as a float or a complex number."""
+    for token in text.replace(",", " ").replace("=", " ").replace(":", " ").split():
+        for parse in (float, complex):
+            try:
+                yield parse(token)
+                break
+            except ValueError:
+                pass
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exit_cleanly_with_finite_cells(argv):
+    """Any argv of these commands exits 0 or 2, warns nothing, and prints only finite numbers."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert all(np.isfinite(cell) for cell in _numeric_cells(out.getvalue())), argv

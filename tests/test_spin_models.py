@@ -481,7 +481,7 @@ def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bond
 
 
 def test_indefinite_seed_refines_to_saddle(monkeypatch):
-    """A seed with an indefinite Hessian takes the stationary-point branch on both routes."""
+    """A seed with an indefinite Hessian lands on its nearest fixed label, through the kernel and the scalar oracle."""
     seed_point = (0.02, 0.01)
     eigs = np.linalg.eigvalsh(sm._stencil(sm._surface_function(GEN, "G+", "direct", "all-pairs"), *seed_point)[2])
     assert eigs[0] < 0.0 < eigs[1]
@@ -545,43 +545,56 @@ def test_merge_orders_last_bit_ties_by_position():
     assert sm._merge_extrema(dup) == (dup[1],)
 
 
+# P- XYZ with jy close to jz: a nearly level landscape whose grid holds 26
+# seeds, 15 of them MIN or MAX seeds for which no fixed label is a MIN or MAX.
+FLAT_P_MINUS = CouplingParams.xyz(jx=-1.6348598864076163, jy=1.2227705348787286, jz=1.2169120785849414)
+FLAT_P_MINUS_WINDOW = (-2.499966197682181, 2.500033802317819, -2.5374097855496878, 2.4625902144503122)
+FLAT_P_MINUS_STEP = 0.08276295886670162
+
+
 def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
-    """One NoConvergence drops its seed only; the others still become extrema."""
-    window = (-1.7, 1.7, -1.7, 1.7)
-    full = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
-    bad_seed = (-1.0, 0.0)  # a grid node, seed of the MIN at (-1, 0); definite, so Newton refines it
-    newton = sm._newton
-    failed = []
+    """A seed with no label of its kind is dropped after one stencil per label; the other extrema are kept."""
+    sizes = _spy_on_kernel_sizes(monkeypatch)
+    refine = sm.refine_extremum
+    costs = {"kept": [], "dropped": []}
 
-    def flaky_newton(f, x, y, *args):
-        if np.allclose((x, y), bad_seed, atol=1e-9):
-            failed.append((x, y))
-            raise NoConvergence("injected")
-        return newton(f, x, y, *args)
+    def costed_refine(*args):
+        sizes.clear()
+        try:
+            e = refine(*args)
+        except NoConvergence:
+            costs["dropped"].append(list(sizes))
+            raise
+        costs["kept"].append(list(sizes))
+        return e
 
-    monkeypatch.setattr(sm, "_newton", flaky_newton)
+    monkeypatch.setattr(sm, "refine_extremum", costed_refine)
     with caplog.at_level("DEBUG", logger="qcs"):
-        partial = energy_surface(PG, "PG+", window, 0.1, "direct", "chain")
-    assert len(failed) == 1
-    assert [e for e in full.extrema if abs(e.x + 1.0) > 1e-3] == list(partial.extrema)
-    assert len(partial.extrema) == 3
-    assert any("dropping seed" in r.getMessage() for r in caplog.records)
+        grid = energy_surface(FLAT_P_MINUS, "P-", FLAT_P_MINUS_WINDOW, FLAT_P_MINUS_STEP, "closed")
+    dropped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dropping seed")]
+    assert len(dropped) == len(costs["dropped"]) == 15
+    assert len(costs["kept"]) + len(costs["dropped"]) == len(sm._grid_seeds(grid.values)) == 26
+    # The seed's stencil, then one per fixed P- label (the foot on the imaginary axis, +1, -1).
+    assert all(cost == [13] * 4 for cost in costs["dropped"])
+    assert all(set(cost) == {13} and len(cost) <= 4 for cost in costs["kept"])
+    assert [(e.kind, e.x, e.y) for e in grid.extrema] == [(sm.SADDLE, -1.0, 0.0), (sm.SADDLE, 1.0, 0.0)]
 
 
 # G+ XYZ near jx = jy: the grid seed near (1.04, 0.02) has Hessian eigenvalues
-# (-0.375, 1.45e-4), so it takes the stationary route and lands on the SADDLE (1, 0).
+# (-0.375, 1.45e-4), so it lands on its nearest label, the SADDLE (1, 0).
 G_NEAR = CouplingParams.xyz(jx=0.465721243863944, jy=0.45666640033603256, jz=0.6800728488750654)
 G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5207797056629486)
 
 
 def test_refinement_logs_route_per_seed(caplog):
-    """Each refinement logs its seed, route, iterations and final gradient at DEBUG on "qcs"."""
+    """Each refinement logs its seed, route, stencil count and final gradient at DEBUG on "qcs"."""
     with caplog.at_level("DEBUG", logger="qcs"):
-        grid = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+        off_node = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+        on_node = energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refined seed")]
-    assert len(lines) == len(sm._grid_seeds(grid.values)) == 4
-    assert sum(" by newton in " in line for line in lines) == 3
-    assert sum(" by stationary in " in line for line in lines) == 1
+    assert len(lines) == len(sm._grid_seeds(off_node.values)) + len(sm._grid_seeds(on_node.values)) == 8
+    assert all(" G+ surface onto label (" in line and ", stencils 2, " in line for line in lines[:4])
+    assert all(" PG+ surface in place, stencils 1, " in line for line in lines[4:])
     for line in lines:
         assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
 
@@ -605,7 +618,7 @@ def test_saddle_seed_loads_no_scipy():
 
 
 def _fixed_stationary_labels(sid, t):
-    """The table the saddle route reads, written out: t is a coordinate along the P+ or P- axis."""
+    """The table refinement reads, written out: t is a coordinate along the P+ or P- axis."""
     if sid == "P+":
         return [(t, 0.0), (0.0, 1.0), (0.0, -1.0)]
     if sid == "P-":
@@ -619,8 +632,8 @@ def test_fixed_stationary_labels_are_stationary(model):
 
     Each bond is sum_a K_a sigma_a sigma_a with a diagonal K, so G and PG
     surfaces are stationary at 0, +-1 and +-i, P+ along the real axis and
-    at +-i, P- along the imaginary axis and at +-1.  The saddle route sends
-    a seed to the nearest of these labels and trusts that it is stationary.
+    at +-i, P- along the imaginary axis and at +-1.  Refinement sends a seed
+    to one of these labels, nearest first, and trusts that it is stationary.
     """
     rng = random.Random(71)
     checked = 0
@@ -635,8 +648,8 @@ def test_fixed_stationary_labels_are_stationary(model):
             labels = {p for t in ts for p in _fixed_stationary_labels(sid, t)}
             x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
             foot = x if sid == "P+" else y
-            nearest = min(_fixed_stationary_labels(sid, foot), key=lambda p: math.hypot(p[0] - x, p[1] - y))
-            assert sm._stationary_point(sid, x, y) == nearest
+            table = _fixed_stationary_labels(sid, foot)
+            assert sm._stationary_points(sid, x, y) == sorted(table, key=lambda p: math.hypot(p[0] - x, p[1] - y))
             for source in ("direct", "closed"):
                 for bonds in sm.BOND_CHOICES:
                     try:
@@ -673,82 +686,42 @@ def test_shallow_valley_minima_are_kept():
         assert math.hypot(e.x, e.y - y) <= 1e-7
 
 
+# G+ XYZ near jx = jy whose MIN seed beside (-1, 0) sees a SADDLE there first.
+G_TIE = CouplingParams.xyz(jx=1.2654864670238135, jy=1.2770941634217208, jz=0.14200448231306373)
+G_TIE_WINDOW = (-2.512951134121445, 2.487048865878555, -2.544793412870247, 2.455206587129753)
+G_TIE_STEP = 0.099652006380203
+
+
 def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
-    """Newton steps follow |eigenvalues|: a MIN seed near a saddle does not converge onto it."""
-    params = CouplingParams.xyz(jx=1.2654864670238135, jy=1.2770941634217208, jz=0.14200448231306373)
-    window = (-2.512951134121445, 2.487048865878555, -2.544793412870247, 2.455206587129753)
-    seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of this window
-    f = sm._surface_function(params, "G+", "closed", "all-pairs")
-    assert np.linalg.eigvalsh(sm._stencil(f, *seed_point)[2])[0] > 0.0
-    e = sm.refine_extremum(params, "G+", seed_point, "closed")
-    assert e.kind == sm.MIN and math.hypot(e.x, e.y - 1.0) <= 1e-7
-    grid = energy_surface(params, "G+", window, 0.099652006380203, "closed")
-    assert [(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema] == [
-        (sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.SADDLE, 1.0, 0.0), (sm.MAX, 0.0, 0.0)
-    ]
+    """A MIN or MAX seed whose nearest label is a saddle passes it for the nearest label of its own kind.
 
-
-def _newton_iterates(points):
-    """The iterates among the `_stencil` points of one Newton run: the seed, then each accepted trial.
-
-    A rejected trial is followed by the trial at half its step from the same
-    iterate, so a point is accepted unless the next one is that midpoint.
+    Near-tie couplings make flat valleys; snapping every seed to its
+    nearest label, whatever that label's kind, loses an extremum on each
+    of the surfaces below.
     """
-    iterates = [points[0]]
-    for a, b in zip(points[1:], points[2:] + [None]):
-        x, y = iterates[-1]
-        tol = 1e-6 * math.hypot(a[0] - x, a[1] - y) + 1e-15 * (1.0 + abs(x) + abs(y))
-        if b is None or math.hypot(b[0] - (x + a[0]) / 2, b[1] - (y + a[1]) / 2) > tol:
-            iterates.append(a)
-    return iterates
-
-
-def test_newton_steps_are_capped_and_descend(monkeypatch):
-    """On a smoothed cusp the full Newton step overshoots five-fold; the safeguards still converge."""
-    cusp = lambda x, y: (1e-4 + x * x) ** 0.6 + y * y
-    stencil = sm._stencil
-    points = [(1.0, 0.5)]
-
-    def recording_stencil(f, x, y):
-        points.append((x, y))
-        return stencil(f, x, y)
-
-    monkeypatch.setattr(sm, "_stencil", recording_stencil)
-    x, y, iterations, _ = sm._newton(cusp, 1.0, 0.5, 1.0, stencil(cusp, 1.0, 0.5))
-    iterates = _newton_iterates(points)
-    assert iterates[-1] == (x, y) and len(iterates) == iterations + 1
-    assert len(points) > len(iterates)  # some trials were rejected
-    assert math.hypot(x, y) <= 1e-9
-    assert iterations >= 5  # 0.25 at a time over a distance of 1.12
-    for (xa, ya), (xb, yb) in zip(iterates, iterates[1:]):
-        assert math.hypot(xb - xa, yb - ya) <= sm._TRUST_RADIUS * (1.0 + 1e-12)
-        assert cusp(xb, yb) <= cusp(xa, ya) + 1e-13 * (1.0 + cusp(xa, ya))
-
-
-def test_exhausted_line_search_takes_the_last_halved_step(monkeypatch):
-    """When all 30 halvings rise, Newton moves by the step halved 30 times and reads its stencil there."""
-    # A downward spike at the seed: every trial beside it lies above the seed's value.
-    spiked = lambda x, y: (x - 1.0) ** 2 + (y - 0.5) ** 2 - ((x == 0.0) & (y == 0.0))
-    stencil = sm._stencil
-    seed_stencil = stencil(spiked, 0.0, 0.0)
-    trials = []
-
-    def recording_stencil(f, x, y):
-        trials.append((x, y, stencil(f, x, y)))
-        return trials[-1][2]
-
-    monkeypatch.setattr(sm, "_stencil", recording_stencil)
-    x, y, iterations, final = sm._newton(spiked, 0.0, 0.0, 1.0, seed_stencil)
-    assert len(trials) == 31 and iterations == 1
-    level = seed_stencil[0] + 1e-13 * (1.0 + abs(seed_stencil[0]))
-    assert all(t[2][0] > level for t in trials)
-    (x_first, y_first, _), (x_last, y_last, last) = trials[0], trials[-1]
-    assert (x, y) == (x_last, y_last) == (x_first / 2**30, y_first / 2**30) != (0.0, 0.0)
-    assert final is last
+    seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of G_TIE_WINDOW
+    f = sm._surface_function(G_TIE, "G+", "closed", "all-pairs")
+    assert np.linalg.eigvalsh(sm._stencil(f, *seed_point)[2])[0] > 0.0
+    assert sm._kind(np.linalg.eigvalsh(sm._stencil(f, -1.0, 0.0)[2])) == sm.SADDLE
+    e = sm.refine_extremum(G_TIE, "G+", seed_point, "closed")
+    assert (e.kind, e.x, e.y) == (sm.MIN, 0.0, 1.0)
+    cases = [
+        (G_TIE, "G+", "closed", "all-pairs", G_TIE_WINDOW, G_TIE_STEP,
+         [(sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.SADDLE, 1.0, 0.0), (sm.MAX, 0.0, 0.0)]),
+        (CouplingParams.xyz(jx=-0.8554756749999948, jy=-0.855547582836675, jz=-1.2066975644306197), "G+", "closed",
+         "chain", (-2.081887372034269, 1.651013213372578, -1.7658990384421667, 1.9670015469646807),
+         0.47133334792440396, [(sm.MIN, -1.0, 0.0), (sm.MIN, 1.0, 0.0), (sm.MAX, 0.0, 0.0)]),
+        (CouplingParams.xyz(jx=0.6049465862801942, jy=0.6047575898085654, jz=1.3580984488149737), "PG-", "direct",
+         "all-pairs", (-1.6424825814912976, 1.9104672552563726, -1.5804849538055104, 1.9724648829421598),
+         0.44594362288031086, [(sm.MIN, 0.0, 0.0), (sm.SADDLE, -1.0, 0.0), (sm.MAX, 0.0, -1.0), (sm.MAX, 0.0, 1.0)]),
+    ]
+    for params, sid, source, bonds, window, step, expected in cases:
+        grid = energy_surface(params, sid, window, step, source, bonds)
+        assert [(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema] == expected, (params, sid)
 
 
 def test_degenerate_maxima_converge():
-    """Maxima with a curvature of -0.0086 stop on the gradient floor, not on step jitter."""
+    """Maxima with a curvature of -0.0086 still reach their labels (0, +-1)."""
     params = CouplingParams.xyz(jx=1.8882018549708155, jy=-1.6874178590416822, jz=-1.6831326434938143)
     window = (-2.512865184530696, 2.487134815469304, -2.542852504454167, 2.457147495545833)
     grid = energy_surface(params, "G+", window, 0.1, "direct")
@@ -760,7 +733,7 @@ def test_degenerate_maxima_converge():
 
 
 def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
-    """Nelder-Mead refinement of every seed, the route used before Newton; the reference below."""
+    """Nelder-Mead refinement of every seed, a search that knows nothing of the fixed labels; the reference below."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
     _, grad0, hess0 = sm._stencil(f, x0, y0)
@@ -792,7 +765,7 @@ def _random_surfaces(n, rng):
     agree, an extremum sits in a valley whose curvature is about their gap,
     and Nelder-Mead, which stops once its simplex values agree to 1e-13,
     leaves it off along the valley (8.3e-7 off, gradient 1e-8, on PG+ at
-    a gap of 2.7e-4, where Newton's gradient is 2e-11).
+    a gap of 2.7e-4, where refinement lands on the label itself).
     """
     for _ in range(n):
         j = [rng.uniform(-2.0, 2.0) for _ in range(3)]
@@ -805,13 +778,13 @@ def _random_surfaces(n, rng):
         yield CouplingParams.xyz(jx=jx, jy=jy, jz=jz), sid, window, rng.uniform(0.05, 0.1)
 
 
-def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
-    """Newton finds the extrema Nelder-Mead found: same kinds, counts and order, within 2e-7."""
+def test_refinement_matches_nelder_mead_on_random_surfaces(monkeypatch):
+    """The labels are the extrema Nelder-Mead finds: same kinds, counts and order, within 2e-7."""
     cases = list(_random_surfaces(40, random.Random(61)))
-    newton = [energy_surface(p, sid, w, step, "closed", "chain") for p, sid, w, step in cases]
+    refined = [energy_surface(p, sid, w, step, "closed", "chain") for p, sid, w, step in cases]
     monkeypatch.setattr(sm, "refine_extremum", _nelder_mead_refine)
     count = 0
-    for (params, sid, window, step), grid in zip(cases, newton):
+    for (params, sid, window, step), grid in zip(cases, refined):
         reference = energy_surface(params, sid, window, step, "closed", "chain")
         assert [e.kind for e in grid.extrema] == [e.kind for e in reference.extrema], (params, sid)
         oracle = _oracle_kernel(params, sid, "closed", "chain")
@@ -824,19 +797,21 @@ def test_newton_matches_nelder_mead_on_random_surfaces(monkeypatch):
 
 
 def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="all-pairs"):
-    """Reference: the refinement route whose final point is classified by a fresh stencil Hessian."""
+    """Reference: the refinement route with every kind read from a fresh stencil and every value from f."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    stencil = sm._stencil(f, x0, y0)
-    value0, grad0, hess0 = stencil
+    value0, grad0, hess0 = sm._stencil(f, x0, y0)
     if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
         return sm.Extremum(x0, y0, value0, sm.CONSTANT)
     eigs = np.linalg.eigvalsh(hess0)
-    if eigs[0] > 0.0 or eigs[1] < 0.0:
-        x, y = sm._newton(f, x0, y0, 1.0 if eigs[0] > 0.0 else -1.0, stencil)[:2]
-    else:
-        x, y = sm._stationary_point(state_id.upper(), x0, y0)
-    return sm.Extremum(x, y, float(f(x, y)), sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2])))
+    wanted = sm.MIN if eigs[0] > 0.0 else sm.MAX if eigs[1] < 0.0 else None
+    fresh_kind = lambda x, y: sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2]))
+    if wanted is not None and math.hypot(*grad0) <= 1e-9:
+        return sm.Extremum(x0, y0, float(f(x0, y0)), fresh_kind(x0, y0))
+    for x, y in sm._stationary_points(state_id.upper(), x0, y0):
+        if wanted in (None, fresh_kind(x, y)):
+            return sm.Extremum(x, y, float(f(x, y)), fresh_kind(x, y))
+    raise NoConvergence(f"no label is a {wanted}")
 
 
 @pytest.mark.parametrize("source", ["direct", "closed"])
@@ -875,7 +850,7 @@ def _spy_on_kernel_sizes(monkeypatch) -> list:
 
 
 def test_seed_left_in_place_costs_one_stencil(monkeypatch):
-    """A seed Newton leaves in place costs one 13-label kernel call, whose centre is the value."""
+    """A seed already stationary stays in place for one 13-label kernel call, whose centre is the value."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
@@ -891,11 +866,11 @@ def test_seed_left_in_place_costs_one_stencil(monkeypatch):
 
 
 def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
-    """Refinement calls the kernel with 13-label stencils only, on every route."""
+    """Refinement calls the kernel with 13-label stencils only: one at the seed, then one per label tried."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     stencil, refine = sm._stencil, sm.refine_extremum
     points = []
-    routes = {"in place": 0, "gradient floor": 0, "step size": 0, "stationary": 0}
+    routes = {"in place": 0, "nearest label": 0, "farther label": 0}
 
     def recording_stencil(f, x, y):
         points.append((x, y))
@@ -906,19 +881,13 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
         points.clear()
         e = refine(*args)
         assert set(sizes) == {13} and len(sizes) == len(points)
+        assert (e.x, e.y) == points[-1]
         if sizes == [13]:
             routes["in place"] += 1
             return e
-        assert (e.x, e.y) == points[-1]
-        if (e.x, e.y) == sm._stationary_point(args[1], *points[0]):
-            assert len(points) == 2  # the seed's stencil, then the stationary label's
-            routes["stationary"] += 1
-            return e
-        (xa, ya), (xb, yb) = _newton_iterates(points)[-2:]
-        if math.hypot(xb - xa, yb - ya) <= 1e-10 * (1.0 + math.hypot(xb, yb)):
-            routes["step size"] += 1
-        else:
-            routes["gradient floor"] += 1
+        # The labels tried are the nearest ones, in order.
+        assert points[1:] == sm._stationary_points(args[1], *points[0])[: len(points) - 1]
+        routes["nearest label" if len(points) == 2 else "farther label"] += 1
         return e
 
     monkeypatch.setattr(sm, "_stencil", recording_stencil)
@@ -926,6 +895,7 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
     for params, sid, window, step in _random_surfaces(40, random.Random(67)):
         energy_surface(params, sid, window, step, "closed", "chain")
     energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
+    energy_surface(G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed")
     energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
     assert min(routes.values()) >= 1, routes
 
