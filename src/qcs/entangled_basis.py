@@ -14,21 +14,20 @@ the label-independent singlet.  The three-qubit analogues
     PG- = (|psi psi a> + |psi a psi> + |a psi psi>) / sqrt(3)
 
 reduce to the GHZ and W states at psi = 0.  The six formulas live in
-`_combine`; one basis member is its one-row case and
-`entangled_amplitudes` its many-label case.
+`_combine`, the one amplitude route; `spin_models` reads the surfaces
+from the members' rotation law instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .coherent_states import PureState, coherent, overlap, symmetric_state
 from .complex_geometry import PointLike, SymmetryKind
-from .errors import BadParams, DimensionMismatch, InfinitePoint
+from .errors import BadParams, DimensionMismatch
 from .gates import gate_cnot, gate_hadamard, UnitaryGate
 from .operators import kron_all
 
@@ -43,7 +42,6 @@ __all__ = [
     "entangled_basis_2q",
     "entangled_basis_3q",
     "entangled_state",
-    "entangled_amplitudes",
     "BellExpansion",
     "expand_in_entangled_basis",
     "reconstruct_from_expansion",
@@ -110,26 +108,19 @@ def w_state() -> PureState:
 
 
 def _combine(sid: str, k: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The P/G/PG formulas: member sid from factor rows k = |psi>, a = |-psi*> of shape (N, 2).
-
-    Returns the (N, 4) or (N, 8) amplitudes, one row per label.
-    """
-
-    def kron(*factors: np.ndarray) -> np.ndarray:
-        return reduce(lambda u, v: (u[:, :, None] * v[:, None, :]).reshape(len(k), -1), factors)
-
+    """The P/G/PG formulas: the amplitudes of member sid from the factors k = |psi>, a = |-psi*>."""
     if sid == "PG+":
-        return (kron(k, k, k) + kron(a, a, a)) / _SQRT2
+        return (kron_all(k, k, k) + kron_all(a, a, a)) / _SQRT2
     if sid == "PG-":
-        return (kron(k, k, a) + kron(k, a, k) + kron(a, k, k)) / _SQRT3
-    first, second = (kron(k, k), kron(a, a)) if sid[0] == "P" else (kron(k, a), kron(a, k))
+        return (kron_all(k, k, a) + kron_all(k, a, k) + kron_all(a, k, k)) / _SQRT3
+    first, second = (kron_all(k, k), kron_all(a, a)) if sid[0] == "P" else (kron_all(k, a), kron_all(a, k))
     return (first + second if sid.endswith("+") else first - second) / _SQRT2
 
 
 def _members(p: PointLike, sids: tuple[str, ...]) -> tuple[PureState, ...]:
-    """Basis members sids at one label: the one-row case of `_combine`."""
-    k, a = (row[None, :] for row in _pair(p))
-    return tuple(PureState(_combine(sid, k, a)[0]) for sid in sids)
+    """Basis members sids at one label."""
+    k, a = _pair(p)
+    return tuple(PureState(_combine(sid, k, a)) for sid in sids)
 
 
 def entangled_basis_2q(p: PointLike) -> tuple[PureState, PureState, PureState, PureState]:
@@ -156,21 +147,6 @@ def _state_id(state_id: str) -> str:
 def entangled_state(state_id: str, p: PointLike) -> PureState:
     """Look up one basis member by identifier: P+, P-, G+, G-, PG+ or PG-."""
     return _members(p, (_state_id(state_id),))[0]
-
-
-def entangled_amplitudes(state_id: str, psi) -> np.ndarray:
-    """Amplitudes of one basis member at many finite labels, shape (N, 4) or (N, 8).
-
-    Row n equals entangled_state(state_id, psi[n]).amplitudes up to rounding.
-    """
-    sid = _state_id(state_id)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if not np.isfinite(psi).all():
-        raise InfinitePoint("batched amplitudes need finite labels")
-    d = np.hypot(1.0, np.abs(psi))
-    k = np.array([1.0 / d, psi / d]).T
-    a = np.array([-psi.conj() / d, 1.0 / d]).T
-    return _combine(sid, k, a)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .coherent_states import PureState
+from .coherent_states import PureState, _hypot1
 from .complex_geometry import PointLike, as_point
-from .entangled_basis import entangled_state
 from .errors import BadParams, DimensionMismatch
-from .spin_models import CouplingParams, _embedded_terms
+from .spin_models import CouplingParams, _embedded_terms, _rotated_axis
 
 __all__ = [
     "TimeSeries",
@@ -58,8 +57,6 @@ so a fidelity that leaves the band returns within one period (see `revival_time`
 
 # The revival band is F >= 1 - _REVIVAL_BAND.
 _REVIVAL_BAND = 1e-9
-# Rows: the Bell states Phi+, Phi-, Psi+, Psi- over |00>, |01>, |10>, |11>.
-_BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -126,15 +123,23 @@ def evolve(h: np.ndarray, state: PureState, t: float, hbar: float = 1.0) -> Pure
 def _p_plus_spectrum(params: CouplingParams, p: PointLike) -> tuple[np.ndarray, np.ndarray]:
     """Energies E_k of the exchange Hamiltonian and weights w_k = |<Bell_k|P+(psi)>|^2.
 
-    Both are in the Bell order of `_BELL`, in which the Hamiltonian is
-    diagonal; the weights sum to 1 within rounding.
+    Both are in the Bell order (Phi+, Phi-, Psi+, Psi-), in which the
+    Hamiltonian is diagonal.  P+(psi) is Phi+ rotated by R(psi) (x) R(psi),
+    which rotates the triplet by O(psi) and fixes the singlet, so the
+    weights are (m_y^2, m_x^2, m_z^2, 0) with m = O(psi) e_y from
+    `_rotated_axis` (m = e_y at INFINITY, where P+ is Phi+).
     """
     if params.model != "XYZ":
         raise BadParams("dynamics are parameterized by XYZ exchange couplings")
     jx, jy, jz = params.jx, params.jy, params.jz
     energies = np.array([jx - jy + jz, -jx + jy + jz, jx + jy - jz, -jx - jy - jz])
-    weights = np.abs(_BELL @ entangled_state("P+", p).amplitudes) ** 2
-    return energies, weights
+    psi = as_point(p)
+    if psi.is_infinity:
+        mx, my, mz = 0.0, 1.0, 0.0
+    else:
+        _hypot1(psi.value)  # BadParams where |psi| overflows, as where P+(psi) is built
+        mx, my, mz = (float(v[0]) for v in _rotated_axis("y", np.array([psi.value.real]), np.array([psi.value.imag])))
+    return energies, np.array([my * my, mx * mx, mz * mz, 0.0])
 
 
 def _p_plus_sums(params: CouplingParams, p: PointLike, t_grid, scale: float):

@@ -8,13 +8,14 @@ stationary point sits on a label where every surface of its state is
 stationary whatever the couplings (`_stationary_points`), so a seed moves
 to the nearest such label of the kind it needs.
 
-Two evaluation routes exist: `q_symbol_direct` (matrix element, the
-oracle) and `q_symbol_closed` (hand-reduced formulas, available only for
-specific model/state pairs).  Each bond is three hbar-free unit operators
-(`_unit_terms`) times coefficients that carry hbar (`_term_couplings`):
-XXX and XXZ are written in spin operators and carry hbar^2, XYZ in bare
-Pauli matrices with a 1/2 prefactor and no hbar.  Three-qubit energies
-depend on the bond topology; the closed forms take the open chain (1,2)+(2,3).
+Two scalar routes exist: `q_symbol_direct` (matrix element, the oracle
+of the rotation law that surfaces use) and `q_symbol_closed` (hand-reduced
+formulas, available only for specific model/state pairs).  Each bond is
+three hbar-free unit operators (`_unit_terms`) times coefficients that
+carry hbar (`_term_couplings`): XXX and XXZ are written in spin operators
+and carry hbar^2, XYZ in bare Pauli matrices with a 1/2 prefactor and no
+hbar.  Three-qubit energies depend on the bond topology; the closed forms
+take the open chain (1,2)+(2,3).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .complex_geometry import PointLike, as_point
-from .entangled_basis import _state_id, entangled_amplitudes, entangled_state
+from .entangled_basis import _state_id, entangled_state
 from .errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
 from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus
 
@@ -72,9 +73,9 @@ _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
 MAX_GRID_NODES = 4_000_000
 # Labels per kernel call on a grid, in whole rows (one row when a row is longer).
-# Fewer calls save NumPy's per-call overhead; much larger blocks of the direct
-# kernel's amplitudes fall out of cache (a sweep of 1024-16384 labels chose it).
-_GRID_BLOCK = 4096
+# Fewer calls save NumPy's per-call overhead; much larger blocks of the law's temporaries
+# fall out of cache (2048-32768 labels on a 2-core Xeon: 20 ns per node here, 25 at 4096).
+_GRID_BLOCK = 8192
 
 _log = logging.getLogger("qcs")
 
@@ -248,26 +249,59 @@ def _require_finite(p: PointLike) -> complex:
     return q.value
 
 
-def _real(val):
-    """Real part of Hermitian expectations; raises unless each imaginary part is rounding."""
-    if (np.abs(np.imag(val)) > 1e-12 * (1.0 + np.abs(np.real(val)))).any():
-        raise ValueError("non-real expectation of a Hermitian operator")
-    return np.real(val)
+# The rotation law's (c, s, axis) per state: <B(0)|sigma_a sigma_b|B(0)> = c I + s e_axis e_axis^T.
+_LAW = {"P+": (1.0, -2.0, "y"), "P-": (1.0, -2.0, "x"), "G+": (1.0, -2.0, "z"), "G-": (-1.0, 0.0, "z"),
+        "PG+": (0.0, 1.0, "z"), "PG-": (2.0 / 3.0, -1.0, "z")}
+
+
+def _pauli_diagonal(params: CouplingParams) -> tuple[float, float, float]:
+    """K of one bond sum_a K_a sigma_a sigma_a; S+ S- and S- S+ each carry half of sx sx + sy sy."""
+    c0, c1, c2 = _term_couplings(params)
+    return (c0, c1, c2) if params.model == "XYZ" else (c0 / 2.0, c1 / 2.0, c2)
+
+
+def _rotated_axis(axis: str, x: np.ndarray, y: np.ndarray, t=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v = O(psi) e_axis at the finite labels x + 1j*y of 1-D arrays, by README's forms at t = 1.
+
+    The forms are quadratics in (x, y, t) over t^2 + r^2, so where r^2 overflows (|psi| from about 1.3e154)
+    they are read at 2^-e (x, y, 1), a point below 1 that gives the same v."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = x * x + y * y
+        d = t * t + r2
+        if axis == "z":
+            v = (2.0 * t * x / d, 2.0 * t * y / d, (t * t - r2) / d)
+        elif axis == "y":
+            v = (-2.0 * x * y / d, (t * t + x * x - y * y) / d, -2.0 * t * y / d)
+        else:
+            v = ((t * t - x * x + y * y) / d, -2.0 * x * y / d, -2.0 * t * x / d)
+    far = np.isinf(r2)
+    if far.any():
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(x[far]), np.abs(y[far])))[1])
+        for component, value in zip(v, _rotated_axis(axis, scale * x[far], scale * y[far], scale)):
+            component[far] = value
+    return v
 
 
 def q_symbol_direct(
     params: CouplingParams, state_id: str, p: PointLike, bonds: str = "all-pairs"
 ) -> float:
-    """Q symbol <B(psi)|H|B(psi)> by direct matrix element (the oracle route); BadParams where it overflows."""
+    """Q symbol <B(psi)|H|B(psi)> by direct matrix element (the oracle route); BadParams where it overflows.
+
+    H is scaled by 2^-e, max |H| < 2^e, so only the energy itself can overflow; no normal value changes.
+    """
     psi = _require_finite(p)
     sid = state_id.upper()
     n = 3 if sid.startswith("PG") else 2
     h = hamiltonian(params, n, bonds)
     a = entangled_state(sid, psi).amplitudes
-    energy = float(_real(complex(np.vdot(a, h @ a))))  # an overflow makes the real part inf or nan
-    if not math.isfinite(energy):
-        raise BadParams(f"the energy at {psi} overflows; couplings this large are beyond the double range")
-    return energy
+    scale = max(0, math.frexp(float(np.max(np.abs(h))))[1])
+    energy = complex(np.vdot(a, (h * math.ldexp(1.0, -scale)) @ a))
+    if abs(energy.imag) > 1e-12 * (1.0 + abs(energy.real)):
+        raise ValueError("non-real expectation of a Hermitian operator")
+    try:
+        return math.ldexp(energy.real, scale)
+    except OverflowError:
+        raise BadParams(f"the energy at {psi} overflows; couplings this large are beyond the double range") from None
 
 
 def q_symbol_closed(params: CouplingParams, state_id: str, p: PointLike) -> float:
@@ -415,27 +449,35 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     calls it in one shape (see `refine_extremum`): a 13-label `_stencil`
     at the seed and at each fixed stationary label it tries.
 
-    The direct route divides <a|H|a> by <a|a>, which cancels the rounding
-    of the batched amplitudes' norm as PureState's renormalization does for
-    `q_symbol_direct`.  Kernels are not cached: building one costs about a
-    microsecond, and the Hamiltonian it fetches is cached by `hamiltonian`.
-    Both sources check the state id and the bonds here.  Where an energy
+    The direct source is the rotation law (README), n_bonds * (c tr K +
+    s v^T K v) from `_LAW`, `_pauli_diagonal` and `_rotated_axis`, taken
+    at K scaled by 2^-e (no normal value changes) so that tr K alone never
+    overflows; `hamiltonian` rejects the couplings `q_symbol_direct` does.
+    Kernels are not cached: building one costs a few microseconds.  Both
+    sources check the state id and the bonds here.  Where an energy
     overflows, the closed kernel raises BadParams and the direct one
-    returns inf or nan without a warning; its callers check the values.
+    returns +-inf without a warning; its callers check the values.
     """
     sid = _state_id(state_id)
     n_qubits = 3 if sid.startswith("PG") else 2
-    _bond_list(n_qubits, bonds)
+    n_bonds = len(_bond_list(n_qubits, bonds))
     if _source(source) == "closed":
         return lambda x, y: _closed_values(params, sid, x, y)
-    h = hamiltonian(params, n_qubits, bonds)
+    hamiltonian(params, n_qubits, bonds)
+    c, s, axis = _LAW[sid]
+    k = _pauli_diagonal(params)
+    scale = math.frexp(max(map(abs, k)))[1]
+    kx, ky, kz = (math.ldexp(v, -scale) for v in k)
+    c_trace = c * (kx + ky + kz)
 
     def direct(x, y):
-        psi = np.asarray(x) + 1j * np.asarray(y)
-        a = entangled_amplitudes(sid, psi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = np.einsum("ni,ij,nj->n", a.conj(), h, a) / np.einsum("ni,ni->n", a.conj(), a)
-        return _real(energy).reshape(psi.shape)[()]
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InfinitePoint("energy surfaces are evaluated at finite labels")
+        vx, vy, vz = _rotated_axis(axis, x.ravel(), y.ravel())
+        with np.errstate(over="ignore"):
+            values = np.ldexp(n_bonds * (c_trace + s * (kx * vx * vx + ky * vy * vy + kz * vz * vz)), scale)
+        return values.reshape(x.shape)[()]
 
     return direct
 

@@ -197,11 +197,11 @@ def test_write_grid_matches_per_value_format(ny, nx, n_planes):
 EVOLVE_BODY_SHA256 = [
     (["--j", "1.3", "--theta", "0.7"], "77d9e97bc38e971f1dd7235863a7f02dd46e8c1aa9fa937e4fbb4dd19a8cda1d"),
     (["--j", "1", "--theta", "0.5", "--t-max", "100", "--dt", "0.01"],
-     "3672cc7758b16d12cd5c10ced518f391e8bf963198975849fd2711fb2fb94595"),
+     "8cb4910306aedd28a1176dd266ecdfd9973ec0e08ac914e37ab96275877873f9"),
     (["--j", "2.5", "--hbar", "0.7", "--psi", "1.0000001,0"],
      "17f5cd1657fc5b178e02578778201c977bbe1cd5d26e8bcd4c6df26916ab13d7"),
     (["--jx", "0.8", "--jy=-0.3", "--jz", "1.1", "--psi", "0.5,0.4"],
-     "1662880f3096ce9fba19135f4b948d5cd8113ead176c267b25b987b78ad921f3"),
+     "d44ac983b25359f0ea62c2462e640d71f134c75f808130938fa72a04d950639c"),
 ]
 
 
@@ -225,15 +225,15 @@ EXTREMA_SHA256 = [
     (["--state=P+", "--model=xxz", "--j=1.0", "--jz=-2.0", "--source=closed", "--window=-2.5,2.5,-2.5,2.5",
       "--step=0.1"], "a941f12e5123e12b58f56ecfaea3dac8b8d0599a770723770529c14b075749d7"),
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
-     "54f78bfbed794a75a3f1153d95933b8855609ff1ac991dac2aea0608a69561a6"),
+     "638f48b773994e95fc3681ae503e3feb99e3515957e5d3aa6e59f9498304fbde"),
     (["--state=PG-", *PG_FLAGS, "--window=-1.36,1.36,-1.36,1.36", "--step=0.08"],
-     "c752ac005ae26992baa4a0ab86f14d49693c9cced855e80ae6a04ae8d7bbdad6"),
+     "0e5710bc61e3b55212e9d9911a6a81719cacd2d947f781f8fd6830070d1a7ea5"),
     (["--state=G+", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
-     "7489175ea1e83826db799ca5d183513493e60bbdb746929bb5b97e9647d9328f"),
+     "ac6e02842641c28385a79ca6cc37f8947a1ab7710e1063e6aea8b6dd6cf16219"),
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
      "9b91d8e051d1c8acaed904f53e816eb7755fc159054c35920c8112e8d7528d56"),
     (["--state=G-", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
-     "8e34b3270a9e8754d5a9c85f60ccd66440ae2b3bc447d372f6f2c7c5f1027828"),
+     "d46da3f2fe180f9bb546043c984d18adbabf327a5be498bb8417a5e84886d0a0"),
     (["--state=G+", "--jx=0.465721243863944", "--jy=0.45666640033603256", "--jz=0.6800728488750654",
       "--source=closed", "--step=0.1",
       "--window=-2.457453444314526,2.542546555685474,-2.4792202943370514,2.5207797056629486"],
@@ -259,20 +259,20 @@ def test_extrema_digests(argv, digest, tmp_path):
 XXZ_FLAGS = ["--model=xxz", "--j=1.0", "--jz=-2.0"]
 SURFACE_SHA256 = [
     (["--state=P+", *XXZ_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
-     "fdc4853d57ffcd1913818b9e00cb16308245339267fd202d48e6bf3da26e8795"),
+     "97f7d7bb5e49ff88484b1d9a53c636ca852188b681afce6094ba7c00bd1c62b7"),
     (["--state=P+", *XXZ_FLAGS, "--source=closed", "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
-     "3f7d263cfa1866ed271b45cfc0937d6bd98b59f3e519aa8a6f7ffb5533e022a6"),
+     "06716286cc8a53cf6e7e658e4a395d7a2bc367dc2acdca8cfc15b4920479aa7a"),
     (["--state=G+", *GEN_FLAGS, "--window=-1.5,1.5,-1.5,1.5", "--step=0.06"],
-     "906939625a2fc84f260e2e104cedf3f8d286c36e227e6756e6f29f6a6656f4d2"),
+     "01b10005b7734fc1c31b6cccd3a3d64463109bd8ef99a3cfba2a215ef853c1a6"),
     (["--state=PG+", *GEN_FLAGS, "--window=-1.02,1.02,-1.02,1.02", "--step=0.06"],
-     "fe32df117799ea61657c285f15836c61107b4d84abedf06a41324efb6d4cd635"),
+     "d58dff7cc033143cb33c7c8c4fe6399c2ac9b5db70d3fc809138a14aa8e23c14"),
     (["--state=P-", *GEN_FLAGS, "--source=closed", "--window=-2,2,-2,2", "--step=0.08"],
-     "f6fe87c10382faf083fceda176c64f6e5f9017c783ae676ca185298a03dca9e6"),
+     "b61b59cb1dba7343e8648f3d39e995529e012415f05c2edca6971cb72f511333"),
     (["--state=P+", "--model=xxx", "--j=1.0", "--window=-1.25,1.25,-1.25,1.25", "--step=0.05"],
-     "611620331acd52eecf440f4cf31d9ac67cecf4aab6002fe52545db2adf0e0a1e"),
+     "1b70eeadb5cbc85bb1db8c725b18b3c2e5d105e0a8007e46170d7e140a77d368"),
     (["--state=PG-", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.3,2.1,-0.7,0.9", "--step=0.1"],
-     "6b170d3d66486cbf2267938d77862724dcafdad9bd44629981db7b768c7c343f"),
-    (["--state=G+", *GEN_FLAGS], "9d474ccef0c474ec2451b9eefdf2c65491e6ccd3e164348c24a3382b7ac38352"),
+     "03c5372d5ad6ca688eaa8e4247f56318d376cfb8090c5907ddce0c9618a7024a"),
+    (["--state=G+", *GEN_FLAGS], "d29f189bd046e235b866513f5f48a9ffa60cbe9c0c380f40c30f4231e440cdd9"),
 ]
 
 
@@ -549,7 +549,7 @@ def test_label_whose_modulus_overflows_exits_two(argv, capsys):
          "bond coefficients"),
         (["surface", "--state", "P+", "--model", "xxx", "--j", "1e300", "--hbar", "1e10"], "bond coefficients"),
         # Huge XYZ couplings: finite coefficients whose energies or stencil differences overflow.
-        (["surface", "--state", "PG-", "--jx", "1.7e308", "--jy", "1e8", "--jz", "-1", "--window=-1,0.5,-0,1",
+        (["surface", "--state", "G+", "--jx", "1.2e308", "--jy", "1.2e308", "--jz=-1.2e308", "--window=-1,0.5,-0,1",
           "--step", "0.5"], "grid overflow"),
         (["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"], "stencil"),
         (["surface", "--state", "PG+", "--jx", "1", "--jy", "1", "--jz", "1.7e308", "--step", "0.5"],

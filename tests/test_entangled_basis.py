@@ -6,13 +6,12 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from qcs.coherent_states import coherent, overlap
-from qcs.errors import BadParams, InfinitePoint
+from qcs.errors import BadParams
 from qcs.spin_models import CouplingParams, energy_surface
 from qcs.entangled_basis import (
     STATE_IDS,
     bell_states,
     coherent_basis_2q,
-    entangled_amplitudes,
     entangled_basis_2q,
     entangled_basis_3q,
     entangled_state,
@@ -97,15 +96,12 @@ def test_w_state_components():
 def test_unknown_state_id():
     with pytest.raises(ValueError):
         entangled_state("Q+", 0)
-    with pytest.raises(ValueError):
-        entangled_amplitudes("Q+", [0.0])
 
 
 def test_unknown_state_id_is_bad_params():
     """An unknown state id is a typed BadParams (still a ValueError), from the state and the surface alike."""
     params = CouplingParams.xyz(jx=1.0, jy=0.5, jz=0.2)
-    for call in (lambda: entangled_state("XX", 0), lambda: entangled_amplitudes("XX", [0.0]),
-                 lambda: energy_surface(params, "XX", (-1, 1, -1, 1), 0.5)):
+    for call in (lambda: entangled_state("XX", 0), lambda: energy_surface(params, "XX", (-1, 1, -1, 1), 0.5)):
         with pytest.raises(BadParams, match="unknown state id 'XX'"):
             call()
 
@@ -132,22 +128,11 @@ def _kronecker_oracle(sid, psi):
 @seed(41)
 @given(labels=st.lists(wide_labels, min_size=1, max_size=6))
 @example(labels=[0j, 1e150, -1e150j, 1e-150 + 1e-150j])
-def test_batched_amplitudes_match_entangled_state(labels):
-    """Both amplitude routes, batched and one label at a time, against the Kronecker oracle."""
+def test_entangled_state_matches_kronecker_oracle(labels):
+    """`entangled_state`, the one amplitude route, against the Kronecker oracle."""
     for sid in STATE_IDS:
-        batch = entangled_amplitudes(sid, labels)
-        assert batch.shape == (len(labels), 8 if sid.startswith("PG") else 4)
-        for row, p in zip(batch, labels):
-            expected = _kronecker_oracle(sid, p)
-            assert np.max(np.abs(row - expected)) <= TOL, (sid, p)
-            assert np.max(np.abs(entangled_state(sid, p).amplitudes - expected)) <= TOL, (sid, p)
-
-
-def test_batched_amplitudes_reject_non_finite_labels():
-    with pytest.raises(InfinitePoint):
-        entangled_amplitudes("P+", [0.5, complex(math.inf, 0.0)])
-    with pytest.raises(InfinitePoint):
-        entangled_amplitudes("PG-", [math.nan])
+        for p in labels:
+            assert np.max(np.abs(entangled_state(sid, p).amplitudes - _kronecker_oracle(sid, p))) <= TOL, (sid, p)
 
 
 def test_state_ids_cover_dispatcher():

@@ -618,6 +618,8 @@ def test_revival_bisection_ends_at_tiny_couplings():
 
 
 BELL_LABELS = [0.0, 1.0, 1j, -0.3 + 0.8j, 2.5 - 1.5j, 1e-8, 1e8j, 1e150, INFINITY]
+# Rows: the Bell states Phi+, Phi-, Psi+, Psi-, which are P+, P-, G+ and G- at psi = 0.
+BELL = np.array([entangled_state(sid, 0.0).amplitudes for sid in ("P+", "P-", "G+", "G-")])
 
 
 def test_p_plus_has_no_psi_minus_weight():
@@ -630,7 +632,9 @@ def test_p_plus_has_no_psi_minus_weight():
 
 
 def test_bell_basis_diagonalizes_the_exchange_hamiltonian():
-    """H Bell^T = Bell^T diag(E), and sum_k w_k e^{-i E_k t / hbar} is <P+|evolve(h, P+, t)>."""
+    """H Bell^T = Bell^T diag(E), the weights are |Bell P+(psi)|^2, and sum_k w_k e^{-i E_k t / hbar} is
+    <P+|evolve(h, P+, t)>.  At INFINITY, P+ is Phi+, so the weights there are exactly (1, 0, 0, 0)."""
+    assert ev._p_plus_spectrum(XX, INFINITY)[1].tolist() == [1.0, 0.0, 0.0, 0.0]
     rng = np.random.default_rng(61)
     eps = np.finfo(float).eps
     for _ in range(100):
@@ -639,9 +643,10 @@ def test_bell_basis_diagonalizes_the_exchange_hamiltonian():
         h = exchange_hamiltonian(params)
         for psi in BELL_LABELS + [complex(*rng.normal(size=2))]:
             energies, weights = ev._p_plus_spectrum(params, psi)
-            bell_t = ev._BELL.T
+            bell_t = BELL.T
             assert np.max(np.abs(h @ bell_t - bell_t * energies)) <= 4.0 * eps * np.max(np.abs(energies))
             state0 = entangled_state("P+", psi)
+            assert np.max(np.abs(weights - np.abs(BELL @ state0.amplitudes) ** 2)) <= 4.0 * eps, psi
             for t in (0.0, 0.37, 2.9, 11.0):
                 amp = weights @ np.exp(-1j * energies * t / params.hbar)
                 assert abs(amp - np.vdot(state0.amplitudes, evolve(h, state0, t, params.hbar).amplitudes)) <= 1e-13

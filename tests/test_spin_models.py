@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,11 +346,11 @@ def test_surface_grid_matches_scalar_routes(j, corner, step):
 @settings(max_examples=40, deadline=None)
 @given(
     j=st.tuples(couplings, couplings, couplings),
-    log_radius=st.floats(-150.0, 150.0),
+    log_radius=st.floats(-300.0, 300.0),
     angles=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6),
 )
-@example(j=(1.1, -0.4, 0.9), log_radius=-150.0, angles=[0.0, 0.3, -2.0])
-@example(j=(1.1, -0.4, 0.9), log_radius=150.0, angles=[0.0, 0.3, -2.0])
+@example(j=(1.1, -0.4, 0.9), log_radius=-300.0, angles=[0.0, 0.3, -2.0])
+@example(j=(1.1, -0.4, 0.9), log_radius=300.0, angles=[0.0, 0.3, -2.0])
 def test_q_symbols_lie_within_spectrum(j, log_radius, angles):
     """Direct Q symbols are expectations of H, so both routes stay inside [lambda_min, lambda_max].
 
@@ -665,15 +666,24 @@ def test_fixed_stationary_labels_are_stationary(model):
 
 
 def test_scalar_oracle_raises_where_the_grid_does():
-    """q_symbol_direct raises BadParams, not inf, at a label whose energy overflows on the grid too."""
-    params = CouplingParams.xyz(jx=1.7e308, jy=1e8, jz=-1.0)
+    """q_symbol_direct raises BadParams, not inf, at a label whose energy overflows on the grid too.
+
+    G+ at psi = 0 has the energy tr K - 2 K_z = 1.8e308 from a finite H.
+    PG- at 0.5i has the representable 1.7e308, which H a overflowed on its
+    way to: both routes return it.
+    """
+    params = CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308)
+    huge = CouplingParams.xyz(jx=1.7e308, jy=1e8, jz=-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="overflows"):
-            q_symbol_direct(params, "PG-", 0.5j)
+            q_symbol_direct(params, "G+", 0.0)
         with pytest.raises(BadParams, match="grid overflow"):
-            energy_surface(params, "PG-", (-1.0, 0.5, 0.0, 1.0), 0.5, refine=False)
-        assert math.isfinite(q_symbol_direct(params, "PG-", 1.0))
+            energy_surface(params, "G+", (-1.0, 0.5, 0.0, 1.0), 0.5, refine=False)
+        assert q_symbol_direct(params, "G+", 1.0) == pytest.approx(-6e307, rel=1e-15)
+        grid = energy_surface(huge, "PG-", (-1.0, 0.5, 0.0, 1.0), 0.5, refine=False)
+        assert grid.values[1, 2] == pytest.approx(q_symbol_direct(huge, "PG-", 0.5j), rel=1e-15)
+        assert q_symbol_direct(huge, "PG-", 0.5j) == pytest.approx(1.7e308, rel=1e-15)
 
 
 def test_shallow_valley_minima_are_kept():
@@ -1012,23 +1022,107 @@ def _pauli_couplings(h, n_qubits, i, j):
 
 @pytest.mark.parametrize("n, bonds", SHAPES)
 def test_term_couplings_are_the_pauli_coupling_table(n, bonds):
-    """Each bond of H is sum_a K_a sigma_a sigma_a, with K read from `_term_couplings`.
+    """Each bond of H is sum_a K_a sigma_a sigma_a, with K = `_pauli_diagonal`, the law's K.
 
-    K is (c0, c1, c2) for XYZ and (c0/2, c1/2, c2) for XXX and XXZ, whose
-    S+ S- and S- S+ terms each carry half of sx sx + sy sy.  No identity,
-    one-site or cross term appears, and pairs that are not bonds couple by 0.
+    K is (c0, c1, c2) of `_term_couplings` for XYZ and (c0/2, c1/2, c2) for
+    XXX and XXZ, whose S+ S- and S- S+ terms each carry half of
+    sx sx + sy sy.  No identity, one-site or cross term appears, and pairs
+    that are not bonds couple by 0.
     """
     rng = np.random.default_rng(23)
     for _ in range(20):
         j, hbar = rng.uniform(-2.0, 2.0, 3).tolist(), float(10.0 ** rng.uniform(-1.0, 1.0))
         for params in (CouplingParams.xxx(j=j[0], hbar=hbar), CouplingParams.xxz(j=j[0], delta=j[1], hbar=hbar),
                        CouplingParams.xyz(jx=j[0], jy=j[1], jz=j[2], hbar=hbar)):
-            c0, c1, c2 = sm._term_couplings(params)
-            k = (c0, c1, c2) if params.model == "XYZ" else (c0 / 2.0, c1 / 2.0, c2)
+            k = sm._pauli_diagonal(params)
             h = hamiltonian(params, n, bonds)
             for pair in ((0, 1), (0, 2), (1, 2))[: 1 if n == 2 else 3]:
                 want = np.diag([0.0, *k]) if pair in sm._bond_list(n, bonds) else np.zeros((4, 4))
                 assert np.allclose(_pauli_couplings(h, n, *pair), want, rtol=0.0, atol=1e-15 * max(map(abs, k)))
+
+
+def _pair_correlation(state, i, j, n_qubits):
+    """D[a, b] = <B|sigma_a(i) sigma_b(j)|B> over a, b in x, y, z."""
+    paulis = (sigma_x(), sigma_y(), sigma_z())
+    a = state.amplitudes
+    return np.array([[np.vdot(a, embed_pair(pa, pb, i, j, n_qubits) @ a).real for pb in paulis] for pa in paulis])
+
+
+def test_law_rows_are_the_reference_correlations():
+    """Each `_LAW` row (c, s, axis) is its psi = 0 reference state's D_B = c I + s e_axis e_axis^T, for every
+    qubit pair of the three-qubit states, so the law's f = n_bonds (c tr K + s v^T K v) is sum_bonds <K, O D_B O^T>."""
+    for sid in STATE_IDS:
+        n = 3 if sid.startswith("PG") else 2
+        c, s, axis = sm._LAW[sid]
+        e = np.eye(3)["xyz".index(axis)]
+        for pair in ((0, 1), (0, 2), (1, 2))[: 1 if n == 2 else 3]:
+            d_b = _pair_correlation(entangled_state(sid, 0.0), *pair, n)
+            assert np.allclose(d_b, c * np.eye(3) + s * np.outer(e, e), rtol=0.0, atol=1e-15), (sid, pair)
+
+
+def _exact_law(k, sid, n_bonds, x, y):
+    """The law in rational arithmetic at the float label x + 1j*y, from README's polynomial forms of v."""
+    c, s, axis = sm._LAW[sid]
+    c, s, x, y = Fraction(c).limit_denominator(3), Fraction(s), Fraction(x), Fraction(y)
+    r2 = x * x + y * y
+    p = {"z": (2 * x, 2 * y, 1 - r2), "y": (-2 * x * y, 1 + x * x - y * y, -2 * y),
+         "x": (1 - x * x + y * y, -2 * x * y, -2 * x)}[axis]
+    k = [Fraction(t) for t in k]
+    return n_bonds * (c * sum(k) + s * sum(t * u * u for t, u in zip(k, p)) / ((1 + r2) * (1 + r2)))
+
+
+def test_law_kernel_is_as_accurate_as_the_amplitude_kernel():
+    """Errors against exact arithmetic, over n_bonds * sum |K|, stay within those of the amplitude kernel the law
+    replaced.  Over 288,000 random labels the law measured at most 9.3e-16 against 1.5e-15, and at 0, +-1 and
+    +-i at most 1.7e-16 against 4.2e-16."""
+    rng = np.random.default_rng(29)
+    fixed = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    for _ in range(4):
+        j, delta, jz = rng.uniform(-2.0, 2.0, 3).tolist()
+        hbar = float(10.0 ** rng.uniform(-1.0, 1.0))
+        for params in (CouplingParams.xxx(j=j, hbar=hbar), CouplingParams.xxz(j=j, delta=delta, hbar=hbar),
+                       CouplingParams.xyz(jx=j, jy=delta, jz=jz)):
+            k = sm._pauli_diagonal(params)
+            for sid in STATE_IDS:
+                for bonds in sm.BOND_CHOICES:
+                    n_bonds = len(sm._bond_list(3 if sid.startswith("PG") else 2, bonds))
+                    scale = n_bonds * sum(map(abs, k))
+                    f = sm._surface_function(params, sid, "direct", bonds)
+                    for labels, bound in ((fixed, 3e-16), (rng.uniform(-3.0, 3.0, (20, 2)).tolist(), 1.5e-15)):
+                        xs, ys = np.array(labels).T
+                        for x, y, value in zip(xs.tolist(), ys.tolist(), f(xs, ys).tolist()):
+                            error = abs(Fraction(value) - _exact_law(k, sid, n_bonds, x, y))
+                            assert error <= bound * scale, (params, sid, bonds, x, y)
+
+
+def test_direct_kernel_rejects_non_finite_labels():
+    """A non-finite label, as from a non-finite refinement seed, is InfinitePoint on the direct source."""
+    for seed_point in ((math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.0)):
+        with pytest.raises(InfinitePoint):
+            sm.refine_extremum(GEN, "G+", seed_point)
+
+
+@pytest.mark.parametrize("corner, step, shrink", [
+    ((1e200, -3e200), 1e199, 1.0),
+    ((-2e300, 1e300), 3e299, 1.0),
+    ((5e153, 5e153), 3e153, 1.0),
+    ((1.4e308, -1.7e308), 1e307, 2.0**-30),
+])
+def test_direct_grid_far_from_the_origin_matches_the_oracle(corner, step, shrink):
+    """Windows near 1e200 and 1e300, and one across |psi| ~ 1.3e154 where r^2 overflows and the law changes
+    charts, give finite values within 1e-12 of q_symbol_direct, with no warning.  Where |psi| itself
+    overflows, no state can be built; the oracle is read at the labels times 2^-30, a ray on which the
+    surface has long reached its limit."""
+    window = (corner[0], corner[0] + 3.0 * step, corner[1], corner[1] + 2.0 * step)
+    params = CouplingParams.xyz(jx=1.1, jy=-0.4, jz=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sid in STATE_IDS:
+            for bonds in sm.BOND_CHOICES:
+                grid = energy_surface(params, sid, window, step, bonds=bonds, refine=False)
+                xs, ys = shrink * grid.xs[None, :], shrink * grid.ys[:, None]
+                oracle = _oracle_kernel(params, sid, "direct", bonds)(xs, ys)
+                assert np.max(np.abs(grid.values - oracle)) <= 1e-12, (sid, bonds)
 
 
 @pytest.mark.parametrize("build", [
@@ -1053,7 +1147,7 @@ def test_huge_xyz_couplings_raise_bad_params_without_warnings():
         with pytest.raises(BadParams, match="Hamiltonian overflows"):  # three bonds of 8.5e307
             hamiltonian(CouplingParams.xyz(jx=1.0, jy=1.0, jz=1.7e308), 3, "all-pairs")
         with pytest.raises(BadParams, match="grid overflow"):
-            energy_surface(CouplingParams.xyz(jx=1.7e308, jy=1e8, jz=-1.0), "PG-", (-1.0, 0.5, 0.0, 1.0), 0.5)
+            energy_surface(CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308), "G+", (-1.0, 0.5, 0.0, 1.0), 0.5)
         with pytest.raises(BadParams, match="stencil"):  # a finite grid whose differences overflow
             energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
         f = sm._surface_function(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", "direct", "all-pairs")
