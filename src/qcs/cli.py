@@ -170,17 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--hbar", type=float, default=1.0)
     p_state.add_argument("--output", default="-")
 
-    p_surface = sub.add_parser("surface", help="energy surface CSV")
-    p_surface.add_argument("--state", required=True)
-    _add_coupling_flags(p_surface)
-    _add_grid_flags(p_surface)
-    p_surface.add_argument("--output", default="-")
-
-    p_extrema = sub.add_parser("extrema", help="refined surface extrema CSV")
-    p_extrema.add_argument("--state", required=True)
-    _add_coupling_flags(p_extrema)
-    _add_grid_flags(p_extrema)
-    p_extrema.add_argument("--output", default="-")
+    for name, text in (("surface", "energy surface CSV"), ("extrema", "refined surface extrema CSV")):
+        p_grid = sub.add_parser(name, help=text)
+        p_grid.add_argument("--state", required=True)
+        _add_coupling_flags(p_grid)
+        _add_grid_flags(p_grid)
+        p_grid.add_argument("--output", default="-")
 
     p_evolve = sub.add_parser("evolve", help="concurrence/fidelity time series CSV")
     _add_coupling_flags(p_evolve)
@@ -284,8 +279,8 @@ def cmd_evolve(args) -> int:
     ts = args.dt * np.arange(n_steps + 1)
 
     conc, fid = ev.concurrence_series(params, psi, ts), ev.fidelity_series(params, psi, ts)
-    # The closed forms and the revival footer both need psi = e^{i theta}.
-    on_circle = xx_like and abs(abs(psi) - 1.0) <= 1e-9
+    # The closed forms and the revival footer need psi = e^{i theta}; hypot is inf where abs(psi) would raise.
+    on_circle = xx_like and abs(math.hypot(psi.real, psi.imag) - 1.0) <= 1e-9
     closed_c = closed_f = None
     if on_circle:
         theta = math.atan2(psi.imag, psi.real)

@@ -62,11 +62,9 @@ CONSTANT = "CONSTANT"
 # relative floor; the same relative margin guards the strict-dominance
 # test against float noise on flat ridges.
 FLATNESS_REL = 1e-10
-_GRAD_STEP = 1e-5
-_HESS_STEP = 1e-4
 _CURVATURE_FLOOR = 1e-5
 _MERGE_DIST = 1e-4
-# A definite seed whose stencil gradient is this small is refined in place.
+# A definite seed whose exact gradient is this small is refined in place.
 _STATIONARY_GRAD_TOL = 1e-9
 # Extremum values this close (relative) are ordered by position, not by rounding noise.
 _TIE_REL = 1e-12
@@ -211,19 +209,6 @@ def _embedded_terms(model: str, n_qubits: int, bonds: str) -> tuple[tuple[np.nda
 
 
 @lru_cache(maxsize=256)
-def _hamiltonian_cached(params: CouplingParams, n_qubits: int, bonds: str) -> np.ndarray:
-    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    couplings = _term_couplings(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for bond in _embedded_terms(params.model, n_qubits, bonds):
-            for coeff, op in zip(couplings, bond):
-                h += coeff * op
-    if not np.isfinite(h).all():
-        raise BadParams(f"the {n_qubits}-qubit {bonds} Hamiltonian overflows at bond coefficients {couplings}")
-    h.flags.writeable = False
-    return h
-
-
 def hamiltonian(params: CouplingParams, n_qubits: int = 2, bonds: str = "all-pairs") -> np.ndarray:
     """Dense Hermitian Hamiltonian on 2 or 3 qubits.
 
@@ -239,7 +224,16 @@ def hamiltonian(params: CouplingParams, n_qubits: int = 2, bonds: str = "all-pai
     """
     if n_qubits not in (2, 3):
         raise BadParams(f"n_qubits must be 2 or 3, got {n_qubits}")
-    return _hamiltonian_cached(params, n_qubits, bonds)
+    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    couplings = _term_couplings(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bond in _embedded_terms(params.model, n_qubits, bonds):
+            for coeff, op in zip(couplings, bond):
+                h += coeff * op
+    if not np.isfinite(h).all():
+        raise BadParams(f"the {n_qubits}-qubit {bonds} Hamiltonian overflows at bond coefficients {couplings}")
+    h.flags.writeable = False
+    return h
 
 
 def _require_finite(p: PointLike) -> complex:
@@ -446,8 +440,8 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
     call it once per block of whole rows (`_evaluate_grid`).  Refinement
-    calls it in one shape (see `refine_extremum`): a 13-label `_stencil`
-    at the seed and at each fixed stationary label it tries.
+    calls it at one label, the refined point, and reads every gradient
+    and Hessian from the law's exact `_derivatives` instead.
 
     The direct source is the rotation law (README), n_bonds * (c tr K +
     s v^T K v) from `_LAW`, `_pauli_diagonal` and `_rotated_axis`, taken
@@ -545,40 +539,78 @@ def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
     return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
 
 
-# Offsets (dx row, dy row) of the central differences: the 4-point gradient
-# stencil at _GRAD_STEP, then the 9-point Hessian stencil (centre first) at _HESS_STEP.
-_STENCIL = np.hstack([
-    _GRAD_STEP * np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]),
-    _HESS_STEP * np.array([[0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0],
-                           [0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]),
-])
+# `_rotated_axis`'s forms v_a = p_a / (t^2 + x^2 + y^2): each p_a's coefficients of (t^2, t x, t y, x^2, x y, y^2).
+_AXIS_FORMS = {
+    "z": ((0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 0, 0, -1, 0, -1)),
+    "y": ((0, 0, 0, 0, -2, 0), (1, 0, 0, 1, 0, -1), (0, 0, -2, 0, 0, 0)),
+    "x": ((1, 0, 0, -1, 0, 1), (0, 0, 0, 0, -2, 0), (0, -2, 0, 0, 0, 0)),
+}
 
 
-def _stencil(f: Callable, x: float, y: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(value, gradient, Hessian) at (x, y) from one 13-label kernel call over `_STENCIL`.
+def _derivatives(params: CouplingParams, sid: str, source: str, bonds: str) -> Callable:
+    """jet(x, y) -> ((f_x, f_y), (f_xx, f_xy, f_yy)), a surface's exact derivatives at one finite label, in floats.
 
-    This is the only place refinement takes a Hessian from.  The
-    differences are taken in Python floats (the same IEEE arithmetic, with
-    no warning where it overflows); BadParams where one is not finite.
+    Both sources are the rotation law n_bonds (c tr K + s v^T K v): the direct one at its own K and bonds, every
+    closed form on the chain at K itself but XXZ P+ at K' = -hbar^2 (J, J, Jz) (README).  v is differentiated by
+    the quotient rule, at K scaled by 2^-e and in `_rotated_axis`'s chart.  InfinitePoint at a non-finite label,
+    BadParams where a derivative overflows.
     """
-    e = f(x + _STENCIL[0], y + _STENCIL[1]).tolist()
-    c, grad = e[4], np.array([(e[0] - e[1]) / (2.0 * _GRAD_STEP), (e[2] - e[3]) / (2.0 * _GRAD_STEP)])
-    fxx = (e[5] - 2.0 * c + e[6]) / _HESS_STEP**2
-    fyy = (e[7] - 2.0 * c + e[8]) / _HESS_STEP**2
-    fxy = (e[9] - e[10] - e[11] + e[12]) / (4.0 * _HESS_STEP**2)
-    if not all(map(math.isfinite, (c, *grad, fxx, fyy, fxy))):
-        raise BadParams(f"the stencil at ({x}, {y}) overflows; couplings this large are beyond the double range")
-    return c, grad, np.array([[fxx, fxy], [fxy, fyy]])
+    sid = _state_id(sid)
+    n_qubits = 3 if sid.startswith("PG") else 2
+    n_bonds = len(_bond_list(n_qubits, bonds))
+    c, s, axis = _LAW[sid]
+    k = _pauli_diagonal(params)
+    if _source(source) == "closed":
+        if params.model != "XYZ" and sid != "P+":
+            raise FormulaUnavailable(f"no closed form for ({params.model}, {sid})")
+        n_bonds = n_qubits - 1
+        if params.model == "XXZ":
+            k = tuple(-params.hbar**2 * j for j in (params.j, params.j, params.jz))
+    scale = math.frexp(max(map(abs, k)))[1]
+    terms = [(math.ldexp(ka, -scale), form) for ka, form in zip(k, _AXIS_FORMS[axis])]
+
+    def jet(x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InfinitePoint("energy surfaces are evaluated at finite labels")
+        e = math.frexp(max(abs(x), abs(y)))[1] if math.isinf(x * x + y * y) else 0
+        t, x, y = math.ldexp(1.0, -e), math.ldexp(x, -e), math.ldexp(y, -e)
+        d = t * t + x * x + y * y
+        fx = fy = fxx = fxy = fyy = 0.0
+        for ka, (c0, c1, c2, c3, c4, c5) in terms:
+            v = (c0 * t * t + c1 * t * x + c2 * t * y + c3 * x * x + c4 * x * y + c5 * y * y) / d
+            vx = (c1 * t + 2 * c3 * x + c4 * y - 2.0 * x * v) / d
+            vy = (c2 * t + c4 * x + 2 * c5 * y - 2.0 * y * v) / d
+            vxx = (2 * c3 - 4.0 * x * vx - 2.0 * v) / d
+            vxy = (c4 - 2.0 * y * vx - 2.0 * x * vy) / d
+            vyy = (2 * c5 - 4.0 * y * vy - 2.0 * v) / d
+            fx, fy = fx + ka * v * vx, fy + ka * v * vy
+            fxx, fyy = fxx + ka * (vx * vx + v * vxx), fyy + ka * (vy * vy + v * vyy)
+            fxy += ka * (vx * vy + v * vxy)
+        # f = n_bonds (c tr K + s sum_a K_a v_a^2), and each d/dx in the chart is 2^-e d/dX.
+        try:
+            grad = tuple(math.ldexp(2.0 * n_bonds * s * g, scale - e) for g in (fx, fy))
+            hess = tuple(math.ldexp(2.0 * n_bonds * s * h, scale - 2 * e) for h in (fxx, fxy, fyy))
+        except OverflowError:
+            raise BadParams("derivatives overflow here; couplings this large are beyond the double range") from None
+        return grad, hess
+
+    return jet
 
 
-def _kind(eigs: np.ndarray) -> str:
+def _eigenvalues(hess: tuple[float, float, float]) -> tuple[float, float]:
+    """Ascending eigenvalues of [[f_xx, f_xy], [f_xy, f_yy]], halved first so that no sum overflows."""
+    fxx, fxy, fyy = hess
+    mean, radius = fxx / 2.0 + fyy / 2.0, math.hypot(fxx / 2.0 - fyy / 2.0, fxy)
+    return mean - radius, mean + radius
+
+
+def _kind(eigs) -> str:
     """MIN, MAX, SADDLE or CONSTANT from ascending Hessian eigenvalues."""
-    scale = _CURVATURE_FLOOR
-    if eigs[0] > scale and eigs[1] > scale:
+    if eigs[0] > _CURVATURE_FLOOR:
         return MIN
-    if eigs[0] < -scale and eigs[1] < -scale:
+    if eigs[1] < -_CURVATURE_FLOOR:
         return MAX
-    if eigs[0] < -scale < scale < eigs[1]:
+    if eigs[0] < -_CURVATURE_FLOOR < _CURVATURE_FLOOR < eigs[1]:
         return SADDLE
     return CONSTANT
 
@@ -618,34 +650,36 @@ def refine_extremum(
     negative-definite one, any kind for an indefinite (saddle) seed.
     Raises NoConvergence when no label has that kind.
 
-    The kind and the value come from the `_stencil` at the final point
-    (its Hessian's eigenvalues and its centre).  So the kernel sees one
-    call shape, the 13-label stencil: one at the seed, then one per label
-    tried, at most five.
+    Every gradient and kind comes from the law's exact derivatives
+    (`_derivatives`) at the seed and at each label tried, at most five.
+    The value is one kernel call at the final point; BadParams where it
+    or a derivative overflows.
     """
     f = _surface_function(params, state_id, source, bonds)
+    jet = _derivatives(params, state_id, source, bonds)
     sid, x0, y0 = state_id.upper(), float(seed[0]), float(seed[1])
-    value0, grad0, hess0 = _stencil(f, x0, y0)
-    if float(np.max(np.abs(hess0))) < _CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
-        return Extremum(x0, y0, value0, CONSTANT)
-
-    eigs = np.linalg.eigvalsh(hess0)
+    grad, hess = jet(x0, y0)
+    eigs = _eigenvalues(hess)
+    x, y, kind, tried = x0, y0, _kind(eigs), 0
     wanted = MIN if eigs[0] > 0.0 else MAX if eigs[1] < 0.0 else None
-    x, y, value, grad, kind, stencils = x0, y0, value0, grad0, _kind(eigs), 1
-    # math.hypot, not np.linalg.norm, which squares and overflows from about 1e154.
-    if wanted is None or math.hypot(*grad0) > _STATIONARY_GRAD_TOL:
+    flat = max(map(abs, hess)) < _CURVATURE_FLOOR and math.hypot(*grad) < 1e-9
+    if flat:
+        kind = CONSTANT
+    elif wanted is None or math.hypot(*grad) > _STATIONARY_GRAD_TOL:
         for x, y in _stationary_points(sid, x0, y0):
-            value, grad, hess = _stencil(f, x, y)
-            kind, stencils = _kind(np.linalg.eigvalsh(hess)), stencils + 1
+            grad, hess = jet(x, y)
+            kind, tried = _kind(_eigenvalues(hess)), tried + 1
             if wanted in (None, kind):
                 break
         else:
             raise NoConvergence(f"no fixed stationary label of the {sid} surface is a {wanted}")
-    if _log.isEnabledFor(logging.DEBUG):
+    value = float(f(x, y))
+    if not math.isfinite(value):
+        raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
+    if not flat and _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "refined seed %s of %s surface %s, stencils %d, |grad| %.3g",
-            (x0, y0), sid, "in place" if stencils == 1 else f"onto label {(x, y)}", stencils,
-            math.hypot(*grad),
+            "refined seed %s of %s surface %s, labels tried %d, |grad| %.3g",
+            (x0, y0), sid, "in place" if tried == 0 else f"onto label {(x, y)}", tried, math.hypot(*grad),
         )
     return Extremum(x, y, value, kind)
 
@@ -694,12 +728,12 @@ def energy_surface(
     already stationary, else onto the nearest fixed stationary label of
     the kind it needs) and duplicates within 1e-4 are merged.  Each
     refinement is logged at DEBUG on the "qcs" logger with its route, final
-    point, stencil count and final gradient.  A seed with no label of its
-    kind raises NoConvergence and is dropped (also logged at DEBUG); the
-    other extrema are kept.  A surface whose spread is
+    point, number of labels tried and final gradient.  A seed with no label
+    of its kind raises NoConvergence and is dropped (also logged at DEBUG);
+    the other extrema are kept.  A surface whose spread is
     below 1e-10 * (1 + |max|) is flagged constant and carries no extrema.
-    A grid energy or a refinement stencil beyond the double range raises
-    BadParams.
+    A grid energy, or a refined energy or derivative, beyond the double
+    range raises BadParams.
     """
     sid = state_id.upper()
     source = _source(source)

@@ -359,7 +359,7 @@ def _check_q_symbol_reality_bounds(rng) -> float:
         for sid in eb.STATE_IDS:
             n = 3 if sid.startswith("PG") else 2
             value = sm.q_symbol_direct(params, sid, psi)
-            spectrum = np.linalg.eigvalsh(sm.hamiltonian(params, n))
+            spectrum = np.linalg.eigvalsh(sm.hamiltonian(params, n, "all-pairs"))
             slack = 1e-10 * (1.0 + float(np.max(np.abs(spectrum))))
             excess = max(spectrum[0] - value, value - spectrum[-1], 0.0)
             worst = max(worst, max(0.0, excess - slack))
@@ -436,9 +436,9 @@ def _check_surface_extrema(rng) -> float:
         (grid, xxz, "P+", "closed", "all-pairs"),
         (grid_pg, pg, "PG+", "direct", "chain"),
     ):
-        f = sm._surface_function(params, sid, source, bonds)
+        jet = sm._derivatives(params, sid, source, bonds)
         for e in surface.extrema:
-            worst = max(worst, float(np.linalg.norm(sm._stencil(f, e.x, e.y)[1])))
+            worst = max(worst, math.hypot(*jet(e.x, e.y)[0]))
     xxx_grid = sm.energy_surface(sm.CouplingParams.xxx(j=1.0), "P+", step=0.5)
     if not xxx_grid.constant or xxx_grid.extrema:
         return math.inf

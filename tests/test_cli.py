@@ -548,10 +548,10 @@ def test_label_whose_modulus_overflows_exits_two(argv, capsys):
         (["extrema", "--state", "G+", "--model", "xxz", "--j", "1", "--delta", "0.5", "--hbar", "1e160"],
          "bond coefficients"),
         (["surface", "--state", "P+", "--model", "xxx", "--j", "1e300", "--hbar", "1e10"], "bond coefficients"),
-        # Huge XYZ couplings: finite coefficients whose energies or stencil differences overflow.
+        # Huge XYZ couplings: finite coefficients whose energies or exact derivatives overflow.
         (["surface", "--state", "G+", "--jx", "1.2e308", "--jy", "1.2e308", "--jz=-1.2e308", "--window=-1,0.5,-0,1",
           "--step", "0.5"], "grid overflow"),
-        (["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"], "stencil"),
+        (["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"], "derivatives"),
         (["surface", "--state", "PG+", "--jx", "1", "--jy", "1", "--jz", "1.7e308", "--step", "0.5"],
          "Hamiltonian overflows"),
     ],
@@ -643,6 +643,32 @@ def test_evolve_calls_each_public_series_once(monkeypatch):
     assert main(["evolve", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--psi", "1,0",
                  "--t-max", "0.5", "--dt", "0.25", "--output", os.devnull]) == 0
     assert calls == ["concurrence_series", "fidelity_series"]
+
+
+def test_evolve_circle_test_takes_a_label_whose_modulus_overflows(monkeypatch, capsys):
+    """Where |psi| overflows the label is off the unit circle: no closed-form columns, no footer, no OverflowError.
+
+    The series reject such a label first, so here they are stood in for by series that take it."""
+    for name in ("concurrence_series", "fidelity_series"):
+        monkeypatch.setattr(ev, name, lambda params, psi, ts: ev.TimeSeries(ts, np.ones_like(ts)))
+    assert main(["evolve", "--j", "1", "--psi", "1.7e308,1.7e308", "--t-max", "0.5", "--dt", "0.25"]) == 0
+    assert capsys.readouterr().out == "t,concurrence,fidelity\n0,1,1\n0.25,1,1\n0.5,1,1\n"
+
+
+# SHA-256 of `qcs surface --help` and `qcs extrema --help` at 80 columns; the two share one set of flags.
+GRID_HELP_DIGESTS = {
+    "surface": "478cda572c6182da7cf2271f25db8a27f0b5efa43eec87f1715b92deae6235d9",
+    "extrema": "74604823be73eaff3a8e0aba6e17bde2600540cd0fe943b6801237e1de531e15",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_HELP_DIGESTS))
+def test_grid_command_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GRID_HELP_DIGESTS[command]
 
 
 def test_evolve_footer_at_extreme_coupling(tmp_path):

@@ -478,13 +478,13 @@ def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bond
     for e, o in zip(kernel.extrema, scalar.extrema):
         assert e.kind == o.kind
         assert math.hypot(e.x - o.x, e.y - o.y) <= 1e-7
-        assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
+        assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
 
 
 def test_indefinite_seed_refines_to_saddle(monkeypatch):
     """A seed with an indefinite Hessian lands on its nearest fixed label, through the kernel and the scalar oracle."""
     seed_point = (0.02, 0.01)
-    eigs = np.linalg.eigvalsh(sm._stencil(sm._surface_function(GEN, "G+", "direct", "all-pairs"), *seed_point)[2])
+    eigs = sm._eigenvalues(sm._derivatives(GEN, "G+", "direct", "all-pairs")(*seed_point)[1])
     assert eigs[0] < 0.0 < eigs[1]
     kernel = sm.refine_extremum(GEN, "G+", seed_point)
     oracle = _oracle_kernel(GEN, "G+", "direct", "all-pairs")
@@ -494,39 +494,141 @@ def test_indefinite_seed_refines_to_saddle(monkeypatch):
         assert e.kind == sm.SADDLE
         assert math.hypot(e.x, e.y) <= 1e-7
     assert math.hypot(kernel.x - scalar.x, kernel.y - scalar.y) <= 1e-7
-    assert np.linalg.norm(sm._stencil(oracle, kernel.x, kernel.y)[1]) <= 1e-6
+    assert np.linalg.norm(_central_gradient(oracle, kernel.x, kernel.y)) <= 1e-6
 
 
-def _gradient_pointwise(f, x, y, h):
+def _central_gradient(f, x, y, h=1e-5):
+    """The gradient of a scalar kernel (the oracle's, which has no exact derivatives) by central differences."""
     return np.array([(f(x + h, y) - f(x - h, y)) / (2.0 * h), (f(x, y + h) - f(x, y - h)) / (2.0 * h)])
 
 
-def _hessian_pointwise(f, x, y, h):
-    fxx = (f(x + h, y) - 2.0 * f(x, y) + f(x - h, y)) / h**2
-    fyy = (f(x, y + h) - 2.0 * f(x, y) + f(x, y - h)) / h**2
-    fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h**2)
-    return np.array([[fxx, fxy], [fxy, fyy]])
+class _Jet:
+    """An exact second-order Taylor jet (f, f_x, f_y, f_xx, f_xy, f_yy) over Fractions.
+
+    Floats enter exactly, so formulas written for floats, the closed forms
+    among them, run on it in rational arithmetic and carry their exact
+    derivatives along.
+    """
+
+    def __init__(self, *terms):
+        self.d = tuple(Fraction(t) for t in terms) + (Fraction(0),) * (6 - len(terms))
+
+    @staticmethod
+    def of(value):
+        return value if isinstance(value, _Jet) else _Jet(value)
+
+    def __add__(self, other):
+        return _Jet(*(a + b for a, b in zip(self.d, _Jet.of(other).d)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(*(-a for a in self.d))
+
+    def __sub__(self, other):
+        return self + -_Jet.of(other)
+
+    def __rsub__(self, other):
+        return _Jet.of(other) + -self
+
+    def __mul__(self, other):
+        (u, ux, uy, uxx, uxy, uyy), (v, vx, vy, vxx, vxy, vyy) = self.d, _Jet.of(other).d
+        return _Jet(u * v, ux * v + u * vx, uy * v + u * vy, uxx * v + 2 * ux * vx + u * vxx,
+                    uxy * v + ux * vy + uy * vx + u * vxy, uyy * v + 2 * uy * vy + u * vyy)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        f, fx, fy, fxx, fxy, fyy = self.d
+        return _Jet(1 / f, -fx / f**2, -fy / f**2, (2 * fx * fx - f * fxx) / f**3, (2 * fx * fy - f * fxy) / f**3,
+                    (2 * fy * fy - f * fyy) / f**3)
+
+    def __truediv__(self, other):
+        return self * _Jet.of(other).reciprocal()
+
+    def __rtruediv__(self, other):
+        return _Jet.of(other) * self.reciprocal()
+
+    def __pow__(self, n):
+        result = _Jet(1)
+        for _ in range(n):
+            result = result * self
+        return result
 
 
-@seed(53)
-@settings(max_examples=100, deadline=None)
-@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
-def test_batched_stencils_match_pointwise_formulas(x, y):
-    """One kernel call per _stencil gives the point-by-point difference formulas."""
-    gh, hh = sm._GRAD_STEP, sm._HESS_STEP
-    # Elementwise arithmetic rounds the same in a batch as alone, so these agree exactly.
-    poly = lambda u, v: u * u * v - 2.0 * u * v * v + u / (1.0 + v * v) + 0.5 * v
-    value, grad, hess = sm._stencil(poly, x, y)
-    assert value == poly(x, y)
-    assert np.array_equal(grad, _gradient_pointwise(poly, x, y, gh))
-    assert np.array_equal(hess, _hessian_pointwise(poly, x, y, hh))
-    # The direct kernel's einsum may round a label differently inside a batch,
-    # so allow a few ulps of each value, divided by the stencil's step.
-    f = sm._surface_function(GEN, "PG+", "direct", "all-pairs")
-    ulps = 8.0 * np.finfo(float).eps * (1.0 + abs(float(f(x, y))))
-    _, grad, hess = sm._stencil(f, x, y)
-    assert np.allclose(grad, _gradient_pointwise(f, x, y, gh), rtol=0.0, atol=ulps / gh)
-    assert np.allclose(hess, _hessian_pointwise(f, x, y, hh), rtol=0.0, atol=4.0 * ulps / hh**2)
+def _exact_closed_form(params, sid, x, y):
+    """`_closed_form` in rational arithmetic at the float label x + 1j*y, as a `_Jet`; constant forms included."""
+    value = sm._closed_form(params, sid, _Jet(x, 1), _Jet(y, 0, 1))
+    return value if isinstance(value, _Jet) else _Jet(value.item())
+
+
+def test_closed_forms_are_the_law_at_their_k():
+    """Every closed form is the rotation law at its own K, exactly: the six XYZ forms at K = J / 2 (PG on the
+    chain), XXX P+ at its H's K, and XXZ P+ at K' = -hbar^2 (J, J, Jz).  `_derivatives` differentiates the
+    closed source as the law at these K.
+
+    This is the XXZ P+ WARN: H's K is hbar^2 (-J/2, -J/2, Delta/2), so the closed form doubles the xy terms
+    and puts -Jz where Delta/2 belongs on zz.  Couplings are multiples of 1/64 and hbar of 1/4, so the forms'
+    float coefficients (j_plus, hbar^2, ...) are exact too.
+    """
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(4):
+        j, delta, jz = (rng.randint(-128, 128) / 64.0 for _ in range(3))
+        hbar = rng.randint(1, 8) / 4.0
+        hb2 = Fraction(hbar) ** 2
+        xyz = CouplingParams.xyz(jx=j, jy=delta, jz=jz)
+        xxx, xxz = CouplingParams.xxx(j=j, hbar=hbar), CouplingParams.xxz(j=j, delta=delta, hbar=hbar)
+        cases = [(xyz, sid, [Fraction(t) / 2 for t in (j, delta, jz)]) for sid in STATE_IDS]
+        cases += [(xxx, "P+", sm._pauli_diagonal(xxx)), (xxz, "P+", [-hb2 * Fraction(t) for t in (j, j, xxz.jz)])]
+        assert [Fraction(t) for t in sm._pauli_diagonal(xxz)] == [-hb2 * Fraction(j) / 2, -hb2 * Fraction(j) / 2,
+                                                                  hb2 * Fraction(delta) / 2]
+        for params, sid, k in cases:
+            n_bonds = 2 if sid.startswith("PG") else 1
+            random_labels = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+            for x, y in [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0)] + random_labels:
+                law = _exact_law(k, sid, n_bonds, _Jet(x, 1), _Jet(y, 0, 1))
+                assert _exact_closed_form(params, sid, x, y).d == law.d, (params, sid, x, y)
+                checked += 1
+    assert checked == 4 * 8 * 8
+
+
+def test_derivatives_match_exact_rationals():
+    """`_derivatives` is within 4e-15 (1 + n_bonds sum |K|) of the exact gradient and Hessian, for all six states,
+    both sources and both bond sets, XXZ P+ closed (the law at K') included: 468 random labels and the fixed
+    ones.  The worst measured is 1.9e-15 over 2080 random labels."""
+    rng = np.random.default_rng(31)
+    fixed = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    random_labels = 0
+    for _ in range(3):
+        j, delta, jz = rng.uniform(-2.0, 2.0, 3).tolist()
+        hbar = float(10.0 ** rng.uniform(-1.0, 1.0))
+        for params in (CouplingParams.xxx(j=j, hbar=hbar), CouplingParams.xxz(j=j, delta=delta, hbar=hbar),
+                       CouplingParams.xyz(jx=j, jy=delta, jz=jz)):
+            for sid in STATE_IDS:
+                n = 3 if sid.startswith("PG") else 2
+                for source in ("direct", "closed"):
+                    for bonds in sm.BOND_CHOICES:
+                        try:
+                            jet = sm._derivatives(params, sid, source, bonds)
+                        except FormulaUnavailable:
+                            continue
+                        k = sm._pauli_diagonal(params)
+                        if source == "closed" and params.model == "XXZ":
+                            k = [-params.hbar**2 * t for t in (params.j, params.j, params.jz)]
+                        n_bonds = len(sm._bond_list(n, bonds)) if source == "direct" else n - 1
+                        bound = 4e-15 * (1.0 + n_bonds * sum(map(abs, k)))
+                        labels = rng.uniform(-3.0, 3.0, (3, 2)).tolist()
+                        random_labels += len(labels)
+                        for x, y in fixed + labels:
+                            if source == "direct":
+                                exact = _exact_law(k, sid, n_bonds, _Jet(x, 1), _Jet(y, 0, 1))
+                            else:
+                                exact = _exact_closed_form(params, sid, x, y)
+                            grad, hess = jet(x, y)
+                            for got, want in zip(grad + hess, exact.d[1:]):
+                                assert abs(Fraction(got) - want) <= bound, (params, sid, source, bonds, x, y)
+    assert random_labels == 468
 
 
 def test_merge_orders_last_bit_ties_by_position():
@@ -554,19 +656,21 @@ FLAT_P_MINUS_STEP = 0.08276295886670162
 
 
 def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
-    """A seed with no label of its kind is dropped after one stencil per label; the other extrema are kept."""
+    """A seed with no label of its kind is dropped after one jet per label and no kernel call; the others are kept."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
+    points = _spy_on_jet_points(monkeypatch)
     refine = sm.refine_extremum
     costs = {"kept": [], "dropped": []}
 
     def costed_refine(*args):
         sizes.clear()
+        points.clear()
         try:
             e = refine(*args)
         except NoConvergence:
-            costs["dropped"].append(list(sizes))
+            costs["dropped"].append((list(sizes), len(points)))
             raise
-        costs["kept"].append(list(sizes))
+        costs["kept"].append((list(sizes), len(points)))
         return e
 
     monkeypatch.setattr(sm, "refine_extremum", costed_refine)
@@ -575,9 +679,10 @@ def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
     dropped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dropping seed")]
     assert len(dropped) == len(costs["dropped"]) == 15
     assert len(costs["kept"]) + len(costs["dropped"]) == len(sm._grid_seeds(grid.values)) == 26
-    # The seed's stencil, then one per fixed P- label (the foot on the imaginary axis, +1, -1).
-    assert all(cost == [13] * 4 for cost in costs["dropped"])
-    assert all(set(cost) == {13} and len(cost) <= 4 for cost in costs["kept"])
+    # The seed's jet, then one per fixed P- label (the foot on the imaginary axis, +1, -1); a kept seed's value
+    # is one kernel call at its final point.
+    assert all(cost == ([], 4) for cost in costs["dropped"])
+    assert all(sizes == [1] and 1 <= jets <= 4 for sizes, jets in costs["kept"])
     assert [(e.kind, e.x, e.y) for e in grid.extrema] == [(sm.SADDLE, -1.0, 0.0), (sm.SADDLE, 1.0, 0.0)]
 
 
@@ -588,14 +693,14 @@ G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5
 
 
 def test_refinement_logs_route_per_seed(caplog):
-    """Each refinement logs its seed, route, stencil count and final gradient at DEBUG on "qcs"."""
+    """Each refinement logs its seed, route, the number of labels tried and its final gradient at DEBUG on "qcs"."""
     with caplog.at_level("DEBUG", logger="qcs"):
         off_node = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
         on_node = energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refined seed")]
     assert len(lines) == len(sm._grid_seeds(off_node.values)) + len(sm._grid_seeds(on_node.values)) == 8
-    assert all(" G+ surface onto label (" in line and ", stencils 2, " in line for line in lines[:4])
-    assert all(" PG+ surface in place, stencils 1, " in line for line in lines[4:])
+    assert all(" G+ surface onto label (" in line and ", labels tried 1, " in line for line in lines[:4])
+    assert all(" PG+ surface in place, labels tried 0, " in line for line in lines[4:])
     for line in lines:
         assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
 
@@ -655,12 +760,12 @@ def test_fixed_stationary_labels_are_stationary(model):
                 for bonds in sm.BOND_CHOICES:
                     try:
                         f = sm._surface_function(params, sid, source, bonds)
-                        f(0.0, 0.0)  # a closed kernel without a form raises on its first call
+                        jet = sm._derivatives(params, sid, source, bonds)
                     except FormulaUnavailable:
                         continue
                     for label in labels:
-                        value, grad, _ = sm._stencil(f, *label)
-                        assert np.linalg.norm(grad) <= 1e-8 * (1.0 + abs(value)), (params, sid, source, bonds, label)
+                        value, grad = float(f(*label)), jet(*label)[0]
+                        assert math.hypot(*grad) <= 1e-8 * (1.0 + abs(value)), (params, sid, source, bonds, label)
                         checked += 1
     assert checked >= 10 * 6 * 2 * 5
 
@@ -710,9 +815,9 @@ def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
     of the surfaces below.
     """
     seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of G_TIE_WINDOW
-    f = sm._surface_function(G_TIE, "G+", "closed", "all-pairs")
-    assert np.linalg.eigvalsh(sm._stencil(f, *seed_point)[2])[0] > 0.0
-    assert sm._kind(np.linalg.eigvalsh(sm._stencil(f, -1.0, 0.0)[2])) == sm.SADDLE
+    jet = sm._derivatives(G_TIE, "G+", "closed", "all-pairs")
+    assert sm._eigenvalues(jet(*seed_point)[1])[0] > 0.0
+    assert sm._kind(sm._eigenvalues(jet(-1.0, 0.0)[1])) == sm.SADDLE
     e = sm.refine_extremum(G_TIE, "G+", seed_point, "closed")
     assert (e.kind, e.x, e.y) == (sm.MIN, 0.0, 1.0)
     cases = [
@@ -739,23 +844,24 @@ def test_degenerate_maxima_converge():
     assert [(round(e.x, 6) + 0.0, round(e.y, 6)) for e in maxima] == [(0.0, -1.0), (0.0, 1.0)]
     oracle = _oracle_kernel(params, "G+", "direct", "all-pairs")
     for e in maxima:
-        assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
+        assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
 
 
 def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
     """Nelder-Mead refinement of every seed, a search that knows nothing of the fixed labels; the reference below."""
     f = sm._surface_function(params, state_id, source, bonds)
+    jet = sm._derivatives(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    _, grad0, hess0 = sm._stencil(f, x0, y0)
-    if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
+    grad0, hess0 = jet(x0, y0)
+    if max(map(abs, hess0)) < sm._CURVATURE_FLOOR and math.hypot(*grad0) < 1e-9:
         return sm.Extremum(x0, y0, float(f(x0, y0)), sm.CONSTANT)
-    eigs = np.linalg.eigvalsh(hess0)
+    eigs = sm._eigenvalues(hess0)
     if eigs[0] > 0.0:
         objective = lambda v: float(f(*v.tolist()))
     elif eigs[1] < 0.0:
         objective = lambda v: -float(f(*v.tolist()))
     else:
-        objective = lambda v: float(np.sum(sm._stencil(f, *v.tolist())[1] ** 2))
+        objective = lambda v: math.hypot(*jet(*v.tolist())[0]) ** 2
     res = sm.minimize(
         objective,
         np.array([x0, y0]),
@@ -765,7 +871,7 @@ def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pair
     if not res.success:
         raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
     x, y = float(res.x[0]), float(res.x[1])
-    return sm.Extremum(x, y, float(f(x, y)), sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2])))
+    return sm.Extremum(x, y, float(f(x, y)), sm._kind(sm._eigenvalues(jet(x, y)[1])))
 
 
 def _random_surfaces(n, rng):
@@ -801,21 +907,25 @@ def test_refinement_matches_nelder_mead_on_random_surfaces(monkeypatch):
         for e, r in zip(grid.extrema, reference.extrema):
             assert math.hypot(e.x - r.x, e.y - r.y) <= 2e-7
             assert abs(e.value - r.value) <= 1e-10
-            assert np.linalg.norm(sm._stencil(oracle, e.x, e.y)[1]) <= 1e-6
+            assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
         count += len(grid.extrema)
     assert count >= 80
 
 
 def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="all-pairs"):
-    """Reference: the refinement route with every kind read from a fresh stencil and every value from f."""
+    """Reference: the refinement route with every kind read from a fresh jet by eigvalsh and every value from f."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
-    value0, grad0, hess0 = sm._stencil(f, x0, y0)
-    if float(np.max(np.abs(hess0))) < sm._CURVATURE_FLOOR and float(np.linalg.norm(grad0)) < 1e-9:
-        return sm.Extremum(x0, y0, value0, sm.CONSTANT)
-    eigs = np.linalg.eigvalsh(hess0)
+
+    def fresh(x, y):
+        grad, (fxx, fxy, fyy) = sm._derivatives(params, state_id, source, bonds)(x, y)
+        return grad, (fxx, fxy, fyy), np.linalg.eigvalsh([[fxx, fxy], [fxy, fyy]])
+
+    grad0, hess0, eigs = fresh(x0, y0)
+    if max(map(abs, hess0)) < sm._CURVATURE_FLOOR and math.hypot(*grad0) < 1e-9:
+        return sm.Extremum(x0, y0, float(f(x0, y0)), sm.CONSTANT)
     wanted = sm.MIN if eigs[0] > 0.0 else sm.MAX if eigs[1] < 0.0 else None
-    fresh_kind = lambda x, y: sm._kind(np.linalg.eigvalsh(sm._stencil(f, x, y)[2]))
+    fresh_kind = lambda x, y: sm._kind(fresh(x, y)[2])
     if wanted is not None and math.hypot(*grad0) <= 1e-9:
         return sm.Extremum(x0, y0, float(f(x0, y0)), fresh_kind(x0, y0))
     for x, y in sm._stationary_points(state_id.upper(), x0, y0):
@@ -826,7 +936,8 @@ def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="a
 
 @pytest.mark.parametrize("source", ["direct", "closed"])
 def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(monkeypatch, source):
-    """Kinds read from the stencils in hand give the extrema of a fresh Hessian, bit for bit."""
+    """Kinds read from the Hessians in hand by the 2 x 2 formula give the extrema of eigvalsh on a fresh jet, bit
+    for bit."""
     cases = list(_random_surfaces(40, random.Random(67)))
     grids = [energy_surface(p, sid, w, step, source, "chain") for p, sid, w, step in cases]
     monkeypatch.setattr(sm, "refine_extremum", _refine_classifying_afresh)
@@ -859,9 +970,28 @@ def _spy_on_kernel_sizes(monkeypatch) -> list:
     return sizes
 
 
-def test_seed_left_in_place_costs_one_stencil(monkeypatch):
-    """A seed already stationary stays in place for one 13-label kernel call, whose centre is the value."""
+def _spy_on_jet_points(monkeypatch) -> list:
+    """Make every `_derivatives` jet record the label of each call in the returned list."""
+    derivatives = sm._derivatives
+    points = []
+
+    def spying_derivatives(*key):
+        jet = derivatives(*key)
+
+        def spy(x, y):
+            points.append((x, y))
+            return jet(x, y)
+
+        return spy
+
+    monkeypatch.setattr(sm, "_derivatives", spying_derivatives)
+    return points
+
+
+def test_seed_left_in_place_costs_one_kernel_call(monkeypatch):
+    """A seed already stationary stays in place for one jet and one single-label kernel call, its value."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
+    points = _spy_on_jet_points(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
         (PG, "PG+", (0.0, 1.0), "closed", "chain", sm.MAX),
@@ -869,30 +999,28 @@ def test_seed_left_in_place_costs_one_stencil(monkeypatch):
     ]
     for params, sid, seed_point, source, bonds, kind in cases:
         sizes.clear()
+        points.clear()
         e = sm.refine_extremum(params, sid, seed_point, source, bonds)
         assert (e.x, e.y, e.kind) == (*seed_point, kind)
-        assert sizes == [13]
+        assert sizes == [1] and points == [seed_point]
         assert e.value == float(sm._surface_function(params, sid, source, bonds)(*seed_point))
 
 
-def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
-    """Refinement calls the kernel with 13-label stencils only: one at the seed, then one per label tried."""
+def test_refinement_calls_the_kernel_at_single_labels_nearest_first(monkeypatch):
+    """Refinement calls the kernel with single labels only, at most twice per seed, and reads its kinds from one
+    jet at the seed, then one per label tried, nearest first."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
-    stencil, refine = sm._stencil, sm.refine_extremum
-    points = []
+    points = _spy_on_jet_points(monkeypatch)
+    refine = sm.refine_extremum
     routes = {"in place": 0, "nearest label": 0, "farther label": 0}
-
-    def recording_stencil(f, x, y):
-        points.append((x, y))
-        return stencil(f, x, y)
 
     def recording_refine(*args):
         sizes.clear()
         points.clear()
         e = refine(*args)
-        assert set(sizes) == {13} and len(sizes) == len(points)
+        assert set(sizes) == {1} and len(sizes) <= 2
         assert (e.x, e.y) == points[-1]
-        if sizes == [13]:
+        if len(points) == 1:
             routes["in place"] += 1
             return e
         # The labels tried are the nearest ones, in order.
@@ -900,7 +1028,6 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
         routes["nearest label" if len(points) == 2 else "farther label"] += 1
         return e
 
-    monkeypatch.setattr(sm, "_stencil", recording_stencil)
     monkeypatch.setattr(sm, "refine_extremum", recording_refine)
     for params, sid, window, step in _random_surfaces(40, random.Random(67)):
         energy_surface(params, sid, window, step, "closed", "chain")
@@ -908,6 +1035,13 @@ def test_refinements_read_every_hessian_from_a_13_label_stencil(monkeypatch):
     energy_surface(G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed")
     energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
     assert min(routes.values()) >= 1, routes
+
+
+def test_closed_refinement_rejects_non_finite_seeds():
+    """A non-finite seed is InfinitePoint on the closed source too, as on the direct one."""
+    for seed_point in ((math.inf, 0.0), (0.5, -math.inf), (math.nan, 0.0)):
+        with pytest.raises(InfinitePoint):
+            sm.refine_extremum(GEN, "G+", seed_point, "closed")
 
 
 def test_grid_node_ceiling():
@@ -1061,9 +1195,11 @@ def test_law_rows_are_the_reference_correlations():
 
 
 def _exact_law(k, sid, n_bonds, x, y):
-    """The law in rational arithmetic at the float label x + 1j*y, from README's polynomial forms of v."""
+    """The law in rational arithmetic at the float label x + 1j*y, or at `_Jet` labels, from README's forms of v."""
     c, s, axis = sm._LAW[sid]
-    c, s, x, y = Fraction(c).limit_denominator(3), Fraction(s), Fraction(x), Fraction(y)
+    c, s = Fraction(c).limit_denominator(3), Fraction(s)
+    if not isinstance(x, _Jet):
+        x, y = Fraction(x), Fraction(y)
     r2 = x * x + y * y
     p = {"z": (2 * x, 2 * y, 1 - r2), "y": (-2 * x * y, 1 + x * x - y * y, -2 * y),
          "x": (1 - x * x + y * y, -2 * x * y, -2 * x)}[axis]
@@ -1141,21 +1277,22 @@ def test_overflowing_bond_coefficients_raise_before_any_array(build):
 
 
 def test_huge_xyz_couplings_raise_bad_params_without_warnings():
-    """Overflow in the summed H, on the grid or in a refinement stencil is BadParams, never inf or a warning."""
+    """Overflow in the summed H, on the grid or in a refinement derivative is BadParams, never inf or a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="Hamiltonian overflows"):  # three bonds of 8.5e307
             hamiltonian(CouplingParams.xyz(jx=1.0, jy=1.0, jz=1.7e308), 3, "all-pairs")
         with pytest.raises(BadParams, match="grid overflow"):
             energy_surface(CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308), "G+", (-1.0, 0.5, 0.0, 1.0), 0.5)
-        with pytest.raises(BadParams, match="stencil"):  # a finite grid whose differences overflow
+        with pytest.raises(BadParams, match="derivatives"):  # a finite grid whose curvature f_xx = 4 K_x overflows
             energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
-        f = sm._surface_function(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", "direct", "all-pairs")
-        with pytest.raises(BadParams, match="stencil"):
-            sm._stencil(f, 1.0, 0.0)
+        for source in ("direct", "closed"):
+            jet = sm._derivatives(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", source, "all-pairs")
+            with pytest.raises(BadParams, match="derivatives"):
+                jet(1.0, 0.0)
         # Finite energies from -1.7e308 to 1.7e308: their spread overflows, the surface does not.
         grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=-1.7e308), "G+", step=0.5, refine=False)
         assert np.isfinite(grid.values).all() and not grid.constant
-        # 1e200 is large but its differences are finite: the extrema come out scaled, with no warning.
+        # 1e200 is large but its derivatives are finite: the extrema come out scaled, with no warning.
         grid = energy_surface(CouplingParams.xyz(jx=1e200, jy=3.0, jz=1.0), "G+", step=0.5)
         assert [e.kind for e in grid.extrema] == [MIN, MIN] and grid.extrema[0].value == pytest.approx(-5e199)
