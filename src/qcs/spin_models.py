@@ -2,11 +2,11 @@
 
 The Q symbol of a model is the diagonal expectation E(psi) =
 <B(psi)|H|B(psi)> taken in one maximally entangled basis member B; plotted
-over the label plane it forms an energy surface whose isolated extrema
-are located on a grid and refined without a search: every isolated finite
-stationary point sits on a label where every surface of its state is
-stationary whatever the couplings (`_stationary_points`), so a seed moves
-to the nearest such label of the kind it needs.
+over the label plane it forms an energy surface.  Every isolated finite
+extremum sits on one of its state's fixed labels, where the surface is
+stationary whatever the couplings, and the Hessian there is a table in
+the couplings (`_census`), so extrema are read off that table, not
+searched for on the grid.
 
 Two scalar routes exist: `q_symbol_direct` (matrix element, the oracle
 of the rotation law that surfaces use) and `q_symbol_closed` (hand-reduced
@@ -63,7 +63,6 @@ CONSTANT = "CONSTANT"
 # test against float noise on flat ridges.
 FLATNESS_REL = 1e-10
 _CURVATURE_FLOOR = 1e-5
-_MERGE_DIST = 1e-4
 # A definite seed whose exact gradient is this small is refined in place.
 _STATIONARY_GRAD_TOL = 1e-9
 # Extremum values this close (relative) are ordered by position, not by rounding noise.
@@ -435,33 +434,46 @@ def _source(source: str) -> str:
     return kind
 
 
+def _law(params: CouplingParams, sid: str, source: str, bonds: str):
+    """(n_bonds, c, s, axis, K 2^-e, e): one surface's rotation law n_bonds (c tr K + s v^T K v) (README).
+
+    e is the exponent of max |K|, so no sum of the scaled K overflows and
+    no normal value changes.  The direct source is the law at its own K
+    and bonds; every closed form is the law on the chain at K itself, but
+    XXZ P+ at K' = -hbar^2 (J, J, Jz).  BadParams for unknown bonds,
+    FormulaUnavailable for a closed pair with no form.
+    """
+    n_qubits = 3 if sid.startswith("PG") else 2
+    n_bonds = len(_bond_list(n_qubits, bonds))
+    k = _pauli_diagonal(params)
+    if _source(source) == "closed":
+        if params.model != "XYZ" and sid != "P+":
+            raise FormulaUnavailable(f"no closed form for ({params.model}, {sid})")
+        n_bonds = n_qubits - 1
+        if params.model == "XXZ":
+            k = tuple(-params.hbar**2 * j for j in (params.j, params.j, params.jz))
+    e = math.frexp(max(map(abs, k)))[1]
+    return (n_bonds, *_LAW[sid], tuple(math.ldexp(ka, -e) for ka in k), e)
+
+
 def _surface_function(params: CouplingParams, state_id: str, source: str, bonds: str) -> Callable:
     """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per block of whole rows (`_evaluate_grid`).  Refinement
-    calls it at one label, the refined point, and reads every gradient
-    and Hessian from the law's exact `_derivatives` instead.
+    call it once per block of whole rows (`_evaluate_grid`).
 
-    The direct source is the rotation law (README), n_bonds * (c tr K +
-    s v^T K v) from `_LAW`, `_pauli_diagonal` and `_rotated_axis`, taken
-    at K scaled by 2^-e (no normal value changes) so that tr K alone never
-    overflows; `hamiltonian` rejects the couplings `q_symbol_direct` does.
-    Kernels are not cached: building one costs a few microseconds.  Both
-    sources check the state id and the bonds here.  Where an energy
+    The direct source is the rotation law (`_law`) with v from
+    `_rotated_axis`; `hamiltonian` rejects the couplings `q_symbol_direct`
+    does.  Kernels are not cached: building one costs a few microseconds.
+    Both sources check the state id and the bonds here.  Where an energy
     overflows, the closed kernel raises BadParams and the direct one
     returns +-inf without a warning; its callers check the values.
     """
     sid = _state_id(state_id)
-    n_qubits = 3 if sid.startswith("PG") else 2
-    n_bonds = len(_bond_list(n_qubits, bonds))
-    if _source(source) == "closed":
+    n_bonds, c, s, axis, (kx, ky, kz), scale = _law(params, sid, source, bonds)
+    if source.lower() == "closed":
         return lambda x, y: _closed_values(params, sid, x, y)
-    hamiltonian(params, n_qubits, bonds)
-    c, s, axis = _LAW[sid]
-    k = _pauli_diagonal(params)
-    scale = math.frexp(max(map(abs, k)))[1]
-    kx, ky, kz = (math.ldexp(v, -scale) for v in k)
+    hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
     c_trace = c * (kx + ky + kz)
 
     def direct(x, y):
@@ -512,33 +524,6 @@ def _evaluate_grid(
     return values
 
 
-def _neighbor_extreme(extreme: np.ufunc, values: np.ndarray) -> np.ndarray:
-    """`extreme` (np.minimum or np.maximum) over the 8 neighbors of each inner node, in separable steps.
-
-    The 3-wide extreme of every row serves the rows above and below a
-    node, the left/right pair its own row.  Both ufuncs are exact, so this
-    equals the extreme over the eight shifted copies of the grid.
-    """
-    across = extreme(extreme(values[:, :-2], values[:, 1:-1]), values[:, 2:])
-    beside = extreme(values[1:-1, :-2], values[1:-1, 2:])
-    return extreme(beside, extreme(across[:-2], across[2:]))
-
-
-def _grid_seeds(values: np.ndarray) -> list[tuple[int, int, str]]:
-    """Strict 8-neighbor extremum candidates (row, col, MIN|MAX) in row-major order.
-
-    A node is a candidate when it lies below the least of its 8 neighbors
-    (MIN) or above the greatest (MAX) by more than FLATNESS_REL * (1 + |value|).
-    """
-    inner = values[1:-1, 1:-1]
-    margin = FLATNESS_REL * (1.0 + np.abs(inner))
-    is_min = inner < _neighbor_extreme(np.minimum, values) - margin
-    is_max = inner > _neighbor_extreme(np.maximum, values) + margin
-    # np.nonzero of a 2-D mask costs several times flatnonzero's single pass.
-    rows, cols = np.divmod(np.flatnonzero(is_min | is_max), inner.shape[1])
-    return [(int(i) + 1, int(j) + 1, MIN if is_min[i, j] else MAX) for i, j in zip(rows, cols)]
-
-
 # `_rotated_axis`'s forms v_a = p_a / (t^2 + x^2 + y^2): each p_a's coefficients of (t^2, t x, t y, x^2, x y, y^2).
 _AXIS_FORMS = {
     "z": ((0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 0, 0, -1, 0, -1)),
@@ -550,24 +535,12 @@ _AXIS_FORMS = {
 def _derivatives(params: CouplingParams, sid: str, source: str, bonds: str) -> Callable:
     """jet(x, y) -> ((f_x, f_y), (f_xx, f_xy, f_yy)), a surface's exact derivatives at one finite label, in floats.
 
-    Both sources are the rotation law n_bonds (c tr K + s v^T K v): the direct one at its own K and bonds, every
-    closed form on the chain at K itself but XXZ P+ at K' = -hbar^2 (J, J, Jz) (README).  v is differentiated by
-    the quotient rule, at K scaled by 2^-e and in `_rotated_axis`'s chart.  InfinitePoint at a non-finite label,
-    BadParams where a derivative overflows.
+    Both sources are the rotation law at their own K (`_law`).  v is differentiated by the quotient rule, at K
+    scaled by 2^-e and in `_rotated_axis`'s chart.  InfinitePoint at a non-finite label, BadParams where a
+    derivative overflows.
     """
-    sid = _state_id(sid)
-    n_qubits = 3 if sid.startswith("PG") else 2
-    n_bonds = len(_bond_list(n_qubits, bonds))
-    c, s, axis = _LAW[sid]
-    k = _pauli_diagonal(params)
-    if _source(source) == "closed":
-        if params.model != "XYZ" and sid != "P+":
-            raise FormulaUnavailable(f"no closed form for ({params.model}, {sid})")
-        n_bonds = n_qubits - 1
-        if params.model == "XXZ":
-            k = tuple(-params.hbar**2 * j for j in (params.j, params.j, params.jz))
-    scale = math.frexp(max(map(abs, k)))[1]
-    terms = [(math.ldexp(ka, -scale), form) for ka, form in zip(k, _AXIS_FORMS[axis])]
+    n_bonds, _, s, axis, k, scale = _law(params, _state_id(sid), source, bonds)
+    terms = list(zip(k, _AXIS_FORMS[axis]))
 
     def jet(x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -616,18 +589,60 @@ def _kind(eigs) -> str:
 
 
 def minimize(fun, x0, **options):
-    """`scipy.optimize.minimize`, imported on the first call.  Refinement does not use it; the tests'
-    Nelder-Mead reference does, and the benchmark's tracer wraps it until ROADMAP item 1 retires that hook."""
+    """`scipy.optimize.minimize`, imported on the first call.  No library route calls it; the tests'
+    Nelder-Mead reference does, and the benchmark's tracer still wraps it."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **options)
 
 
+# Each state's isolated fixed labels (x, y, a, lambda) (README): the rotated axis there is v = +-e_a, and the
+# Hessian's eigenvalues are 2 n_bonds s lambda (K_b - K_a) for b != a.  P+ (P-) is also stationary on the whole
+# real (imaginary) axis, where no point is isolated.
+_G_LABELS = ((0.0, 0.0, 2, 4), (1.0, 0.0, 0, 1), (-1.0, 0.0, 0, 1), (0.0, 1.0, 1, 1), (0.0, -1.0, 1, 1))
+_FIXED_LABELS = {"P+": ((0.0, 1.0, 2, 1), (0.0, -1.0, 2, 1)), "P-": ((1.0, 0.0, 2, 1), (-1.0, 0.0, 2, 1)),
+                 **dict.fromkeys(("G+", "G-", "PG+", "PG-"), _G_LABELS)}
+
+
+def _census(params: CouplingParams, sid: str, source: str, bonds: str) -> list[tuple]:
+    """(x, y, value, eigenvalues, kind) at each of a surface's `_FIXED_LABELS`, read from the table in K.
+
+    The ascending eigenvalues are computed at K 2^-e (`_law`) and scaled
+    back, +-inf where that overflows, so that `_kind` still reads the sign
+    of a curvature beyond the double range.  The value equals the kernel's
+    bit for bit: the direct law in floats at v = e_a (a zero component
+    of v adds a zero of K_b's sign to v^T K v, as in the kernel), the
+    closed form at the label.  BadParams where the value overflows.
+    """
+    n_bonds, c, s, _, k, e = _law(params, sid, source, bonds)
+    rows = []
+    for x, y, a, lam in _FIXED_LABELS[sid]:
+        eigs = sorted(_unscaled(2.0 * n_bonds * s * lam * (k[b] - k[a]), e) for b in range(3) if b != a)
+        if source.lower() == "closed":
+            value = float(_closed_values(params, sid, x, y))
+        else:
+            vx, vy, vz = (1.0 if b == a else 0.0 for b in range(3))
+            law = c * (k[0] + k[1] + k[2]) + s * (k[0] * vx * vx + k[1] * vy * vy + k[2] * vz * vz)
+            value = _unscaled(n_bonds * law, e)
+            if math.isinf(value):
+                raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
+        rows.append((x, y, value, tuple(eigs), _kind(eigs)))
+    return rows
+
+
+def _unscaled(value: float, e: int) -> float:
+    """value 2^e, +-inf where that overflows."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def _stationary_points(sid: str, x: float, y: float) -> list[tuple[float, float]]:
     """The labels where every `sid` surface is stationary whatever the couplings (README), nearest (x, y) first:
     G, PG: 0, +-1, +-i.  P+: the real axis (foot (x, 0)), +-i.  P-: the imaginary axis (foot (0, y)), +-1."""
-    points = {"P+": ((x, 0.0), (0.0, 1.0), (0.0, -1.0)), "P-": ((0.0, y), (1.0, 0.0), (-1.0, 0.0))}.get(
-        sid, ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+    foot = {"P+": ((x, 0.0),), "P-": ((0.0, y),)}.get(sid, ())
+    points = foot + tuple((lx, ly) for lx, ly, _, _ in _FIXED_LABELS[sid])
     return sorted(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
 
 
@@ -638,11 +653,13 @@ def refine_extremum(
     source: str = "direct",
     bonds: str = "all-pairs",
 ) -> Extremum:
-    """Move a coarse extremum seed onto the stationary point it stands for.
+    """Move one coarse extremum seed onto the stationary point it stands for.
 
-    Every isolated finite stationary point of a surface is one of its
-    state's fixed stationary labels (`_stationary_points`; README derives
-    both directions), so refinement picks a label instead of searching.
+    This is the single-seed API; `energy_surface` reads its extrema from
+    the census and does not call it.  Every isolated finite stationary
+    point of a surface is one of its state's fixed stationary labels
+    (`_stationary_points`; README derives both directions), so refinement
+    picks a label instead of searching.
     A flat seed is returned as CONSTANT.  A seed whose Hessian is definite
     and whose gradient is already at most _STATIONARY_GRAD_TOL stays in
     place.  Every other seed walks the labels nearest first and takes the
@@ -684,25 +701,16 @@ def refine_extremum(
     return Extremum(x, y, value, kind)
 
 
-def _merge_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
-    """Drop duplicates within _MERGE_DIST, keeping the lowest value, then sort by value.
-
-    Values equal to within _TIE_REL form one tier ordered by (x, y) at
-    the merge resolution, so that symmetric extrema do not swap places on
-    last-bit rounding of their values or on noise in their positions.
-    """
-    kept: list[Extremum] = []
-    for e in sorted(extrema, key=lambda e: (e.value, e.x, e.y)):
-        if all(math.hypot(e.x - k.x, e.y - k.y) > _MERGE_DIST for k in kept):
-            kept.append(e)
+def _sort_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
+    """Sort by value; values equal to within _TIE_REL form one tier ordered by (x, y), so that symmetric extrema do
+    not swap places on last-bit rounding of their values."""
     tiers: list[list[Extremum]] = []
-    for e in kept:
+    for e in sorted(extrema, key=lambda e: (e.value, e.x, e.y)):
         if tiers and e.value - tiers[-1][0].value <= _TIE_REL * (1.0 + abs(e.value)):
             tiers[-1].append(e)
         else:
             tiers.append([e])
-    position = lambda e: (round(e.x / _MERGE_DIST), round(e.y / _MERGE_DIST), e.x, e.y)
-    return tuple(e for tier in tiers for e in sorted(tier, key=position))
+    return tuple(e for tier in tiers for e in sorted(tier, key=lambda e: (e.x, e.y)))
 
 
 def energy_surface(
@@ -723,17 +731,13 @@ def energy_surface(
     step 0.3 ends at 0.9, at step 0.35 at 1.05.  Grids of more than
     MAX_GRID_NODES nodes raise BadParams before anything is allocated.
 
-    Seeds come from strict 8-neighbor dominance with a relative noise
-    margin; each seed is refined by `refine_extremum` (in place when it is
-    already stationary, else onto the nearest fixed stationary label of
-    the kind it needs) and duplicates within 1e-4 are merged.  Each
-    refinement is logged at DEBUG on the "qcs" logger with its route, final
-    point, number of labels tried and final gradient.  A seed with no label
-    of its kind raises NoConvergence and is dropped (also logged at DEBUG);
-    the other extrema are kept.  A surface whose spread is
-    below 1e-10 * (1 + |max|) is flagged constant and carries no extrema.
-    A grid energy, or a refined energy or derivative, beyond the double
-    range raises BadParams.
+    The extrema are the MIN and MAX labels of the surface's `_census`
+    inside the node span [xs[0], xs[-1]] x [ys[0], ys[-1]], sorted by
+    value (`_sort_extrema`); the grid takes no part in finding them, and
+    saddles are not listed.  refine=False skips the census.  A surface
+    whose spread is below 1e-10 * (1 + |max|) is flagged constant and
+    carries no extrema.  A grid energy, or an extremum's energy, beyond
+    the double range raises BadParams.
     """
     sid = state_id.upper()
     source = _source(source)
@@ -744,14 +748,10 @@ def energy_surface(
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
     extrema: tuple[Extremum, ...] = ()
     if not constant and refine:
-        refined = []
-        for i, j, _ in _grid_seeds(values):
-            seed = (float(xs[j]), float(ys[i]))
-            try:
-                refined.append(refine_extremum(params, sid, seed, source, bonds))
-            except NoConvergence as exc:
-                _log.debug("dropping seed %s of %s surface: %s", seed, sid, exc)
-        extrema = _merge_extrema([e for e in refined if e.kind != CONSTANT])
+        x_lo, x_hi, y_lo, y_hi = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
+        census = _census(params, sid, source, bonds)
+        extrema = _sort_extrema([Extremum(x, y, value, kind) for x, y, value, _, kind in census
+                                 if kind in (MIN, MAX) and x_lo <= x <= x_hi and y_lo <= y <= y_hi])
     return SurfaceGrid(
         window=tuple(float(w) for w in window),
         step=float(step),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from qcs import cli
 from qcs import evolution as ev
+from qcs import spin_models as sm
 from qcs.cli import main
 from qcs.spin_models import CouplingParams, energy_surface
 
@@ -214,34 +216,33 @@ def test_evolve_body_digests(argv, digest, tmp_path):
 
 
 # SHA-256 of `extrema` output: the six `extrema` rows of the benchmark's
-# cli-surface table at unscaled couplings, a closed G+ surface near jx = jy
-# whose saddle seed lands on the SADDLE (1, 0), and a G+ window whose
-# off-node MIN and MAX seeds move onto the labels (0, +-1) and 0 and whose
-# saddle seeds land on (1, 0) and on the MINs at (0, -1) and (0, 1).  Every
-# refined extremum sits exactly on a fixed stationary label (0, +-1, +-i).
+# cli-surface table at unscaled couplings, and two closed G+ surfaces near
+# jx = jy whose SADDLE at (1, 0) is not listed.  Every extremum sits
+# exactly on a fixed label (0, +-1, +-i); `test_extrema_pins_are_exact_labels`
+# bounds each value against exact arithmetic.
 PG_FLAGS = ["--model=xyz", "--j-plus=-1.0", "--j-minus=-1.0", "--jz=-1.0"]
 GEN_FLAGS = ["--model=xyz", "--jx=1.1", "--jy=-0.4", "--jz=0.9"]
 EXTREMA_SHA256 = [
     (["--state=P+", "--model=xxz", "--j=1.0", "--jz=-2.0", "--source=closed", "--window=-2.5,2.5,-2.5,2.5",
       "--step=0.1"], "a941f12e5123e12b58f56ecfaea3dac8b8d0599a770723770529c14b075749d7"),
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
-     "638f48b773994e95fc3681ae503e3feb99e3515957e5d3aa6e59f9498304fbde"),
+     "212e90c343164c86ad27bd99ca014c2e3c31bff552f2e1f79a587e82ab22b7db"),
     (["--state=PG-", *PG_FLAGS, "--window=-1.36,1.36,-1.36,1.36", "--step=0.08"],
      "0e5710bc61e3b55212e9d9911a6a81719cacd2d947f781f8fd6830070d1a7ea5"),
     (["--state=G+", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
      "ac6e02842641c28385a79ca6cc37f8947a1ab7710e1063e6aea8b6dd6cf16219"),
     (["--state=PG+", *PG_FLAGS, "--bonds=chain", "--source=closed", "--window=-1.7,1.7,-1.7,1.7", "--step=0.1"],
-     "9b91d8e051d1c8acaed904f53e816eb7755fc159054c35920c8112e8d7528d56"),
+     "212e90c343164c86ad27bd99ca014c2e3c31bff552f2e1f79a587e82ab22b7db"),
     (["--state=G-", *GEN_FLAGS, "--window=-2.5,2.5,-2.5,2.5", "--step=0.1"],
      "d46da3f2fe180f9bb546043c984d18adbabf327a5be498bb8417a5e84886d0a0"),
     (["--state=G+", "--jx=0.465721243863944", "--jy=0.45666640033603256", "--jz=0.6800728488750654",
       "--source=closed", "--step=0.1",
       "--window=-2.457453444314526,2.542546555685474,-2.4792202943370514,2.5207797056629486"],
-     "381257fa28df11bf73d09e81ede3ce891f13674c80e13ffd4cfaec4f8e5983b4"),
+     "3bb20f5f8de1104f707800e43b676ba9eed92c3483990a419e1181c801b54a63"),
     (["--state=G+", "--jx=1.2654864670238135", "--jy=1.2770941634217208", "--jz=0.14200448231306373",
       "--source=closed", "--step=0.099652006380203",
       "--window=-2.512951134121445,2.487048865878555,-2.544793412870247,2.455206587129753"],
-     "483b4f7ce549024bb6cf8e109c545c83f0fd4237bf8de11bcdf4b3e235ccc2be"),
+     "292e8520f0e6ee3a8d5423374dcd592b841d006b5ccf4c499eb2c16c7f067abf"),
 ]
 
 
@@ -250,6 +251,38 @@ def test_extrema_digests(argv, digest, tmp_path):
     target = tmp_path / "extrema.csv"
     assert main(["extrema", *argv, "--output", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_extrema_pins_are_exact_labels(tmp_path):
+    """Every pinned `extrema` row lies exactly on one of its state's fixed labels, and its value is within
+    2.1e-16 (1 + n_bonds sum |K|) of the exact value: n_bonds (c tr K + s K_a) on the direct source, where the
+    label's rotated axis is e_a, and the closed form in rational arithmetic on the closed one.  The worst
+    measured is 5.05e-17 (G+ at +-i)."""
+    from test_spin_models import _exact_closed_form
+
+    rows_checked = 0
+    for argv, _ in EXTREMA_SHA256:
+        args = cli.build_parser().parse_args(["extrema", *argv])
+        params, sid = cli._coupling_params(args), args.state.upper()
+        target = tmp_path / "extrema.csv"
+        assert main(["extrema", *argv, "--output", str(target)]) == 0
+        axes = {(x, y): a for x, y, a, _ in sm._FIXED_LABELS[sid]}
+        n_qubits = 3 if sid.startswith("PG") else 2
+        k = [Fraction(t) for t in sm._pauli_diagonal(params)]
+        n_bonds = len(sm._bond_list(n_qubits, args.bonds)) if args.source == "direct" else n_qubits - 1
+        c, s, _ = sm._LAW[sid]
+        for row in target.read_text().splitlines()[1:]:
+            if row.startswith("# CONSTANT"):
+                continue
+            x, y, value = map(float, row.split(",")[:3])
+            assert (x, y) in axes, (argv, row)
+            if args.source == "direct":
+                exact = n_bonds * (Fraction(c).limit_denominator(3) * sum(k) + Fraction(s) * k[axes[x, y]])
+            else:
+                exact = _exact_closed_form(params, sid, x, y).d[0]
+            assert abs(Fraction(value) - exact) <= 2.1e-16 * (1 + n_bonds * sum(map(abs, k))), (argv, row)
+            rows_checked += 1
+    assert rows_checked == 24
 
 
 # SHA-256 of `surface` output as the per-row grid writer wrote it: the six
@@ -548,10 +581,12 @@ def test_label_whose_modulus_overflows_exits_two(argv, capsys):
         (["extrema", "--state", "G+", "--model", "xxz", "--j", "1", "--delta", "0.5", "--hbar", "1e160"],
          "bond coefficients"),
         (["surface", "--state", "P+", "--model", "xxx", "--j", "1e300", "--hbar", "1e10"], "bond coefficients"),
-        # Huge XYZ couplings: finite coefficients whose energies or exact derivatives overflow.
+        # Huge XYZ couplings: finite coefficients whose energies overflow on the grid, or at the MAX psi = 0
+        # (1.8e308) of a window whose nodes stay finite.
         (["surface", "--state", "G+", "--jx", "1.2e308", "--jy", "1.2e308", "--jz=-1.2e308", "--window=-1,0.5,-0,1",
           "--step", "0.5"], "grid overflow"),
-        (["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"], "derivatives"),
+        (["extrema", "--state", "G+", "--jx", "1.2e308", "--jy", "1.2e308", "--jz=-1.2e308",
+          "--window=-0.25,0.25,-0.2,0.3", "--step", "0.5"], "energy at (0.0, 0.0) overflows"),
         (["surface", "--state", "PG+", "--jx", "1", "--jy", "1", "--jz", "1.7e308", "--step", "0.5"],
          "Hamiltonian overflows"),
     ],
@@ -564,6 +599,18 @@ def test_overflowing_couplings_exit_two(argv, message, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"qcs {argv[0]}: ") and message in err and err.count("\n") == 1, err
+
+
+def test_extrema_of_couplings_whose_curvature_overflows(capsys):
+    """G+ at jx = 1.7e308 has curvatures beyond the double range but representable extrema: they are listed, with
+    no warning and no inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extrema", "--state", "G+", "--jx", "1.7e308", "--jy", "3", "--step", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == ["x,y,value,kind", "-1,0,-8.4999999999999997e+307,MIN",
+                                "1,0,-8.4999999999999997e+307,MIN", "0,0,8.4999999999999997e+307,MAX"]
 
 
 CLOSED_G = ["surface", "--state", "G+", "--source", "closed"]

@@ -389,8 +389,36 @@ def test_surface_repeat_runs_identical():
         assert len(runs[0].extrema) == 4
 
 
+def _neighbor_extreme(extreme, values):
+    """`extreme` (np.minimum or np.maximum) over the 8 neighbors of each inner node, in separable steps.
+
+    The 3-wide extreme of every row serves the rows above and below a
+    node, the left/right pair its own row.  Both ufuncs are exact, so this
+    equals the extreme over the eight shifted copies of the grid.
+    """
+    across = extreme(extreme(values[:, :-2], values[:, 1:-1]), values[:, 2:])
+    beside = extreme(values[1:-1, :-2], values[1:-1, 2:])
+    return extreme(beside, extreme(across[:-2], across[2:]))
+
+
+def _grid_seeds(values):
+    """Strict 8-neighbor extremum seeds (row, col, MIN|MAX) of a grid, in row-major order: the grid route that
+    `energy_surface` used before it read its extrema from the census.  The seeds feed the single-seed
+    `refine_extremum` tests and the Nelder-Mead reference below.
+
+    A node is a seed when it lies below the least of its 8 neighbors (MIN)
+    or above the greatest (MAX) by more than FLATNESS_REL * (1 + |value|).
+    """
+    inner = values[1:-1, 1:-1]
+    margin = sm.FLATNESS_REL * (1.0 + np.abs(inner))
+    is_min = inner < _neighbor_extreme(np.minimum, values) - margin
+    is_max = inner > _neighbor_extreme(np.maximum, values) + margin
+    rows, cols = np.divmod(np.flatnonzero(is_min | is_max), inner.shape[1])
+    return [(int(i) + 1, int(j) + 1, sm.MIN if is_min[i, j] else sm.MAX) for i, j in zip(rows, cols)]
+
+
 def _grid_seeds_loop(values):
-    """Reference: the node-by-node seed scan the array route replaces."""
+    """Reference: the node-by-node seed scan `_grid_seeds` vectorises."""
     seeds = []
     ny, nx = values.shape
     for i in range(1, ny - 1):
@@ -414,7 +442,7 @@ levels = st.sampled_from([-1.0, -1.0 + 1e-11, 0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-9, 
 @settings(max_examples=300)
 @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=levels))
 def test_grid_seeds_match_loop_reference(values):
-    assert sm._grid_seeds(values) == _grid_seeds_loop(values)
+    assert _grid_seeds(values) == _grid_seeds_loop(values)
 
 
 def test_grid_seeds_match_loop_reference_on_surfaces():
@@ -429,7 +457,7 @@ def test_grid_seeds_match_loop_reference_on_surfaces():
                 grid = energy_surface(params, sid, source=source, bonds=bonds, refine=False)
             except FormulaUnavailable:
                 continue
-            seeds = sm._grid_seeds(grid.values)
+            seeds = _grid_seeds(grid.values)
             assert seeds and seeds == _grid_seeds_loop(grid.values)
 
 
@@ -442,7 +470,7 @@ def test_grid_seeds_with_ties_and_plateaus():
     values[4, 5] = 3.0
     values[3, 5] = 3.0 + 1e-11  # above its neighbor (4, 5) by less than the margin: no MAX
     values[5, 6] = 4.0  # a strict MAX
-    seeds = sm._grid_seeds(values)
+    seeds = _grid_seeds(values)
     assert seeds == _grid_seeds_loop(values)
     assert seeds == [(1, 1, sm.MIN), (5, 6, sm.MAX)]
 
@@ -469,13 +497,13 @@ XXZ = CouplingParams.xxz(j=1.0, jz=-2.0)
     ],
 )
 def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bonds, window, step):
-    """Extrema refined through the kernel equal those refined through the scalar oracle."""
+    """The census's extrema equal those that grid seeds refine to through the scalar oracle."""
     kernel = energy_surface(params, sid, window, step, source, bonds)
     oracle = _oracle_kernel(params, sid, source, bonds)
     monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
-    scalar = energy_surface(params, sid, window, step, source, bonds)
-    assert len(kernel.extrema) == len(scalar.extrema) >= 2
-    for e, o in zip(kernel.extrema, scalar.extrema):
+    scalar = _seeded_extrema(params, sid, window, step, source, bonds)
+    assert len(kernel.extrema) == len(scalar) >= 2
+    for e, o in zip(kernel.extrema, scalar):
         assert e.kind == o.kind
         assert math.hypot(e.x - o.x, e.y - o.y) <= 1e-7
         assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
@@ -495,6 +523,23 @@ def test_indefinite_seed_refines_to_saddle(monkeypatch):
         assert math.hypot(e.x, e.y) <= 1e-7
     assert math.hypot(kernel.x - scalar.x, kernel.y - scalar.y) <= 1e-7
     assert np.linalg.norm(_central_gradient(oracle, kernel.x, kernel.y)) <= 1e-6
+
+
+def _seeded_extrema(params, sid, window, step, source, bonds, refine=None):
+    """Reference: the grid route the census replaced.  Each `_grid_seeds` seed is refined (by `refine`, default
+    `refine_extremum`), a seed with no label of its kind is dropped, refined points within 1e-4 of one kept
+    already are merged, and the MIN and MAX are sorted as `energy_surface` sorts them."""
+    refine = refine or sm.refine_extremum
+    grid = energy_surface(params, sid, window, step, source, bonds, refine=False)
+    found = []
+    for i, j, _ in _grid_seeds(grid.values):
+        try:
+            e = refine(params, sid, (float(grid.xs[j]), float(grid.ys[i])), source, bonds)
+        except NoConvergence:
+            continue
+        if e.kind in (sm.MIN, sm.MAX) and all(math.hypot(e.x - f.x, e.y - f.y) > 1e-4 for f in found):
+            found.append(e)
+    return sm._sort_extrema(found)
 
 
 def _central_gradient(f, x, y, h=1e-5):
@@ -632,20 +677,18 @@ def test_derivatives_match_exact_rationals():
 
 
 def test_merge_orders_last_bit_ties_by_position():
+    """Values equal to within 1e-12 (relative) are ordered by (x, y); values further apart by value."""
     v = -2.0
     w = math.nextafter(v, 0.0)
     on_y = [sm.Extremum(1e-9, 1.0, v, sm.MAX), sm.Extremum(-1e-9, -1.0, w, sm.MAX)]
     on_x = [sm.Extremum(1.0, -1e-9, w, sm.MIN), sm.Extremum(-1.0, 1e-9, v, sm.MIN)]
     for pair, first in ((on_y, (-1e-9, -1.0)), (on_x, (-1.0, 1e-9))):
         for ordered in (pair, pair[::-1]):
-            merged = sm._merge_extrema(list(ordered))
+            merged = sm._sort_extrema(list(ordered))
             assert (merged[0].x, merged[0].y) == first
     # Values that differ beyond rounding still order by value.
     apart = [sm.Extremum(-1.0, 0.0, 1.0, sm.MAX), sm.Extremum(1.0, 0.0, 1.0 - 1e-9, sm.MAX)]
-    assert [e.x for e in sm._merge_extrema(apart)] == [1.0, -1.0]
-    # Duplicates within the merge distance keep the lowest value.
-    dup = [sm.Extremum(0.0, 1.0, w, sm.MIN), sm.Extremum(0.0, 1.0 + 1e-6, v, sm.MIN)]
-    assert sm._merge_extrema(dup) == (dup[1],)
+    assert [e.x for e in sm._sort_extrema(apart)] == [1.0, -1.0]
 
 
 # P- XYZ with jy close to jz: a nearly level landscape whose grid holds 26
@@ -655,50 +698,53 @@ FLAT_P_MINUS_WINDOW = (-2.499966197682181, 2.500033802317819, -2.537409785549687
 FLAT_P_MINUS_STEP = 0.08276295886670162
 
 
-def test_failed_refinement_keeps_other_extrema(monkeypatch, caplog):
-    """A seed with no label of its kind is dropped after one jet per label and no kernel call; the others are kept."""
+def test_failed_refinement_keeps_other_extrema(monkeypatch):
+    """A seed with no label of its kind is dropped after one jet per label and no kernel call; the other seeds
+    refine.  The census lists no extremum here: both fixed P- labels are saddles."""
+    grid = energy_surface(FLAT_P_MINUS, "P-", FLAT_P_MINUS_WINDOW, FLAT_P_MINUS_STEP, "closed")
+    assert grid.extrema == ()
     sizes = _spy_on_kernel_sizes(monkeypatch)
     points = _spy_on_jet_points(monkeypatch)
-    refine = sm.refine_extremum
     costs = {"kept": [], "dropped": []}
-
-    def costed_refine(*args):
+    kept = set()
+    for i, j, _ in _grid_seeds(grid.values):
         sizes.clear()
         points.clear()
         try:
-            e = refine(*args)
+            e = sm.refine_extremum(FLAT_P_MINUS, "P-", (float(grid.xs[j]), float(grid.ys[i])), "closed")
         except NoConvergence:
             costs["dropped"].append((list(sizes), len(points)))
-            raise
+            continue
         costs["kept"].append((list(sizes), len(points)))
-        return e
-
-    monkeypatch.setattr(sm, "refine_extremum", costed_refine)
-    with caplog.at_level("DEBUG", logger="qcs"):
-        grid = energy_surface(FLAT_P_MINUS, "P-", FLAT_P_MINUS_WINDOW, FLAT_P_MINUS_STEP, "closed")
-    dropped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dropping seed")]
-    assert len(dropped) == len(costs["dropped"]) == 15
-    assert len(costs["kept"]) + len(costs["dropped"]) == len(sm._grid_seeds(grid.values)) == 26
+        if e.kind != sm.CONSTANT:  # a foot on the critical imaginary axis
+            kept.add((e.kind, e.x, e.y))
+    assert len(costs["dropped"]) == 15
+    assert len(costs["kept"]) + len(costs["dropped"]) == 26
     # The seed's jet, then one per fixed P- label (the foot on the imaginary axis, +1, -1); a kept seed's value
     # is one kernel call at its final point.
     assert all(cost == ([], 4) for cost in costs["dropped"])
     assert all(sizes == [1] and 1 <= jets <= 4 for sizes, jets in costs["kept"])
-    assert [(e.kind, e.x, e.y) for e in grid.extrema] == [(sm.SADDLE, -1.0, 0.0), (sm.SADDLE, 1.0, 0.0)]
+    assert kept == {(sm.SADDLE, -1.0, 0.0), (sm.SADDLE, 1.0, 0.0)}
 
 
 # G+ XYZ near jx = jy: the grid seed near (1.04, 0.02) has Hessian eigenvalues
 # (-0.375, 1.45e-4), so it lands on its nearest label, the SADDLE (1, 0).
 G_NEAR = CouplingParams.xyz(jx=0.465721243863944, jy=0.45666640033603256, jz=0.6800728488750654)
 G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5207797056629486)
+G_NEAR_SADDLE_SEED = (1.0425465556854738, 0.020779705662948622)
 
 
 def test_refinement_logs_route_per_seed(caplog):
     """Each refinement logs its seed, route, the number of labels tried and its final gradient at DEBUG on "qcs"."""
+    surfaces = [(G_NEAR, "G+", G_NEAR_WINDOW, "closed", "all-pairs"),
+                (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), "direct", "chain")]
     with caplog.at_level("DEBUG", logger="qcs"):
-        off_node = energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
-        on_node = energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
+        for params, sid, window, source, bonds in surfaces:
+            grid = energy_surface(params, sid, window, 0.1, source, bonds, refine=False)
+            for i, j, _ in _grid_seeds(grid.values):
+                sm.refine_extremum(params, sid, (float(grid.xs[j]), float(grid.ys[i])), source, bonds)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refined seed")]
-    assert len(lines) == len(sm._grid_seeds(off_node.values)) + len(sm._grid_seeds(on_node.values)) == 8
+    assert len(lines) == 8
     assert all(" G+ surface onto label (" in line and ", labels tried 1, " in line for line in lines[:4])
     assert all(" PG+ surface in place, labels tried 0, " in line for line in lines[4:])
     for line in lines:
@@ -710,17 +756,19 @@ import sys
 from qcs import spin_models as sm
 params = sm.CouplingParams.xyz(jx={jx!r}, jy={jy!r}, jz={jz!r})
 grid = sm.energy_surface(params, "G+", {window!r}, 0.1, "closed")
+e = sm.refine_extremum(params, "G+", {seed!r}, "closed")
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
-print([(e.kind, e.x, e.y) for e in grid.extrema if e.kind == sm.SADDLE])
+print([(e.kind, e.x, e.y) for e in grid.extrema if e.kind == sm.SADDLE], (e.kind, e.x, e.y))
 """
 
 
 def test_saddle_seed_loads_no_scipy():
-    """A saddle seed lands exactly on its stationary label, and no SciPy module is loaded on the way."""
-    code = SADDLE_SNAP.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW)
+    """A saddle seed lands exactly on its stationary label, the surface lists no saddle, and no SciPy module is
+    loaded on the way."""
+    code = SADDLE_SNAP.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW, seed=G_NEAR_SADDLE_SEED)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[('SADDLE', 1.0, 0.0)]\n"
+    assert proc.stdout == "[] ('SADDLE', 1.0, 0.0)\n"
 
 
 def _fixed_stationary_labels(sid, t):
@@ -795,10 +843,11 @@ def test_shallow_valley_minima_are_kept():
     """Seeds up to 0.5 from a shallow minimum (six steps of this grid) still reach it."""
     params = CouplingParams.xyz(jx=1.6980793402194458, jy=-0.5241278911809659, jz=1.751768203344752)
     window = (-2.481228575094236, 2.518771424905764, -2.4826186258668765, 2.5173813741331235)
-    grid = energy_surface(params, "P+", window, 0.08, "closed")
-    assert [e.kind for e in grid.extrema] == [sm.MIN, sm.MIN]
-    for e, y in zip(grid.extrema, (-1.0, 1.0)):
-        assert math.hypot(e.x, e.y - y) <= 1e-7
+    census = energy_surface(params, "P+", window, 0.08, "closed").extrema
+    for extrema in (census, _seeded_extrema(params, "P+", window, 0.08, "closed", "all-pairs")):
+        assert [e.kind for e in extrema] == [sm.MIN, sm.MIN]
+        for e, y in zip(extrema, (-1.0, 1.0)):
+            assert math.hypot(e.x, e.y - y) <= 1e-7
 
 
 # G+ XYZ near jx = jy whose MIN seed beside (-1, 0) sees a SADDLE there first.
@@ -812,7 +861,7 @@ def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
 
     Near-tie couplings make flat valleys; snapping every seed to its
     nearest label, whatever that label's kind, loses an extremum on each
-    of the surfaces below.
+    of the surfaces below.  Their grid seeds refine to the census's rows.
     """
     seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of G_TIE_WINDOW
     jet = sm._derivatives(G_TIE, "G+", "closed", "all-pairs")
@@ -822,29 +871,31 @@ def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
     assert (e.kind, e.x, e.y) == (sm.MIN, 0.0, 1.0)
     cases = [
         (G_TIE, "G+", "closed", "all-pairs", G_TIE_WINDOW, G_TIE_STEP,
-         [(sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.SADDLE, 1.0, 0.0), (sm.MAX, 0.0, 0.0)]),
+         [(sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.MAX, 0.0, 0.0)]),
         (CouplingParams.xyz(jx=-0.8554756749999948, jy=-0.855547582836675, jz=-1.2066975644306197), "G+", "closed",
          "chain", (-2.081887372034269, 1.651013213372578, -1.7658990384421667, 1.9670015469646807),
          0.47133334792440396, [(sm.MIN, -1.0, 0.0), (sm.MIN, 1.0, 0.0), (sm.MAX, 0.0, 0.0)]),
         (CouplingParams.xyz(jx=0.6049465862801942, jy=0.6047575898085654, jz=1.3580984488149737), "PG-", "direct",
          "all-pairs", (-1.6424825814912976, 1.9104672552563726, -1.5804849538055104, 1.9724648829421598),
-         0.44594362288031086, [(sm.MIN, 0.0, 0.0), (sm.SADDLE, -1.0, 0.0), (sm.MAX, 0.0, -1.0), (sm.MAX, 0.0, 1.0)]),
+         0.44594362288031086, [(sm.MIN, 0.0, 0.0), (sm.MAX, 0.0, -1.0), (sm.MAX, 0.0, 1.0)]),
     ]
     for params, sid, source, bonds, window, step, expected in cases:
-        grid = energy_surface(params, sid, window, step, source, bonds)
-        assert [(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in grid.extrema] == expected, (params, sid)
+        census = energy_surface(params, sid, window, step, source, bonds).extrema
+        for extrema in (census, _seeded_extrema(params, sid, window, step, source, bonds)):
+            assert [(e.kind, round(e.x, 6) + 0.0, round(e.y, 6) + 0.0) for e in extrema] == expected, (params, sid)
 
 
 def test_degenerate_maxima_converge():
     """Maxima with a curvature of -0.0086 still reach their labels (0, +-1)."""
     params = CouplingParams.xyz(jx=1.8882018549708155, jy=-1.6874178590416822, jz=-1.6831326434938143)
     window = (-2.512865184530696, 2.487134815469304, -2.542852504454167, 2.457147495545833)
-    grid = energy_surface(params, "G+", window, 0.1, "direct")
-    maxima = [e for e in grid.extrema if e.kind == sm.MAX]
-    assert [(round(e.x, 6) + 0.0, round(e.y, 6)) for e in maxima] == [(0.0, -1.0), (0.0, 1.0)]
     oracle = _oracle_kernel(params, "G+", "direct", "all-pairs")
-    for e in maxima:
-        assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
+    census = energy_surface(params, "G+", window, 0.1, "direct").extrema
+    for extrema in (census, _seeded_extrema(params, "G+", window, 0.1, "direct", "all-pairs")):
+        maxima = [e for e in extrema if e.kind == sm.MAX]
+        assert [(round(e.x, 6) + 0.0, round(e.y, 6)) for e in maxima] == [(0.0, -1.0), (0.0, 1.0)]
+        for e in maxima:
+            assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
 
 
 def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
@@ -894,21 +945,21 @@ def _random_surfaces(n, rng):
         yield CouplingParams.xyz(jx=jx, jy=jy, jz=jz), sid, window, rng.uniform(0.05, 0.1)
 
 
-def test_refinement_matches_nelder_mead_on_random_surfaces(monkeypatch):
-    """The labels are the extrema Nelder-Mead finds: same kinds, counts and order, within 2e-7."""
-    cases = list(_random_surfaces(40, random.Random(61)))
-    refined = [energy_surface(p, sid, w, step, "closed", "chain") for p, sid, w, step in cases]
-    monkeypatch.setattr(sm, "refine_extremum", _nelder_mead_refine)
+def test_refinement_matches_nelder_mead_on_random_surfaces():
+    """The census's extrema are the ones Nelder-Mead finds from the grid seeds: same kinds and counts, within
+    2e-7."""
+    at = lambda e: (e.kind, round(e.x, 4) + 0.0, round(e.y, 4) + 0.0)
     count = 0
-    for (params, sid, window, step), grid in zip(cases, refined):
-        reference = energy_surface(params, sid, window, step, "closed", "chain")
-        assert [e.kind for e in grid.extrema] == [e.kind for e in reference.extrema], (params, sid)
+    for params, sid, window, step in _random_surfaces(40, random.Random(61)):
+        census = sorted(energy_surface(params, sid, window, step, "closed", "chain").extrema, key=at)
+        reference = sorted(_seeded_extrema(params, sid, window, step, "closed", "chain", _nelder_mead_refine), key=at)
+        assert [e.kind for e in census] == [e.kind for e in reference], (params, sid)
         oracle = _oracle_kernel(params, sid, "closed", "chain")
-        for e, r in zip(grid.extrema, reference.extrema):
+        for e, r in zip(census, reference):
             assert math.hypot(e.x - r.x, e.y - r.y) <= 2e-7
             assert abs(e.value - r.value) <= 1e-10
             assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
-        count += len(grid.extrema)
+        count += len(census)
     assert count >= 80
 
 
@@ -935,20 +986,17 @@ def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="a
 
 
 @pytest.mark.parametrize("source", ["direct", "closed"])
-def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(monkeypatch, source):
-    """Kinds read from the Hessians in hand by the 2 x 2 formula give the extrema of eigvalsh on a fresh jet, bit
-    for bit."""
-    cases = list(_random_surfaces(40, random.Random(67)))
-    grids = [energy_surface(p, sid, w, step, source, "chain") for p, sid, w, step in cases]
-    monkeypatch.setattr(sm, "refine_extremum", _refine_classifying_afresh)
+def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(source):
+    """The census's kinds and values are those that grid seeds refine to with every kind read by eigvalsh from a
+    fresh jet and every value from the kernel, bit for bit."""
     count = 0
-    for (params, sid, window, step), grid in zip(cases, grids):
-        reference = energy_surface(params, sid, window, step, source, "chain")
-        assert grid.values.tobytes() == reference.values.tobytes()
-        assert [(e.x, e.y, e.value, e.kind) for e in grid.extrema] == [
-            (e.x, e.y, e.value, e.kind) for e in reference.extrema
+    for params, sid, window, step in _random_surfaces(40, random.Random(67)):
+        census = energy_surface(params, sid, window, step, source, "chain").extrema
+        reference = _seeded_extrema(params, sid, window, step, source, "chain", _refine_classifying_afresh)
+        assert [(e.x, e.y, e.value, e.kind) for e in census] == [
+            (e.x, e.y, e.value, e.kind) for e in reference
         ], (params, sid)
-        count += len(grid.extrema)
+        count += len(census)
     assert count >= 80
 
 
@@ -1028,13 +1076,94 @@ def test_refinement_calls_the_kernel_at_single_labels_nearest_first(monkeypatch)
         routes["nearest label" if len(points) == 2 else "farther label"] += 1
         return e
 
-    monkeypatch.setattr(sm, "refine_extremum", recording_refine)
-    for params, sid, window, step in _random_surfaces(40, random.Random(67)):
-        energy_surface(params, sid, window, step, "closed", "chain")
-    energy_surface(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed")
-    energy_surface(G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed")
-    energy_surface(PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")
+    surfaces = [(params, sid, window, step, "closed", "chain")
+                for params, sid, window, step in _random_surfaces(40, random.Random(67))]
+    surfaces += [(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed", "all-pairs"),
+                 (G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed", "all-pairs"),
+                 (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")]
+    for surface in surfaces:
+        _seeded_extrema(*surface, recording_refine)
     assert min(routes.values()) >= 1, routes
+
+
+def test_census_lists_the_max_the_grid_seeds_miss():
+    """G+ at (Jx, Jy, Jz) = (-1.763, 0.678, -1.766): K_x and K_z nearly tie, so the MAX at psi = 0 has Hessian
+    eigenvalues -0.024 and -19.552, and at step 0.188 no grid node there is a strict 8-neighbor maximum.  The
+    census lists it; the grid route it replaced did not."""
+    params = CouplingParams.xyz(jx=-1.763, jy=0.678, jz=-1.766)
+    window, step = (-2.5, 2.5, -2.5, 2.5), 0.188
+    rows = [(e.kind, e.x, e.y) for e in energy_surface(params, "G+", window, step).extrema]
+    assert rows == [(MIN, 0.0, -1.0), (MIN, 0.0, 1.0), (sm.MAX, 0.0, 0.0)]
+    origin = next(row for row in sm._census(params, "G+", "direct", "all-pairs") if row[:2] == (0.0, 0.0))
+    assert origin[3] == pytest.approx((-19.552, -0.024), abs=1e-12)
+    seeded = _seeded_extrema(params, "G+", window, step, "direct", "all-pairs")
+    assert [(e.kind, e.x, e.y) for e in seeded] == rows[:2]
+
+
+def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
+    """`energy_surface` evaluates its grid once and takes its extrema from the census: no refinement, no
+    derivative and no kernel call beyond the grid's blocks."""
+    passes = []
+    evaluate = sm._evaluate_grid
+    monkeypatch.setattr(sm, "_evaluate_grid", lambda *args: passes.append(args) or evaluate(*args))
+    sizes = _spy_on_kernel_sizes(monkeypatch)
+
+    def off_the_surface_path(*args, **kwargs):
+        raise AssertionError("energy_surface called refinement")
+
+    monkeypatch.setattr(sm, "refine_extremum", off_the_surface_path)
+    monkeypatch.setattr(sm, "_derivatives", off_the_surface_path)
+    cases = [(XXZ, "P+", (-2.0, 2.0, -2.0, 2.0), 0.1, "closed", "all-pairs"),
+             (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain"),
+             (GEN, "G+", (-2.5, 2.5, -2.5, 2.5), 0.1, "direct", "all-pairs"),
+             (G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed", "all-pairs")]
+    for params, sid, window, step, source, bonds in cases:
+        passes.clear()
+        sizes.clear()
+        grid = energy_surface(params, sid, window, step, source, bonds)
+        assert len(passes) == 1 and len(grid.extrema) >= 2
+        assert sum(sizes) == grid.values.size
+
+
+def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
+    """At every fixed label of 3000 random surfaces (every model, state, source and bond set; a fifth of them XYZ
+    with |Jx - Jy| from 1e-7 to 1e-2), the census's eigenvalues are those of the exact Hessian within
+    2e-15 (1 + n_bonds sum |K|), its value is the kernel's to the last bit and the sign of zero, and
+    `refine_extremum` seeded at a MIN or MAX returns the census's row.  The worst eigenvalue gap measured is
+    1.59e-15 on this draw and 1.67e-15 on another like it: each side rounds by about 1e-15 of that scale."""
+    rng = random.Random(97)
+    surfaces = rows = 0
+    while surfaces < 3000:
+        j, delta, jz = (rng.uniform(-2.0, 2.0) for _ in range(3))
+        hbar = 10.0 ** rng.uniform(-1.0, 1.0)
+        model = "XYZ" if surfaces % 5 == 0 else rng.choice(sm.MODELS)
+        if surfaces % 5 == 0:
+            delta = j + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, -2.0)
+        params = {"XXX": lambda: CouplingParams.xxx(j=j, hbar=hbar),
+                  "XXZ": lambda: CouplingParams.xxz(j=j, delta=delta, hbar=hbar),
+                  "XYZ": lambda: CouplingParams.xyz(jx=j, jy=delta, jz=jz)}[model]()
+        sid, source, bonds = rng.choice(STATE_IDS), rng.choice(("direct", "closed")), rng.choice(sm.BOND_CHOICES)
+        try:
+            census = sm._census(params, sid, source, bonds)
+        except FormulaUnavailable:
+            continue
+        f, jet = sm._surface_function(params, sid, source, bonds), sm._derivatives(params, sid, source, bonds)
+        k = sm._pauli_diagonal(params)
+        if source == "closed" and model == "XXZ":
+            k = [-hbar**2 * t for t in (params.j, params.j, params.jz)]
+        n = 3 if sid.startswith("PG") else 2
+        n_bonds = len(sm._bond_list(n, bonds)) if source == "direct" else n - 1
+        bound = 2e-15 * (1.0 + n_bonds * sum(map(abs, k)))
+        for x, y, value, eigs, kind in census:
+            want = sm._eigenvalues(jet(x, y)[1])
+            assert max(abs(a - b) for a, b in zip(eigs, want)) <= bound, (params, sid, source, bonds, x, y)
+            assert repr(value) == repr(float(f(x, y))), (params, sid, source, bonds, x, y)
+            if kind in (MIN, sm.MAX):
+                e = sm.refine_extremum(params, sid, (x, y), source, bonds)
+                assert (e.x, e.y, repr(e.value), e.kind) == (x, y, repr(value), kind)
+            rows += 1
+        surfaces += 1
+    assert rows >= 3000 * 2
 
 
 def test_closed_refinement_rejects_non_finite_seeds():
@@ -1277,22 +1406,29 @@ def test_overflowing_bond_coefficients_raise_before_any_array(build):
 
 
 def test_huge_xyz_couplings_raise_bad_params_without_warnings():
-    """Overflow in the summed H, on the grid or in a refinement derivative is BadParams, never inf or a warning."""
+    """Overflow in the summed H, on the grid, at an extremum or in a refinement derivative is BadParams, never inf
+    or a warning."""
+    huge = CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParams, match="Hamiltonian overflows"):  # three bonds of 8.5e307
             hamiltonian(CouplingParams.xyz(jx=1.0, jy=1.0, jz=1.7e308), 3, "all-pairs")
         with pytest.raises(BadParams, match="grid overflow"):
-            energy_surface(CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308), "G+", (-1.0, 0.5, 0.0, 1.0), 0.5)
-        with pytest.raises(BadParams, match="derivatives"):  # a finite grid whose curvature f_xx = 4 K_x overflows
-            energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
+            energy_surface(huge, "G+", (-1.0, 0.5, 0.0, 1.0), 0.5)
+        with pytest.raises(BadParams, match=r"energy at \(0.0, 0.0\) overflows"):  # 1.8e308 between finite nodes
+            energy_surface(huge, "G+", (-0.25, 0.25, -0.2, 0.3), 0.5)
         for source in ("direct", "closed"):
             jet = sm._derivatives(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", source, "all-pairs")
             with pytest.raises(BadParams, match="derivatives"):
                 jet(1.0, 0.0)
+        # The census reads no derivative: a finite grid whose curvature f_xx = 4 K_x overflows lists its extrema.
+        grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
+        assert [(e.kind, e.x, e.y, e.value) for e in grid.extrema] == [
+            (MIN, -1.0, 0.0, -8.5e307), (MIN, 1.0, 0.0, -8.5e307), (sm.MAX, 0.0, 0.0, 8.5e307)]
         # Finite energies from -1.7e308 to 1.7e308: their spread overflows, the surface does not.
         grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=-1.7e308), "G+", step=0.5, refine=False)
         assert np.isfinite(grid.values).all() and not grid.constant
-        # 1e200 is large but its derivatives are finite: the extrema come out scaled, with no warning.
+        # 1e200 is large but finite: the extrema come out scaled, with no warning.  The MAX at 0 stands above its
+        # neighbor nodes by less than their rounding, so no grid seed could find it.
         grid = energy_surface(CouplingParams.xyz(jx=1e200, jy=3.0, jz=1.0), "G+", step=0.5)
-        assert [e.kind for e in grid.extrema] == [MIN, MIN] and grid.extrema[0].value == pytest.approx(-5e199)
+        assert [e.kind for e in grid.extrema] == [MIN, MIN, sm.MAX] and grid.extrema[0].value == pytest.approx(-5e199)
