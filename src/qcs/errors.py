@@ -34,4 +34,7 @@ class FormulaUnavailable(QcsError, LookupError):
 
 
 class NoConvergence(QcsError, RuntimeError):
-    """Refinement found no stationary point of the kind its seed needs (no fixed label of that kind)."""
+    """Refinement found no stationary point of the kind its seed needs.
+
+    Kept for callers that catch it; nothing in the package raises it, since `refine_extremum` looks its label up.
+    """

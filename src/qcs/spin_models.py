@@ -20,7 +20,6 @@ take the open chain (1,2)+(2,3).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -30,7 +29,7 @@ import numpy as np
 
 from .complex_geometry import PointLike, as_point
 from .entangled_basis import _state_id, entangled_state
-from .errors import BadParams, FormulaUnavailable, InfinitePoint, NoConvergence
+from .errors import BadParams, FormulaUnavailable, InfinitePoint
 from .operators import embed_pair, sigma_x, sigma_y, sigma_z, spin_minus, spin_plus
 
 __all__ = [
@@ -58,13 +57,9 @@ MAX = "MAX"
 SADDLE = "SADDLE"
 CONSTANT = "CONSTANT"
 
-# A surface is flagged constant when its total spread is below this
-# relative floor; the same relative margin guards the strict-dominance
-# test against float noise on flat ridges.
+# A surface is flagged constant when its spread over the whole plane, read from K, is below this relative floor.
 FLATNESS_REL = 1e-10
 _CURVATURE_FLOOR = 1e-5
-# A definite seed whose exact gradient is this small is refined in place.
-_STATIONARY_GRAD_TOL = 1e-9
 # Extremum values this close (relative) are ordered by position, not by rounding noise.
 _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
@@ -73,8 +68,6 @@ MAX_GRID_NODES = 4_000_000
 # Fewer calls save NumPy's per-call overhead; much larger blocks of the law's temporaries
 # fall out of cache (2048-32768 labels on a 2-core Xeon: 20 ns per node here, 25 at 4096).
 _GRID_BLOCK = 8192
-
-_log = logging.getLogger("qcs")
 
 
 @dataclass(frozen=True)
@@ -411,9 +404,10 @@ class Extremum:
 class SurfaceGrid:
     """Energy values sampled on a rectangular label grid.
 
-    values[i, j] is the energy at (xs[j], ys[i]); extrema are refined
-    stationary points sorted by value, and `constant` flags surfaces whose
-    total spread is below the flatness floor.
+    values[i, j] is the energy at (xs[j], ys[i]); extrema are the MIN and
+    MAX fixed labels of the surface's census inside the node span, sorted
+    by value, and `constant` flags surfaces whose spread over the whole
+    plane is below the flatness floor.
     """
 
     window: tuple[float, float, float, float]
@@ -524,59 +518,6 @@ def _evaluate_grid(
     return values
 
 
-# `_rotated_axis`'s forms v_a = p_a / (t^2 + x^2 + y^2): each p_a's coefficients of (t^2, t x, t y, x^2, x y, y^2).
-_AXIS_FORMS = {
-    "z": ((0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 0, 0, -1, 0, -1)),
-    "y": ((0, 0, 0, 0, -2, 0), (1, 0, 0, 1, 0, -1), (0, 0, -2, 0, 0, 0)),
-    "x": ((1, 0, 0, -1, 0, 1), (0, 0, 0, 0, -2, 0), (0, -2, 0, 0, 0, 0)),
-}
-
-
-def _derivatives(params: CouplingParams, sid: str, source: str, bonds: str) -> Callable:
-    """jet(x, y) -> ((f_x, f_y), (f_xx, f_xy, f_yy)), a surface's exact derivatives at one finite label, in floats.
-
-    Both sources are the rotation law at their own K (`_law`).  v is differentiated by the quotient rule, at K
-    scaled by 2^-e and in `_rotated_axis`'s chart.  InfinitePoint at a non-finite label, BadParams where a
-    derivative overflows.
-    """
-    n_bonds, _, s, axis, k, scale = _law(params, _state_id(sid), source, bonds)
-    terms = list(zip(k, _AXIS_FORMS[axis]))
-
-    def jet(x: float, y: float):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InfinitePoint("energy surfaces are evaluated at finite labels")
-        e = math.frexp(max(abs(x), abs(y)))[1] if math.isinf(x * x + y * y) else 0
-        t, x, y = math.ldexp(1.0, -e), math.ldexp(x, -e), math.ldexp(y, -e)
-        d = t * t + x * x + y * y
-        fx = fy = fxx = fxy = fyy = 0.0
-        for ka, (c0, c1, c2, c3, c4, c5) in terms:
-            v = (c0 * t * t + c1 * t * x + c2 * t * y + c3 * x * x + c4 * x * y + c5 * y * y) / d
-            vx = (c1 * t + 2 * c3 * x + c4 * y - 2.0 * x * v) / d
-            vy = (c2 * t + c4 * x + 2 * c5 * y - 2.0 * y * v) / d
-            vxx = (2 * c3 - 4.0 * x * vx - 2.0 * v) / d
-            vxy = (c4 - 2.0 * y * vx - 2.0 * x * vy) / d
-            vyy = (2 * c5 - 4.0 * y * vy - 2.0 * v) / d
-            fx, fy = fx + ka * v * vx, fy + ka * v * vy
-            fxx, fyy = fxx + ka * (vx * vx + v * vxx), fyy + ka * (vy * vy + v * vyy)
-            fxy += ka * (vx * vy + v * vxy)
-        # f = n_bonds (c tr K + s sum_a K_a v_a^2), and each d/dx in the chart is 2^-e d/dX.
-        try:
-            grad = tuple(math.ldexp(2.0 * n_bonds * s * g, scale - e) for g in (fx, fy))
-            hess = tuple(math.ldexp(2.0 * n_bonds * s * h, scale - 2 * e) for h in (fxx, fxy, fyy))
-        except OverflowError:
-            raise BadParams("derivatives overflow here; couplings this large are beyond the double range") from None
-        return grad, hess
-
-    return jet
-
-
-def _eigenvalues(hess: tuple[float, float, float]) -> tuple[float, float]:
-    """Ascending eigenvalues of [[f_xx, f_xy], [f_xy, f_yy]], halved first so that no sum overflows."""
-    fxx, fxy, fyy = hess
-    mean, radius = fxx / 2.0 + fyy / 2.0, math.hypot(fxx / 2.0 - fyy / 2.0, fxy)
-    return mean - radius, mean + radius
-
-
 def _kind(eigs) -> str:
     """MIN, MAX, SADDLE or CONSTANT from ascending Hessian eigenvalues."""
     if eigs[0] > _CURVATURE_FLOOR:
@@ -638,14 +579,6 @@ def _unscaled(value: float, e: int) -> float:
         return math.copysign(math.inf, value)
 
 
-def _stationary_points(sid: str, x: float, y: float) -> list[tuple[float, float]]:
-    """The labels where every `sid` surface is stationary whatever the couplings (README), nearest (x, y) first:
-    G, PG: 0, +-1, +-i.  P+: the real axis (foot (x, 0)), +-i.  P-: the imaginary axis (foot (0, y)), +-1."""
-    foot = {"P+": ((x, 0.0),), "P-": ((0.0, y),)}.get(sid, ())
-    points = foot + tuple((lx, ly) for lx, ly, _, _ in _FIXED_LABELS[sid])
-    return sorted(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
-
-
 def refine_extremum(
     params: CouplingParams,
     state_id: str,
@@ -653,51 +586,22 @@ def refine_extremum(
     source: str = "direct",
     bonds: str = "all-pairs",
 ) -> Extremum:
-    """Move one coarse extremum seed onto the stationary point it stands for.
+    """The `_census` row at the fixed label nearest one seed; a tie goes to the first label in `_FIXED_LABELS`.
 
-    This is the single-seed API; `energy_surface` reads its extrema from
-    the census and does not call it.  Every isolated finite stationary
-    point of a surface is one of its state's fixed stationary labels
-    (`_stationary_points`; README derives both directions), so refinement
-    picks a label instead of searching.
-    A flat seed is returned as CONSTANT.  A seed whose Hessian is definite
-    and whose gradient is already at most _STATIONARY_GRAD_TOL stays in
-    place.  Every other seed walks the labels nearest first and takes the
-    first whose kind it needs: MIN for a positive-definite seed, MAX for a
-    negative-definite one, any kind for an indefinite (saddle) seed.
-    Raises NoConvergence when no label has that kind.
-
-    Every gradient and kind comes from the law's exact derivatives
-    (`_derivatives`) at the seed and at each label tried, at most five.
-    The value is one kernel call at the final point; BadParams where it
-    or a derivative overflows.
+    This is the single-seed API; `energy_surface` reads the census itself.
+    Every isolated finite stationary point of a surface is one of its
+    state's fixed labels (README derives both directions), so a seed is
+    looked up, not refined: the row carries the label's value and kind
+    (MIN, MAX, SADDLE or CONSTANT), whatever the seed's own curvature.
+    InfinitePoint for a non-finite seed; BadParams and FormulaUnavailable
+    where the surface itself raises them.
     """
-    f = _surface_function(params, state_id, source, bonds)
-    jet = _derivatives(params, state_id, source, bonds)
-    sid, x0, y0 = state_id.upper(), float(seed[0]), float(seed[1])
-    grad, hess = jet(x0, y0)
-    eigs = _eigenvalues(hess)
-    x, y, kind, tried = x0, y0, _kind(eigs), 0
-    wanted = MIN if eigs[0] > 0.0 else MAX if eigs[1] < 0.0 else None
-    flat = max(map(abs, hess)) < _CURVATURE_FLOOR and math.hypot(*grad) < 1e-9
-    if flat:
-        kind = CONSTANT
-    elif wanted is None or math.hypot(*grad) > _STATIONARY_GRAD_TOL:
-        for x, y in _stationary_points(sid, x0, y0):
-            grad, hess = jet(x, y)
-            kind, tried = _kind(_eigenvalues(hess)), tried + 1
-            if wanted in (None, kind):
-                break
-        else:
-            raise NoConvergence(f"no fixed stationary label of the {sid} surface is a {wanted}")
-    value = float(f(x, y))
-    if not math.isfinite(value):
-        raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
-    if not flat and _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "refined seed %s of %s surface %s, labels tried %d, |grad| %.3g",
-            (x0, y0), sid, "in place" if tried == 0 else f"onto label {(x, y)}", tried, math.hypot(*grad),
-        )
+    x0, y0 = float(seed[0]), float(seed[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise InfinitePoint("energy surfaces are evaluated at finite labels")
+    sid = _state_id(state_id)
+    _surface_function(params, sid, source, bonds)  # rejects what the surface rejects, H overflow included
+    x, y, value, _, kind = min(_census(params, sid, source, bonds), key=lambda r: math.hypot(r[0] - x0, r[1] - y0))
     return Extremum(x, y, value, kind)
 
 
@@ -734,17 +638,20 @@ def energy_surface(
     The extrema are the MIN and MAX labels of the surface's `_census`
     inside the node span [xs[0], xs[-1]] x [ys[0], ys[-1]], sorted by
     value (`_sort_extrema`); the grid takes no part in finding them, and
-    saddles are not listed.  refine=False skips the census.  A surface
-    whose spread is below 1e-10 * (1 + |max|) is flagged constant and
-    carries no extrema.  A grid energy, or an extremum's energy, beyond
-    the double range raises BadParams.
+    saddles are not listed.  refine=False lists none.  A surface is
+    flagged constant, and carries no extrema, when its spread over the
+    whole plane, n_bonds |s| (max K - min K) by the law, is below
+    1e-10 * (1 + |max|) of the grid's values: a window whose few nodes
+    tie by symmetry is not mistaken for a flat surface.  A grid energy,
+    or an extremum's energy, beyond the double range raises BadParams.
     """
     sid = state_id.upper()
     source = _source(source)
     xs, ys = _grid_axes(window, step)
     values = _evaluate_grid(params, sid, source, bonds, xs, ys)
 
-    spread = float(values.max()) - float(values.min())  # a Python float: inf, not a warning, if it overflows
+    n_bonds, _, s, _, k, e = _law(params, sid, source, bonds)
+    spread = _unscaled(n_bonds * abs(s) * (max(k) - min(k)), e)
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
     extrema: tuple[Extremum, ...] = ()
     if not constant and refine:

@@ -396,6 +396,21 @@ def test_surface_constant_marker():
     assert "value=-0.5" in marker[0]
 
 
+def test_window_whose_nodes_tie_by_symmetry_is_not_constant(tmp_path):
+    """At step 3 this G+ window has four nodes, its corners, which tie by symmetry.  The surface still varies,
+    so neither command prints the CONSTANT marker, and `extrema` lists the MINs at +-1 and the MAXs at +-i."""
+    argv = ["--state", "G+", *GEN_FLAGS, "--window=-1.5,1.5,-1.5,1.5", "--step", "3"]
+    for command in ("surface", "extrema"):
+        target = tmp_path / f"{command}.csv"
+        assert main([command, *argv, "--output", str(target)]) == 0
+        text = target.read_text()
+        assert "# CONSTANT" not in text
+    assert text == ("x,y,value,kind\n-1,0,-0.30000000000000004,MIN\n1,0,-0.30000000000000004,MIN\n"
+                    "0,-1,1.2000000000000002,MAX\n0,1,1.2000000000000002,MAX\n")
+    surface = (tmp_path / "surface.csv").read_text().splitlines()
+    assert len(surface) == 5 and len({row.split(",")[2] for row in surface[1:]}) == 1
+
+
 def test_extrema_subcommand():
     out = run_cli(
         "extrema", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2",

@@ -510,14 +510,15 @@ def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bond
 
 
 def test_indefinite_seed_refines_to_saddle(monkeypatch):
-    """A seed with an indefinite Hessian lands on its nearest fixed label, through the kernel and the scalar oracle."""
+    """A seed with an indefinite Hessian lands on its nearest fixed label, the SADDLE at 0: `refine_extremum` reads
+    it from the census, and the label walk reads it through the scalar oracle."""
     seed_point = (0.02, 0.01)
-    eigs = sm._eigenvalues(sm._derivatives(GEN, "G+", "direct", "all-pairs")(*seed_point)[1])
+    eigs = _eigenvalues(_derivatives(GEN, "G+", "direct", "all-pairs")(*seed_point)[1])
     assert eigs[0] < 0.0 < eigs[1]
     kernel = sm.refine_extremum(GEN, "G+", seed_point)
     oracle = _oracle_kernel(GEN, "G+", "direct", "all-pairs")
     monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
-    scalar = sm.refine_extremum(GEN, "G+", seed_point)
+    scalar = _refine_classifying_afresh(GEN, "G+", seed_point)
     for e in (kernel, scalar):
         assert e.kind == sm.SADDLE
         assert math.hypot(e.x, e.y) <= 1e-7
@@ -527,9 +528,9 @@ def test_indefinite_seed_refines_to_saddle(monkeypatch):
 
 def _seeded_extrema(params, sid, window, step, source, bonds, refine=None):
     """Reference: the grid route the census replaced.  Each `_grid_seeds` seed is refined (by `refine`, default
-    `refine_extremum`), a seed with no label of its kind is dropped, refined points within 1e-4 of one kept
-    already are merged, and the MIN and MAX are sorted as `energy_surface` sorts them."""
-    refine = refine or sm.refine_extremum
+    `_refine_classifying_afresh`), a seed with no label of its kind is dropped, refined points within 1e-4 of one
+    kept already are merged, and the MIN and MAX are sorted as `energy_surface` sorts them."""
+    refine = refine or _refine_classifying_afresh
     grid = energy_surface(params, sid, window, step, source, bonds, refine=False)
     found = []
     for i, j, _ in _grid_seeds(grid.values):
@@ -540,6 +541,71 @@ def _seeded_extrema(params, sid, window, step, source, bonds, refine=None):
         if e.kind in (sm.MIN, sm.MAX) and all(math.hypot(e.x - f.x, e.y - f.y) > 1e-4 for f in found):
             found.append(e)
     return sm._sort_extrema(found)
+
+
+# `_rotated_axis`'s forms v_a = p_a / (t^2 + x^2 + y^2): each p_a's coefficients of (t^2, t x, t y, x^2, x y, y^2).
+_AXIS_FORMS = {
+    "z": ((0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0), (1, 0, 0, -1, 0, -1)),
+    "y": ((0, 0, 0, 0, -2, 0), (1, 0, 0, 1, 0, -1), (0, 0, -2, 0, 0, 0)),
+    "x": ((1, 0, 0, -1, 0, 1), (0, 0, 0, 0, -2, 0), (0, -2, 0, 0, 0, 0)),
+}
+
+
+def _derivatives(params, sid, source, bonds):
+    """jet(x, y) -> ((f_x, f_y), (f_xx, f_xy, f_yy)), a surface's exact derivatives at one finite label, in floats.
+
+    The float reference of the tests: the seeded grid route's walk and the
+    census's eigenvalues are held to it, and it is held to the exact `_Jet`
+    (`test_derivatives_match_exact_rationals`), which costs about 1.4 ms a
+    label against its microseconds.  Both sources are the rotation law at
+    their own K (`sm._law`).  v is differentiated by the quotient rule, at
+    K scaled by 2^-e and in `_rotated_axis`'s chart.  InfinitePoint at a
+    non-finite label, BadParams where a derivative overflows.
+    """
+    n_bonds, _, s, axis, k, scale = sm._law(params, sm._state_id(sid), source, bonds)
+    terms = list(zip(k, _AXIS_FORMS[axis]))
+
+    def jet(x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InfinitePoint("energy surfaces are evaluated at finite labels")
+        e = math.frexp(max(abs(x), abs(y)))[1] if math.isinf(x * x + y * y) else 0
+        t, x, y = math.ldexp(1.0, -e), math.ldexp(x, -e), math.ldexp(y, -e)
+        d = t * t + x * x + y * y
+        fx = fy = fxx = fxy = fyy = 0.0
+        for ka, (c0, c1, c2, c3, c4, c5) in terms:
+            v = (c0 * t * t + c1 * t * x + c2 * t * y + c3 * x * x + c4 * x * y + c5 * y * y) / d
+            vx = (c1 * t + 2 * c3 * x + c4 * y - 2.0 * x * v) / d
+            vy = (c2 * t + c4 * x + 2 * c5 * y - 2.0 * y * v) / d
+            vxx = (2 * c3 - 4.0 * x * vx - 2.0 * v) / d
+            vxy = (c4 - 2.0 * y * vx - 2.0 * x * vy) / d
+            vyy = (2 * c5 - 4.0 * y * vy - 2.0 * v) / d
+            fx, fy = fx + ka * v * vx, fy + ka * v * vy
+            fxx, fyy = fxx + ka * (vx * vx + v * vxx), fyy + ka * (vy * vy + v * vyy)
+            fxy += ka * (vx * vy + v * vxy)
+        # f = n_bonds (c tr K + s sum_a K_a v_a^2), and each d/dx in the chart is 2^-e d/dX.
+        try:
+            grad = tuple(math.ldexp(2.0 * n_bonds * s * g, scale - e) for g in (fx, fy))
+            hess = tuple(math.ldexp(2.0 * n_bonds * s * h, scale - 2 * e) for h in (fxx, fxy, fyy))
+        except OverflowError:
+            raise BadParams("derivatives overflow here; couplings this large are beyond the double range") from None
+        return grad, hess
+
+    return jet
+
+
+def _eigenvalues(hess):
+    """Ascending eigenvalues of [[f_xx, f_xy], [f_xy, f_yy]], halved first so that no sum overflows."""
+    fxx, fxy, fyy = hess
+    mean, radius = fxx / 2.0 + fyy / 2.0, math.hypot(fxx / 2.0 - fyy / 2.0, fxy)
+    return mean - radius, mean + radius
+
+
+def _stationary_points(sid, x, y):
+    """The labels where every `sid` surface is stationary whatever the couplings (README), nearest (x, y) first:
+    G, PG: 0, +-1, +-i.  P+: the real axis (foot (x, 0)), +-i.  P-: the imaginary axis (foot (0, y)), +-1."""
+    foot = {"P+": ((x, 0.0),), "P-": ((0.0, y),)}.get(sid, ())
+    points = foot + tuple((lx, ly) for lx, ly, _, _ in sm._FIXED_LABELS[sid])
+    return sorted(points, key=lambda p: math.hypot(p[0] - x, p[1] - y))
 
 
 def _central_gradient(f, x, y, h=1e-5):
@@ -609,8 +675,8 @@ def _exact_closed_form(params, sid, x, y):
 
 def test_closed_forms_are_the_law_at_their_k():
     """Every closed form is the rotation law at its own K, exactly: the six XYZ forms at K = J / 2 (PG on the
-    chain), XXX P+ at its H's K, and XXZ P+ at K' = -hbar^2 (J, J, Jz).  `_derivatives` differentiates the
-    closed source as the law at these K.
+    chain), XXX P+ at its H's K, and XXZ P+ at K' = -hbar^2 (J, J, Jz).  The census reads the closed
+    source as the law at these K.
 
     This is the XXZ P+ WARN: H's K is hbar^2 (-J/2, -J/2, Delta/2), so the closed form doubles the xy terms
     and puts -Jz where Delta/2 belongs on zz.  Couplings are multiples of 1/64 and hbar of 1/4, so the forms'
@@ -639,9 +705,9 @@ def test_closed_forms_are_the_law_at_their_k():
 
 
 def test_derivatives_match_exact_rationals():
-    """`_derivatives` is within 4e-15 (1 + n_bonds sum |K|) of the exact gradient and Hessian, for all six states,
-    both sources and both bond sets, XXZ P+ closed (the law at K') included: 468 random labels and the fixed
-    ones.  The worst measured is 1.9e-15 over 2080 random labels."""
+    """The float reference `_derivatives` is within 4e-15 (1 + n_bonds sum |K|) of the exact gradient and Hessian,
+    for all six states, both sources and both bond sets, XXZ P+ closed (the law at K') included: 468 random
+    labels and the fixed ones.  The worst measured is 1.9e-15 over 2080 random labels."""
     rng = np.random.default_rng(31)
     fixed = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     random_labels = 0
@@ -655,7 +721,7 @@ def test_derivatives_match_exact_rationals():
                 for source in ("direct", "closed"):
                     for bonds in sm.BOND_CHOICES:
                         try:
-                            jet = sm._derivatives(params, sid, source, bonds)
+                            jet = _derivatives(params, sid, source, bonds)
                         except FormulaUnavailable:
                             continue
                         k = sm._pauli_diagonal(params)
@@ -698,32 +764,29 @@ FLAT_P_MINUS_WINDOW = (-2.499966197682181, 2.500033802317819, -2.537409785549687
 FLAT_P_MINUS_STEP = 0.08276295886670162
 
 
-def test_failed_refinement_keeps_other_extrema(monkeypatch):
-    """A seed with no label of its kind is dropped after one jet per label and no kernel call; the other seeds
-    refine.  The census lists no extremum here: both fixed P- labels are saddles."""
+def test_failed_refinement_keeps_other_extrema():
+    """A seed with no label of its kind is dropped by the label walk, and the other seeds refine.  The census lists
+    no extremum here: both fixed P- labels are saddles.  `refine_extremum` drops no seed: it returns the row of
+    the nearest label, whatever its kind."""
     grid = energy_surface(FLAT_P_MINUS, "P-", FLAT_P_MINUS_WINDOW, FLAT_P_MINUS_STEP, "closed")
     assert grid.extrema == ()
-    sizes = _spy_on_kernel_sizes(monkeypatch)
-    points = _spy_on_jet_points(monkeypatch)
-    costs = {"kept": [], "dropped": []}
-    kept = set()
-    for i, j, _ in _grid_seeds(grid.values):
-        sizes.clear()
-        points.clear()
+    census = {(x, y): (value, kind) for x, y, value, _, kind in sm._census(FLAT_P_MINUS, "P-", "closed", "all-pairs")}
+    dropped, kept = 0, set()
+    seeds = _grid_seeds(grid.values)
+    for i, j, _ in seeds:
+        seed_point = (float(grid.xs[j]), float(grid.ys[i]))
+        e = sm.refine_extremum(FLAT_P_MINUS, "P-", seed_point, "closed")
+        assert (e.value, e.kind) == census[e.x, e.y]
+        assert (e.x, e.y) == min(census, key=lambda p: math.hypot(p[0] - seed_point[0], p[1] - seed_point[1]))
         try:
-            e = sm.refine_extremum(FLAT_P_MINUS, "P-", (float(grid.xs[j]), float(grid.ys[i])), "closed")
+            e = _refine_classifying_afresh(FLAT_P_MINUS, "P-", seed_point, "closed")
         except NoConvergence:
-            costs["dropped"].append((list(sizes), len(points)))
+            dropped += 1
             continue
-        costs["kept"].append((list(sizes), len(points)))
         if e.kind != sm.CONSTANT:  # a foot on the critical imaginary axis
             kept.add((e.kind, e.x, e.y))
-    assert len(costs["dropped"]) == 15
-    assert len(costs["kept"]) + len(costs["dropped"]) == 26
-    # The seed's jet, then one per fixed P- label (the foot on the imaginary axis, +1, -1); a kept seed's value
-    # is one kernel call at its final point.
-    assert all(cost == ([], 4) for cost in costs["dropped"])
-    assert all(sizes == [1] and 1 <= jets <= 4 for sizes, jets in costs["kept"])
+    assert dropped == 15
+    assert len(seeds) == 26
     assert kept == {(sm.SADDLE, -1.0, 0.0), (sm.SADDLE, 1.0, 0.0)}
 
 
@@ -734,23 +797,6 @@ G_NEAR_WINDOW = (-2.457453444314526, 2.542546555685474, -2.4792202943370514, 2.5
 G_NEAR_SADDLE_SEED = (1.0425465556854738, 0.020779705662948622)
 
 
-def test_refinement_logs_route_per_seed(caplog):
-    """Each refinement logs its seed, route, the number of labels tried and its final gradient at DEBUG on "qcs"."""
-    surfaces = [(G_NEAR, "G+", G_NEAR_WINDOW, "closed", "all-pairs"),
-                (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), "direct", "chain")]
-    with caplog.at_level("DEBUG", logger="qcs"):
-        for params, sid, window, source, bonds in surfaces:
-            grid = energy_surface(params, sid, window, 0.1, source, bonds, refine=False)
-            for i, j, _ in _grid_seeds(grid.values):
-                sm.refine_extremum(params, sid, (float(grid.xs[j]), float(grid.ys[i])), source, bonds)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refined seed")]
-    assert len(lines) == 8
-    assert all(" G+ surface onto label (" in line and ", labels tried 1, " in line for line in lines[:4])
-    assert all(" PG+ surface in place, labels tried 0, " in line for line in lines[4:])
-    for line in lines:
-        assert float(line.rsplit("|grad| ", 1)[1]) <= 1e-6
-
-
 SADDLE_SNAP = """
 import sys
 from qcs import spin_models as sm
@@ -758,13 +804,14 @@ params = sm.CouplingParams.xyz(jx={jx!r}, jy={jy!r}, jz={jz!r})
 grid = sm.energy_surface(params, "G+", {window!r}, 0.1, "closed")
 e = sm.refine_extremum(params, "G+", {seed!r}, "closed")
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert "logging" not in sys.modules
 print([(e.kind, e.x, e.y) for e in grid.extrema if e.kind == sm.SADDLE], (e.kind, e.x, e.y))
 """
 
 
 def test_saddle_seed_loads_no_scipy():
-    """A saddle seed lands exactly on its stationary label, the surface lists no saddle, and no SciPy module is
-    loaded on the way."""
+    """A saddle seed lands exactly on its stationary label, the surface lists no saddle, and neither SciPy nor
+    `logging` is loaded on the way."""
     code = SADDLE_SNAP.format(jx=G_NEAR.jx, jy=G_NEAR.jy, jz=G_NEAR.jz, window=G_NEAR_WINDOW, seed=G_NEAR_SADDLE_SEED)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -772,7 +819,7 @@ def test_saddle_seed_loads_no_scipy():
 
 
 def _fixed_stationary_labels(sid, t):
-    """The table refinement reads, written out: t is a coordinate along the P+ or P- axis."""
+    """The table the label walk reads, written out: t is a coordinate along the P+ or P- axis."""
     if sid == "P+":
         return [(t, 0.0), (0.0, 1.0), (0.0, -1.0)]
     if sid == "P-":
@@ -786,8 +833,9 @@ def test_fixed_stationary_labels_are_stationary(model):
 
     Each bond is sum_a K_a sigma_a sigma_a with a diagonal K, so G and PG
     surfaces are stationary at 0, +-1 and +-i, P+ along the real axis and
-    at +-i, P- along the imaginary axis and at +-1.  Refinement sends a seed
-    to one of these labels, nearest first, and trusts that it is stationary.
+    at +-i, P- along the imaginary axis and at +-1.  The census and
+    `refine_extremum` read only these labels and trust that they are
+    stationary; the isolated ones are `_FIXED_LABELS`.
     """
     rng = random.Random(71)
     checked = 0
@@ -803,12 +851,13 @@ def test_fixed_stationary_labels_are_stationary(model):
             x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
             foot = x if sid == "P+" else y
             table = _fixed_stationary_labels(sid, foot)
-            assert sm._stationary_points(sid, x, y) == sorted(table, key=lambda p: math.hypot(p[0] - x, p[1] - y))
+            assert _stationary_points(sid, x, y) == sorted(table, key=lambda p: math.hypot(p[0] - x, p[1] - y))
+            assert [label[:2] for label in sm._FIXED_LABELS[sid]] == table[-len(sm._FIXED_LABELS[sid]):]
             for source in ("direct", "closed"):
                 for bonds in sm.BOND_CHOICES:
                     try:
                         f = sm._surface_function(params, sid, source, bonds)
-                        jet = sm._derivatives(params, sid, source, bonds)
+                        jet = _derivatives(params, sid, source, bonds)
                     except FormulaUnavailable:
                         continue
                     for label in labels:
@@ -857,18 +906,23 @@ G_TIE_STEP = 0.099652006380203
 
 
 def test_minimum_seed_beside_a_saddle_descends_to_a_minimum():
-    """A MIN or MAX seed whose nearest label is a saddle passes it for the nearest label of its own kind.
+    """A MIN or MAX seed whose nearest label is a saddle passes it, on the label walk, for the nearest label of
+    its own kind.
 
     Near-tie couplings make flat valleys; snapping every seed to its
     nearest label, whatever that label's kind, loses an extremum on each
-    of the surfaces below.  Their grid seeds refine to the census's rows.
+    of the surfaces below.  The census lists every one of them, and their
+    grid seeds walk to the census's rows.  `refine_extremum` is that
+    snap: it returns the nearest label's row, here the saddle.
     """
     seed_point = (-1.0181710384184002, 0.046158753015030474)  # a grid node of G_TIE_WINDOW
-    jet = sm._derivatives(G_TIE, "G+", "closed", "all-pairs")
-    assert sm._eigenvalues(jet(*seed_point)[1])[0] > 0.0
-    assert sm._kind(sm._eigenvalues(jet(-1.0, 0.0)[1])) == sm.SADDLE
-    e = sm.refine_extremum(G_TIE, "G+", seed_point, "closed")
+    jet = _derivatives(G_TIE, "G+", "closed", "all-pairs")
+    assert _eigenvalues(jet(*seed_point)[1])[0] > 0.0
+    assert sm._kind(_eigenvalues(jet(-1.0, 0.0)[1])) == sm.SADDLE
+    e = _refine_classifying_afresh(G_TIE, "G+", seed_point, "closed")
     assert (e.kind, e.x, e.y) == (sm.MIN, 0.0, 1.0)
+    e = sm.refine_extremum(G_TIE, "G+", seed_point, "closed")
+    assert (e.kind, e.x, e.y) == (sm.SADDLE, -1.0, 0.0)
     cases = [
         (G_TIE, "G+", "closed", "all-pairs", G_TIE_WINDOW, G_TIE_STEP,
          [(sm.MIN, 0.0, -1.0), (sm.MIN, 0.0, 1.0), (sm.MAX, 0.0, 0.0)]),
@@ -901,12 +955,12 @@ def test_degenerate_maxima_converge():
 def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pairs"):
     """Nelder-Mead refinement of every seed, a search that knows nothing of the fixed labels; the reference below."""
     f = sm._surface_function(params, state_id, source, bonds)
-    jet = sm._derivatives(params, state_id, source, bonds)
+    jet = _derivatives(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
     grad0, hess0 = jet(x0, y0)
     if max(map(abs, hess0)) < sm._CURVATURE_FLOOR and math.hypot(*grad0) < 1e-9:
         return sm.Extremum(x0, y0, float(f(x0, y0)), sm.CONSTANT)
-    eigs = sm._eigenvalues(hess0)
+    eigs = _eigenvalues(hess0)
     if eigs[0] > 0.0:
         objective = lambda v: float(f(*v.tolist()))
     elif eigs[1] < 0.0:
@@ -922,7 +976,7 @@ def _nelder_mead_refine(params, state_id, seed, source="direct", bonds="all-pair
     if not res.success:
         raise NoConvergence(f"refinement stalled at {res.x}: {res.message}")
     x, y = float(res.x[0]), float(res.x[1])
-    return sm.Extremum(x, y, float(f(x, y)), sm._kind(sm._eigenvalues(jet(x, y)[1])))
+    return sm.Extremum(x, y, float(f(x, y)), sm._kind(_eigenvalues(jet(x, y)[1])))
 
 
 def _random_surfaces(n, rng):
@@ -964,12 +1018,16 @@ def test_refinement_matches_nelder_mead_on_random_surfaces():
 
 
 def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="all-pairs"):
-    """Reference: the refinement route with every kind read from a fresh jet by eigvalsh and every value from f."""
+    """Reference: the label walk that `refine_extremum` ran before it read the census, with every kind read from
+    a fresh jet by eigvalsh and every value from f.  A flat seed is CONSTANT; a definite seed whose gradient is
+    at most 1e-9 stays in place; any other seed walks the fixed labels nearest first to the first of the kind it
+    needs (MIN for a positive-definite seed, MAX for a negative-definite one, any kind for a saddle seed), and
+    NoConvergence where no label has that kind."""
     f = sm._surface_function(params, state_id, source, bonds)
     x0, y0 = float(seed[0]), float(seed[1])
 
     def fresh(x, y):
-        grad, (fxx, fxy, fyy) = sm._derivatives(params, state_id, source, bonds)(x, y)
+        grad, (fxx, fxy, fyy) = _derivatives(params, state_id, source, bonds)(x, y)
         return grad, (fxx, fxy, fyy), np.linalg.eigvalsh([[fxx, fxy], [fxy, fyy]])
 
     grad0, hess0, eigs = fresh(x0, y0)
@@ -979,7 +1037,7 @@ def _refine_classifying_afresh(params, state_id, seed, source="direct", bonds="a
     fresh_kind = lambda x, y: sm._kind(fresh(x, y)[2])
     if wanted is not None and math.hypot(*grad0) <= 1e-9:
         return sm.Extremum(x0, y0, float(f(x0, y0)), fresh_kind(x0, y0))
-    for x, y in sm._stationary_points(state_id.upper(), x0, y0):
+    for x, y in _stationary_points(state_id.upper(), x0, y0):
         if wanted in (None, fresh_kind(x, y)):
             return sm.Extremum(x, y, float(f(x, y)), fresh_kind(x, y))
     raise NoConvergence(f"no label is a {wanted}")
@@ -1018,28 +1076,10 @@ def _spy_on_kernel_sizes(monkeypatch) -> list:
     return sizes
 
 
-def _spy_on_jet_points(monkeypatch) -> list:
-    """Make every `_derivatives` jet record the label of each call in the returned list."""
-    derivatives = sm._derivatives
-    points = []
-
-    def spying_derivatives(*key):
-        jet = derivatives(*key)
-
-        def spy(x, y):
-            points.append((x, y))
-            return jet(x, y)
-
-        return spy
-
-    monkeypatch.setattr(sm, "_derivatives", spying_derivatives)
-    return points
-
-
 def test_seed_left_in_place_costs_one_kernel_call(monkeypatch):
-    """A seed already stationary stays in place for one jet and one single-label kernel call, its value."""
+    """A seed on a fixed label stays in place, and its value is what one single-label kernel call there returns,
+    bit for bit.  `refine_extremum` itself reads the census and calls no kernel."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
-    points = _spy_on_jet_points(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
         (PG, "PG+", (0.0, 1.0), "closed", "chain", sm.MAX),
@@ -1047,43 +1087,11 @@ def test_seed_left_in_place_costs_one_kernel_call(monkeypatch):
     ]
     for params, sid, seed_point, source, bonds, kind in cases:
         sizes.clear()
-        points.clear()
         e = sm.refine_extremum(params, sid, seed_point, source, bonds)
         assert (e.x, e.y, e.kind) == (*seed_point, kind)
-        assert sizes == [1] and points == [seed_point]
-        assert e.value == float(sm._surface_function(params, sid, source, bonds)(*seed_point))
-
-
-def test_refinement_calls_the_kernel_at_single_labels_nearest_first(monkeypatch):
-    """Refinement calls the kernel with single labels only, at most twice per seed, and reads its kinds from one
-    jet at the seed, then one per label tried, nearest first."""
-    sizes = _spy_on_kernel_sizes(monkeypatch)
-    points = _spy_on_jet_points(monkeypatch)
-    refine = sm.refine_extremum
-    routes = {"in place": 0, "nearest label": 0, "farther label": 0}
-
-    def recording_refine(*args):
-        sizes.clear()
-        points.clear()
-        e = refine(*args)
-        assert set(sizes) == {1} and len(sizes) <= 2
-        assert (e.x, e.y) == points[-1]
-        if len(points) == 1:
-            routes["in place"] += 1
-            return e
-        # The labels tried are the nearest ones, in order.
-        assert points[1:] == sm._stationary_points(args[1], *points[0])[: len(points) - 1]
-        routes["nearest label" if len(points) == 2 else "farther label"] += 1
-        return e
-
-    surfaces = [(params, sid, window, step, "closed", "chain")
-                for params, sid, window, step in _random_surfaces(40, random.Random(67))]
-    surfaces += [(G_NEAR, "G+", G_NEAR_WINDOW, 0.1, "closed", "all-pairs"),
-                 (G_TIE, "G+", G_TIE_WINDOW, G_TIE_STEP, "closed", "all-pairs"),
-                 (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain")]
-    for surface in surfaces:
-        _seeded_extrema(*surface, recording_refine)
-    assert min(routes.values()) >= 1, routes
+        assert sizes == []
+        assert repr(e.value) == repr(float(sm._surface_function(params, sid, source, bonds)(*seed_point)))
+        assert sizes == [1]
 
 
 def test_census_lists_the_max_the_grid_seeds_miss():
@@ -1101,8 +1109,8 @@ def test_census_lists_the_max_the_grid_seeds_miss():
 
 
 def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
-    """`energy_surface` evaluates its grid once and takes its extrema from the census: no refinement, no
-    derivative and no kernel call beyond the grid's blocks."""
+    """`energy_surface` evaluates its grid once and takes its extrema from the census: no refinement and no kernel
+    call beyond the grid's blocks."""
     passes = []
     evaluate = sm._evaluate_grid
     monkeypatch.setattr(sm, "_evaluate_grid", lambda *args: passes.append(args) or evaluate(*args))
@@ -1112,7 +1120,6 @@ def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
         raise AssertionError("energy_surface called refinement")
 
     monkeypatch.setattr(sm, "refine_extremum", off_the_surface_path)
-    monkeypatch.setattr(sm, "_derivatives", off_the_surface_path)
     cases = [(XXZ, "P+", (-2.0, 2.0, -2.0, 2.0), 0.1, "closed", "all-pairs"),
              (PG, "PG+", (-1.7, 1.7, -1.7, 1.7), 0.1, "direct", "chain"),
              (GEN, "G+", (-2.5, 2.5, -2.5, 2.5), 0.1, "direct", "all-pairs"),
@@ -1127,10 +1134,11 @@ def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
 
 def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
     """At every fixed label of 3000 random surfaces (every model, state, source and bond set; a fifth of them XYZ
-    with |Jx - Jy| from 1e-7 to 1e-2), the census's eigenvalues are those of the exact Hessian within
-    2e-15 (1 + n_bonds sum |K|), its value is the kernel's to the last bit and the sign of zero, and
-    `refine_extremum` seeded at a MIN or MAX returns the census's row.  The worst eigenvalue gap measured is
-    1.59e-15 on this draw and 1.67e-15 on another like it: each side rounds by about 1e-15 of that scale."""
+    with |Jx - Jy| from 1e-7 to 1e-2), the census's eigenvalues are those of the exact Hessian from the float
+    reference `_derivatives` within 2e-15 (1 + n_bonds sum |K|), its value is the kernel's to the last bit and
+    the sign of zero, and `refine_extremum` seeded at the label returns the census's row.  The worst eigenvalue
+    gap measured is 1.59e-15 on this draw and 1.67e-15 on another like it: each side rounds by about 1e-15 of
+    that scale."""
     rng = random.Random(97)
     surfaces = rows = 0
     while surfaces < 3000:
@@ -1147,7 +1155,7 @@ def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
             census = sm._census(params, sid, source, bonds)
         except FormulaUnavailable:
             continue
-        f, jet = sm._surface_function(params, sid, source, bonds), sm._derivatives(params, sid, source, bonds)
+        f, jet = sm._surface_function(params, sid, source, bonds), _derivatives(params, sid, source, bonds)
         k = sm._pauli_diagonal(params)
         if source == "closed" and model == "XXZ":
             k = [-hbar**2 * t for t in (params.j, params.j, params.jz)]
@@ -1155,15 +1163,32 @@ def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
         n_bonds = len(sm._bond_list(n, bonds)) if source == "direct" else n - 1
         bound = 2e-15 * (1.0 + n_bonds * sum(map(abs, k)))
         for x, y, value, eigs, kind in census:
-            want = sm._eigenvalues(jet(x, y)[1])
+            want = _eigenvalues(jet(x, y)[1])
             assert max(abs(a - b) for a, b in zip(eigs, want)) <= bound, (params, sid, source, bonds, x, y)
             assert repr(value) == repr(float(f(x, y))), (params, sid, source, bonds, x, y)
-            if kind in (MIN, sm.MAX):
-                e = sm.refine_extremum(params, sid, (x, y), source, bonds)
-                assert (e.x, e.y, repr(e.value), e.kind) == (x, y, repr(value), kind)
+            e = sm.refine_extremum(params, sid, (x, y), source, bonds)
+            assert (e.x, e.y, repr(e.value), e.kind) == (x, y, repr(value), kind)
             rows += 1
         surfaces += 1
     assert rows >= 3000 * 2
+
+
+def test_refine_extremum_returns_the_census_row_nearest_the_seed():
+    """`refine_extremum` is a lookup: the census row at the fixed label nearest the seed, whatever the seed's own
+    curvature, with a tie going to the first label in `_FIXED_LABELS` order."""
+    rng = random.Random(53)
+    for sid in STATE_IDS:
+        for source, bonds in (("direct", "all-pairs"), ("closed", "chain")):
+            census = sm._census(GEN, sid, source, bonds)
+            for _ in range(20):
+                x0, y0 = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+                nearest = min(census, key=lambda row: math.hypot(row[0] - x0, row[1] - y0))
+                e = sm.refine_extremum(GEN, sid, (x0, y0), source, bonds)
+                assert (e.x, e.y, e.value, e.kind) == (*nearest[:3], nearest[4])
+    # (0.5, 0.5) is as far from 0 as from 1 and i; 0 is listed first.  P+ at 0: +i before -i.
+    for sid, seed_point, label in (("G+", (0.5, 0.5), (0.0, 0.0)), ("P+", (0.0, 0.0), (0.0, 1.0))):
+        e = sm.refine_extremum(GEN, sid, seed_point)
+        assert (e.x, e.y) == label
 
 
 def test_closed_refinement_rejects_non_finite_seeds():
@@ -1406,8 +1431,8 @@ def test_overflowing_bond_coefficients_raise_before_any_array(build):
 
 
 def test_huge_xyz_couplings_raise_bad_params_without_warnings():
-    """Overflow in the summed H, on the grid, at an extremum or in a refinement derivative is BadParams, never inf
-    or a warning."""
+    """Overflow in the summed H, on the grid or at an extremum, on the surface and in `refine_extremum`, is
+    BadParams, never inf or a warning."""
     huge = CouplingParams.xyz(jx=1.2e308, jy=1.2e308, jz=-1.2e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1418,13 +1443,16 @@ def test_huge_xyz_couplings_raise_bad_params_without_warnings():
         with pytest.raises(BadParams, match=r"energy at \(0.0, 0.0\) overflows"):  # 1.8e308 between finite nodes
             energy_surface(huge, "G+", (-0.25, 0.25, -0.2, 0.3), 0.5)
         for source in ("direct", "closed"):
-            jet = sm._derivatives(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", source, "all-pairs")
-            with pytest.raises(BadParams, match="derivatives"):
-                jet(1.0, 0.0)
+            with pytest.raises(BadParams, match="overflows"):
+                sm.refine_extremum(huge, "G+", (1.0, 0.0), source)
+        with pytest.raises(BadParams, match="Hamiltonian overflows"):
+            sm.refine_extremum(CouplingParams.xyz(jx=1.0, jy=1.0, jz=1.7e308), "PG-", (1.0, 0.0))
         # The census reads no derivative: a finite grid whose curvature f_xx = 4 K_x overflows lists its extrema.
         grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", step=0.5)
         assert [(e.kind, e.x, e.y, e.value) for e in grid.extrema] == [
             (MIN, -1.0, 0.0, -8.5e307), (MIN, 1.0, 0.0, -8.5e307), (sm.MAX, 0.0, 0.0, 8.5e307)]
+        e = sm.refine_extremum(CouplingParams.xyz(jx=1.7e308, jy=3.0), "G+", (0.9, 0.1))
+        assert (e.kind, e.x, e.y, e.value) == (MIN, 1.0, 0.0, -8.5e307)
         # Finite energies from -1.7e308 to 1.7e308: their spread overflows, the surface does not.
         grid = energy_surface(CouplingParams.xyz(jx=1.7e308, jy=-1.7e308), "G+", step=0.5, refine=False)
         assert np.isfinite(grid.values).all() and not grid.constant
