@@ -65,8 +65,10 @@ _TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
 MAX_GRID_NODES = 4_000_000
 # Labels per kernel call on a grid, in whole rows (one row when a row is longer).
-# Fewer calls save NumPy's per-call overhead; much larger blocks of the law's temporaries
-# fall out of cache (2048-32768 labels on a 2-core Xeon: 20 ns per node here, 25 at 4096).
+# Fewer calls save NumPy's per-call overhead; much larger blocks of the kernels' temporaries
+# fall out of cache.  2048-32768 labels on a 2-core Xeon (4 MB L2), ns per node here and at
+# 16384: 121^2 direct 13 / 11, closed 12 / 10.5 (one call there); 601^2 direct 16 / 13,
+# closed 13.5 / 17.  2048 and 4096 cost 18-26 on both sources.
 _GRID_BLOCK = 8192
 
 
@@ -228,6 +230,11 @@ def hamiltonian(params: CouplingParams, n_qubits: int = 2, bonds: str = "all-pai
     return h
 
 
+# Each entry of H sums at most 9 bond terms (three bonds of three), each a coefficient times a unit entry of
+# modulus <= 1, so H overflows only where some |coefficient| reaches 2^1019 (9 * 2^1019 < 2^1023).
+_H_SAFE = 2.0**1019
+
+
 def _require_finite(p: PointLike) -> complex:
     q = as_point(p)
     if q.is_infinity:
@@ -247,23 +254,36 @@ def _pauli_diagonal(params: CouplingParams) -> tuple[float, float, float]:
 
 
 def _rotated_axis(axis: str, x: np.ndarray, y: np.ndarray, t=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v = O(psi) e_axis at the finite labels x + 1j*y of 1-D arrays, by README's forms at t = 1.
+    """v = O(psi) e_axis at the labels x + 1j*y of broadcastable arrays, by README's forms at t = 1.
 
-    The forms are quadratics in (x, y, t) over t^2 + r^2, so where r^2 overflows (|psi| from about 1.3e154)
-    they are read at 2^-e (x, y, 1), a point below 1 that gives the same v."""
+    Each component has the broadcast shape of x and y.  Terms in x or y
+    alone are formed on their own axes, so a grid's (1, nx) and (rows, 1)
+    axes square each coordinate once, not once per node, and every node
+    gets the bits it would get alone.  The forms are quadratics in (x, y, t)
+    over t^2 + r^2, so where r^2 overflows (|psi| from about 1.3e154) they
+    are read, label by label, at 2^-e (x, y, 1), a point below 1 that gives
+    the same v.  Nodes are searched for such labels only where the largest
+    x^2 plus the largest y^2 overflows.  InfinitePoint at a non-finite label."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r2 = x * x + y * y
+        xx, yy = x * x, y * y
+        r2 = xx + yy
         d = t * t + r2
         if axis == "z":
             v = (2.0 * t * x / d, 2.0 * t * y / d, (t * t - r2) / d)
         elif axis == "y":
-            v = (-2.0 * x * y / d, (t * t + x * x - y * y) / d, -2.0 * t * y / d)
+            v = (-2.0 * x * y / d, (t * t + xx - yy) / d, -2.0 * t * y / d)
         else:
-            v = ((t * t - x * x + y * y) / d, -2.0 * x * y / d, -2.0 * t * x / d)
-    far = np.isinf(r2)
+            v = ((t * t - xx + yy) / d, -2.0 * x * y / d, -2.0 * t * x / d)
+    if float(xx.max(initial=0.0)) + float(yy.max(initial=0.0)) < math.inf:
+        return v
+    far = ~np.isfinite(r2)
     if far.any():
-        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(x[far]), np.abs(y[far])))[1])
-        for component, value in zip(v, _rotated_axis(axis, scale * x[far], scale * y[far], scale)):
+        x, y = np.broadcast_to(x, r2.shape)[far], np.broadcast_to(y, r2.shape)[far]
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InfinitePoint("energy surfaces are evaluated at finite labels")
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
+        v = tuple(np.asarray(component) for component in v)  # 0-d labels give NumPy scalars, which take no index
+        for component, value in zip(v, _rotated_axis(axis, scale * x, scale * y, scale)):
             component[far] = value
     return v
 
@@ -457,8 +477,11 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     call it once per block of whole rows (`_evaluate_grid`).
 
     The direct source is the rotation law (`_law`) with v from
-    `_rotated_axis`; `hamiltonian` rejects the couplings `q_symbol_direct`
-    does.  Kernels are not cached: building one costs a few microseconds.
+    `_rotated_axis`, on the arrays as given: a grid's (1, nx) and (rows, 1)
+    axes are not expanded to full size first.  It rejects the couplings
+    `q_symbol_direct` does; H is built for that only where some bond
+    coefficient reaches `_H_SAFE`, below which no entry of H can overflow.
+    Kernels are not cached: building one costs a few microseconds.
     Both sources check the state id and the bonds here.  Where an energy
     overflows, the closed kernel raises BadParams and the direct one
     returns +-inf without a warning; its callers check the values.
@@ -467,17 +490,15 @@ def _surface_function(params: CouplingParams, state_id: str, source: str, bonds:
     n_bonds, c, s, axis, (kx, ky, kz), scale = _law(params, sid, source, bonds)
     if source.lower() == "closed":
         return lambda x, y: _closed_values(params, sid, x, y)
-    hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
+    if not all(abs(coeff) < _H_SAFE for coeff in _term_couplings(params)):
+        hamiltonian(params, 3 if sid.startswith("PG") else 2, bonds)
     c_trace = c * (kx + ky + kz)
 
     def direct(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise InfinitePoint("energy surfaces are evaluated at finite labels")
-        vx, vy, vz = _rotated_axis(axis, x.ravel(), y.ravel())
+        vx, vy, vz = _rotated_axis(axis, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         with np.errstate(over="ignore"):
             values = np.ldexp(n_bonds * (c_trace + s * (kx * vx * vx + ky * vy * vy + kz * vz * vz)), scale)
-        return values.reshape(x.shape)[()]
+        return values[()]
 
     return direct
 

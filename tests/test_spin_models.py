@@ -1415,6 +1415,166 @@ def test_direct_grid_far_from_the_origin_matches_the_oracle(corner, step, shrink
                 assert np.max(np.abs(grid.values - oracle)) <= 1e-12, (sid, bonds)
 
 
+def _raveled_rotated_axis(axis, x, y, t=1.0):
+    """`sm._rotated_axis` as it was before it worked on broadcast axes: 1-D arrays, a full-size far pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = x * x + y * y
+        d = t * t + r2
+        if axis == "z":
+            v = (2.0 * t * x / d, 2.0 * t * y / d, (t * t - r2) / d)
+        elif axis == "y":
+            v = (-2.0 * x * y / d, (t * t + x * x - y * y) / d, -2.0 * t * y / d)
+        else:
+            v = ((t * t - x * x + y * y) / d, -2.0 * x * y / d, -2.0 * t * x / d)
+    far = np.isinf(r2)
+    if far.any():
+        scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(x[far]), np.abs(y[far])))[1])
+        for component, value in zip(v, _raveled_rotated_axis(axis, scale * x[far], scale * y[far], scale)):
+            component[far] = value
+    return v
+
+
+def _raveled_kernel(params, sid, bonds):
+    """The reference direct kernel: labels broadcast to full size and raveled, the law, then reshaped."""
+    n_bonds, c, s, axis, (kx, ky, kz), scale = sm._law(params, sid, "direct", bonds)
+    c_trace = c * (kx + ky + kz)
+
+    def direct(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InfinitePoint("energy surfaces are evaluated at finite labels")
+        vx, vy, vz = _raveled_rotated_axis(axis, x.ravel(), y.ravel())
+        with np.errstate(over="ignore"):
+            values = np.ldexp(n_bonds * (c_trace + s * (kx * vx * vx + ky * vy * vy + kz * vz * vz)), scale)
+        return values.reshape(x.shape)[()]
+
+    return direct
+
+
+def _kernel_axes(rng):
+    """Label axes that cover what the direct kernel must treat alike: ordinary windows, signed zeros and
+    subnormals, windows on both sides of where the largest x^2 + y^2 first overflows (|psi| about 1.3e154,
+    x^2 + y^2 = 2^1024) and across it, and labels up to the top of the double range."""
+    edge = math.sqrt(2.0**1023)  # x = y = edge puts r^2 at 2^1024: the first overflow on the diagonal
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+    axes = [(rng.uniform(-3.0, 3.0, 7), rng.uniform(-3.0, 3.0, 5)),
+            (np.array(tiny), np.array(tiny[::-1])),
+            (np.array([-0.0, 0.5, 1.0, -1.0]), np.array([0.0, -1.0, 1e-320]))]
+    for lo, hi in ((0.6, 0.99), (0.95, 1.05), (0.99, 1.4), (1.0, 1.0000001)):
+        axes.append((edge * rng.uniform(lo, hi, 6), -edge * rng.uniform(lo, hi, 4)))
+    axes.append((np.array([1e154, 1.3e154, 1.35e154, 1e300, -1.7e308]), np.array([0.0, -1e154, 1.3e154, 2.0])))
+    # Paired 1-D, no label overflows although the largest x^2 plus the largest y^2 does; on a grid, one corner does.
+    axes.append((np.array([1.2 * edge, 1.0]), np.array([1.0, -1.2 * edge])))
+    return axes
+
+
+def test_axis_kernel_equals_the_raveled_kernel_bit_for_bit():
+    """The direct kernel on broadcast axes gives the raveled reference's repr at every node, signs of zero
+    included, for all six states, both bond sets and random couplings of every model (large ones too, whose
+    energies overflow to +-inf), in every calling shape: 0-d, 1-D (as `verify` calls it), (1, n) x (m, 1) grid
+    axes and full 2-D arrays; with no warning, and InfinitePoint at the same non-finite labels."""
+    rng = np.random.default_rng(2029)
+    nodes = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(6):
+            j, delta, jz = rng.uniform(-2.0, 2.0, 3).tolist()
+            if trial == 5:
+                j, delta, jz = 1.6e308, -1.2, 1.7e308
+            hbar = float(10.0 ** rng.uniform(-1.0, 1.0)) if trial < 5 else 1.0
+            for params in (CouplingParams.xxx(j=j / 2, hbar=hbar), CouplingParams.xxz(j=j / 2, delta=delta, hbar=hbar),
+                           CouplingParams.xyz(jx=j, jy=delta, jz=jz)):
+                axes = _kernel_axes(rng)
+                for sid in STATE_IDS:
+                    for bonds in sm.BOND_CHOICES:
+                        try:
+                            new = sm._surface_function(params, sid, "direct", bonds)
+                        except BadParams:  # H overflows: the reference never sees these couplings
+                            continue
+                        old = _raveled_kernel(params, sid, bonds)
+                        for xs, ys in axes:
+                            n = min(xs.size, ys.size)
+                            for x, y in ((xs[None, :], ys[:, None]), (xs[:n], ys[:n]), (xs[0], ys[-1]),
+                                         (float(xs[-1]), float(ys[0])), np.meshgrid(xs, ys)):
+                                got, want = new(x, y), old(x, y)
+                                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                                got_r, want_r = map(repr, np.ravel(got).tolist()), map(repr, np.ravel(want).tolist())
+                                assert list(got_r) == list(want_r), (params, sid, bonds, x, y)
+                                nodes += np.size(got)
+                        for x, y in ((np.array([0.5, math.inf])[None, :], np.array([[0.0]])),
+                                     (0.5, math.nan), (np.array([1e300, 1.0]), np.array([-math.inf, 0.0]))):
+                            for kernel in (new, old):
+                                with pytest.raises(InfinitePoint):
+                                    kernel(x, y)
+    assert nodes > 90_000
+
+
+def test_surface_raises_on_h_overflow_exactly_where_hamiltonian_does():
+    """For a largest bond coefficient from 2^1016 up to the largest finite double, over every model, 2 and 3
+    qubits and both bond sets, the direct `energy_surface` and `refine_extremum` raise the Hamiltonian's
+    BadParams exactly when `hamiltonian` itself raises it: below 2^1019 no entry of H can overflow, and from
+    there H is built.  Other overflows (of the energies) may raise too; those are not the gate's."""
+    rng = np.random.default_rng(1019)
+    below = math.nextafter(2.0**1019, 0.0)
+    sizes = [2.0**1016, below, 2.0**1019, sys.float_info.max]
+    mantissas, exponents = rng.uniform(1.0, 2.0, 30).tolist(), rng.integers(1016, 1024, 30).tolist()
+    sizes += [math.ldexp(u, e) for u, e in zip(mantissas, exponents)]
+    outcomes = set()
+    for size in sizes:
+        a, b, c = (rng.permutation([size, *rng.uniform(0.0, size, 2)]) * rng.choice([-1.0, 1.0], 3)).tolist()
+        builds = [lambda: CouplingParams.xyz(jx=2.0 * a, jy=2.0 * b, jz=2.0 * c),
+                  lambda: CouplingParams.xxx(j=size * np.sign(a)),
+                  lambda: CouplingParams.xxz(j=size * np.sign(b), delta=float(rng.uniform(-1.0, 1.0)))]
+        for build in builds:
+            try:
+                params = build()
+            except BadParams:  # 2 * size is not a finite XYZ coupling
+                continue
+            assert max(map(abs, sm._term_couplings(params))) == size
+            for sid in ("G+", "PG+", "PG-"):
+                n = 3 if sid.startswith("PG") else 2
+                for bonds in sm.BOND_CHOICES:
+                    try:
+                        hamiltonian(params, n, bonds)
+                        h_raises = False
+                    except BadParams as exc:
+                        h_raises = "Hamiltonian overflows" in str(exc)
+                    for call in (lambda: energy_surface(params, sid, (-1.0, 1.0, -1.0, 1.0), 0.5, bonds=bonds),
+                                 lambda: sm.refine_extremum(params, sid, (0.2, 0.1), bonds=bonds)):
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            try:
+                                call()
+                                raised = False
+                            except BadParams as exc:
+                                raised = "Hamiltonian overflows" in str(exc)
+                        assert raised == h_raises, (params, sid, bonds)
+                        outcomes.add((n, size < 2.0**1019, h_raises))
+    assert outcomes == {(2, True, False), (2, False, False), (3, True, False), (3, False, False), (3, False, True)}
+
+
+def test_ordinary_couplings_build_no_hamiltonian_on_the_surface_path(monkeypatch):
+    """Surfaces and `refine_extremum` build H only as an overflow gate, so couplings whose coefficients are all
+    below 2^1019 build none, on either source; from 2^1019 they build it."""
+    built = []
+    real = sm.hamiltonian
+    monkeypatch.setattr(sm, "hamiltonian", lambda *args: built.append(args) or real(*args))
+    rng = np.random.default_rng(7)
+    for jx, jy, jz in [*rng.uniform(-2.0, 2.0, (3, 3)).tolist(), (1e300, -3e300, 5e299)]:
+        for params in (CouplingParams.xyz(jx=jx, jy=jy, jz=jz), CouplingParams.xxz(j=jx, delta=jz / jx)):
+            for sid in STATE_IDS:
+                for source in ("direct", "closed"):
+                    for bonds in sm.BOND_CHOICES:
+                        try:
+                            energy_surface(params, sid, (-1.0, 1.0, -1.0, 1.0), 0.25, source, bonds)
+                            sm.refine_extremum(params, sid, (0.3, -0.2), source, bonds)
+                        except FormulaUnavailable:
+                            continue
+    assert built == []
+    sm.refine_extremum(CouplingParams.xyz(jx=1.0, jy=1.0, jz=2.0**1020), "PG-", (0.0, 0.0))
+    assert built == [(CouplingParams.xyz(jx=1.0, jy=1.0, jz=2.0**1020), 3, "all-pairs")]
+
+
 @pytest.mark.parametrize("build", [
     lambda: CouplingParams.xxz(j=1.0, delta=0.5, hbar=1e300),
     lambda: CouplingParams.xxz(j=1.0, delta=0.5, hbar=1e160),
