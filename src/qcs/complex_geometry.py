@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import BadParams, DegenerateTriple
+from .errors import BadParams, DegenerateTriple, InfinitePoint
 
 __all__ = [
     "ComplexPoint",
@@ -59,7 +59,7 @@ class ComplexPoint:
             return
         z = complex(value)
         if not _is_finite(z):
-            raise ValueError(
+            raise InfinitePoint(
                 "finite components required; use INFINITY for the point at infinity"
             )
         self._value = z
@@ -70,9 +70,9 @@ class ComplexPoint:
 
     @property
     def value(self) -> complex:
-        """The finite complex value; raises for INFINITY."""
+        """The finite complex value; InfinitePoint for INFINITY."""
         if self._value is None:
-            raise ValueError("the point at infinity has no finite value")
+            raise InfinitePoint("the point at infinity has no finite value")
         return self._value
 
     @property

@@ -14,7 +14,7 @@ class DimensionMismatch(QcsError, ValueError):
 
 
 class InfinitePoint(QcsError, ValueError):
-    """The point at infinity was passed where a finite label is required."""
+    """The point at infinity, or a non-finite complex value, was passed where a finite label is required."""
 
 
 class NotNormalized(QcsError, ValueError):
@@ -26,7 +26,7 @@ class BadSubsystem(QcsError, ValueError):
 
 
 class BadParams(QcsError, ValueError):
-    """Coupling parameters are inconsistent or incomplete for the requested model."""
+    """Parameters are inconsistent, incomplete or out of range: couplings, windows, steps, times."""
 
 
 class FormulaUnavailable(QcsError, LookupError):

@@ -70,9 +70,9 @@ class TimeSeries:
         t = np.asarray(self.t, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("t and values must be equal-length vectors")
+            raise DimensionMismatch("t and values must be equal-length vectors")
         if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("time grid must be strictly increasing")
+            raise BadParams("time grid must be strictly increasing")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", v)
 

@@ -60,8 +60,6 @@ CONSTANT = "CONSTANT"
 # A surface is flagged constant when its spread over the whole plane, read from K, is below this relative floor.
 FLATNESS_REL = 1e-10
 _CURVATURE_FLOOR = 1e-5
-# Extremum values this close (relative) are ordered by position, not by rounding noise.
-_TIE_REL = 1e-12
 # Largest grid a surface may sample (about 32 MB of float64 values).
 MAX_GRID_NODES = 4_000_000
 # Labels per kernel call on a grid, in whole rows (one row when a row is longer).
@@ -426,8 +424,8 @@ class SurfaceGrid:
 
     values[i, j] is the energy at (xs[j], ys[i]); extrema are the MIN and
     MAX fixed labels of the surface's census inside the node span, sorted
-    by value, and `constant` flags surfaces whose spread over the whole
-    plane is below the flatness floor.
+    by (value, x, y), and `constant` flags surfaces whose spread over the
+    whole plane is below the flatness floor.
     """
 
     window: tuple[float, float, float, float]
@@ -471,23 +469,28 @@ def _law(params: CouplingParams, sid: str, source: str, bonds: str):
 
 
 def _surface_function(params: CouplingParams, state_id: str, source: str, bonds: str) -> Callable:
-    """The array Q-symbol kernel f(x, y) of one surface, for broadcastable label arrays x, y.
+    """The array Q-symbol kernel f(x, y) of one surface: `_kernel` at its `_law`."""
+    sid = _state_id(state_id)
+    return _kernel(params, sid, source, bonds, _law(params, sid, source, bonds))
+
+
+def _kernel(params: CouplingParams, sid: str, source: str, bonds: str, law: tuple) -> Callable:
+    """The array Q-symbol kernel f(x, y) of one surface from its `_law`, for broadcastable label arrays x, y.
 
     f returns the energies at x + 1j*y in their broadcast shape.  Grids
-    call it once per block of whole rows (`_evaluate_grid`).
+    call it once per block of whole rows (`_evaluate_grid`), the census
+    once at its fixed labels (`_census`).
 
-    The direct source is the rotation law (`_law`) with v from
-    `_rotated_axis`, on the arrays as given: a grid's (1, nx) and (rows, 1)
-    axes are not expanded to full size first.  It rejects the couplings
+    The direct source is the rotation law with v from `_rotated_axis`, on
+    the arrays as given: a grid's (1, nx) and (rows, 1) axes are not
+    expanded to full size first.  It rejects the couplings
     `q_symbol_direct` does; H is built for that only where some bond
     coefficient reaches `_H_SAFE`, below which no entry of H can overflow.
-    Kernels are not cached: building one costs a few microseconds.
-    Both sources check the state id and the bonds here.  Where an energy
-    overflows, the closed kernel raises BadParams and the direct one
-    returns +-inf without a warning; its callers check the values.
+    Kernels are not cached: building one costs a few microseconds.  Where
+    an energy overflows, the closed kernel raises BadParams and the direct
+    one returns +-inf without a warning; its callers check the values.
     """
-    sid = _state_id(state_id)
-    n_bonds, c, s, axis, (kx, ky, kz), scale = _law(params, sid, source, bonds)
+    n_bonds, c, s, axis, (kx, ky, kz), scale = law
     if source.lower() == "closed":
         return lambda x, y: _closed_values(params, sid, x, y)
     if not all(abs(coeff) < _H_SAFE for coeff in _term_couplings(params)):
@@ -521,19 +524,18 @@ def _grid_axes(window: tuple[float, float, float, float], step: float) -> tuple[
     return x_min + step * np.arange(nx), y_min + step * np.arange(ny)
 
 
-def _evaluate_grid(
-    params: CouplingParams, sid: str, source: str, bonds: str, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """values[i, j] = Q symbol at label xs[j] + 1j * ys[i].
+def _evaluate_grid(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """values[i, j] = f(xs[j], ys[i]): a surface's kernel f at label xs[j] + 1j * ys[i].
 
-    One kernel call per block of whole rows: as many rows as fit in
+    One call of f per block of whole rows: as many rows as fit in
     _GRID_BLOCK labels, or one row when a row is longer.  The kernel treats
     each label on its own, so the values equal one call per row to the bit.
     Raises BadParams where a value overflows.
     """
-    f = _surface_function(params, sid, source, bonds)
     rows = max(1, _GRID_BLOCK // xs.size)
-    values = np.vstack([f(xs[None, :], ys[i : i + rows, None]) for i in range(0, ys.size, rows)])
+    values = np.empty((ys.size, xs.size))
+    for i in range(0, ys.size, rows):
+        values[i : i + rows] = f(xs[None, :], ys[i : i + rows, None])
     if not np.isfinite(values).all():
         raise BadParams("energies on this grid overflow; couplings this large are beyond the double range")
     return values
@@ -566,28 +568,23 @@ _FIXED_LABELS = {"P+": ((0.0, 1.0, 2, 1), (0.0, -1.0, 2, 1)), "P-": ((1.0, 0.0, 
                  **dict.fromkeys(("G+", "G-", "PG+", "PG-"), _G_LABELS)}
 
 
-def _census(params: CouplingParams, sid: str, source: str, bonds: str) -> list[tuple]:
-    """(x, y, value, eigenvalues, kind) at each of a surface's `_FIXED_LABELS`, read from the table in K.
+def _census(sid: str, law: tuple, f: Callable) -> list[tuple]:
+    """(x, y, value, eigenvalues, kind) at each of a surface's `_FIXED_LABELS`, from its `_law` and kernel f.
 
-    The ascending eigenvalues are computed at K 2^-e (`_law`) and scaled
-    back, +-inf where that overflows, so that `_kind` still reads the sign
-    of a curvature beyond the double range.  The value equals the kernel's
-    bit for bit: the direct law in floats at v = e_a (a zero component
-    of v adds a zero of K_b's sign to v^T K v, as in the kernel), the
-    closed form at the label.  BadParams where the value overflows.
+    The values are one call of f at the labels, so they are the grid's to
+    the bit.  The ascending eigenvalues are the table in K: computed at
+    K 2^-e and scaled back, +-inf where that overflows, so that `_kind`
+    still reads the sign of a curvature beyond the double range.
+    BadParams where a value overflows (the closed kernel raises it itself).
     """
-    n_bonds, c, s, _, k, e = _law(params, sid, source, bonds)
+    n_bonds, _, s, _, k, e = law
+    labels = _FIXED_LABELS[sid]
+    values = f(np.array([label[0] for label in labels]), np.array([label[1] for label in labels]))
     rows = []
-    for x, y, a, lam in _FIXED_LABELS[sid]:
+    for (x, y, a, lam), value in zip(labels, values.tolist()):
+        if math.isinf(value):
+            raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
         eigs = sorted(_unscaled(2.0 * n_bonds * s * lam * (k[b] - k[a]), e) for b in range(3) if b != a)
-        if source.lower() == "closed":
-            value = float(_closed_values(params, sid, x, y))
-        else:
-            vx, vy, vz = (1.0 if b == a else 0.0 for b in range(3))
-            law = c * (k[0] + k[1] + k[2]) + s * (k[0] * vx * vx + k[1] * vy * vy + k[2] * vz * vz)
-            value = _unscaled(n_bonds * law, e)
-            if math.isinf(value):
-                raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
         rows.append((x, y, value, tuple(eigs), _kind(eigs)))
     return rows
 
@@ -621,21 +618,16 @@ def refine_extremum(
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise InfinitePoint("energy surfaces are evaluated at finite labels")
     sid = _state_id(state_id)
-    _surface_function(params, sid, source, bonds)  # rejects what the surface rejects, H overflow included
-    x, y, value, _, kind = min(_census(params, sid, source, bonds), key=lambda r: math.hypot(r[0] - x0, r[1] - y0))
+    law = _law(params, sid, source, bonds)
+    census = _census(sid, law, _kernel(params, sid, source, bonds, law))
+    x, y, value, _, kind = min(census, key=lambda r: math.hypot(r[0] - x0, r[1] - y0))
     return Extremum(x, y, value, kind)
 
 
 def _sort_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
-    """Sort by value; values equal to within _TIE_REL form one tier ordered by (x, y), so that symmetric extrema do
-    not swap places on last-bit rounding of their values."""
-    tiers: list[list[Extremum]] = []
-    for e in sorted(extrema, key=lambda e: (e.value, e.x, e.y)):
-        if tiers and e.value - tiers[-1][0].value <= _TIE_REL * (1.0 + abs(e.value)):
-            tiers[-1].append(e)
-        else:
-            tiers.append([e])
-    return tuple(e for tier in tiers for e in sorted(tier, key=lambda e: (e.x, e.y)))
+    """Sort by (value, x, y).  Mirror labels carry equal values to the bit (the law sees v only through squares,
+    and every closed form is even in x and y), so a symmetric pair orders by position."""
+    return tuple(sorted(extrema, key=lambda e: (e.value, e.x, e.y)))
 
 
 def energy_surface(
@@ -658,26 +650,29 @@ def energy_surface(
 
     The extrema are the MIN and MAX labels of the surface's `_census`
     inside the node span [xs[0], xs[-1]] x [ys[0], ys[-1]], sorted by
-    value (`_sort_extrema`); the grid takes no part in finding them, and
-    saddles are not listed.  refine=False lists none.  A surface is
+    (value, x, y); the grid takes no part in finding them, and saddles
+    are not listed.  refine=False lists none.  One `_law` serves the grid's
+    kernel, the census and the constant flag.  A surface is
     flagged constant, and carries no extrema, when its spread over the
     whole plane, n_bonds |s| (max K - min K) by the law, is below
     1e-10 * (1 + |max|) of the grid's values: a window whose few nodes
     tie by symmetry is not mistaken for a flat surface.  A grid energy,
     or an extremum's energy, beyond the double range raises BadParams.
     """
-    sid = state_id.upper()
     source = _source(source)
     xs, ys = _grid_axes(window, step)
-    values = _evaluate_grid(params, sid, source, bonds, xs, ys)
+    sid = _state_id(state_id)
+    law = _law(params, sid, source, bonds)
+    f = _kernel(params, sid, source, bonds, law)
+    values = _evaluate_grid(f, xs, ys)
 
-    n_bonds, _, s, _, k, e = _law(params, sid, source, bonds)
+    n_bonds, _, s, _, k, e = law
     spread = _unscaled(n_bonds * abs(s) * (max(k) - min(k)), e)
     constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
     extrema: tuple[Extremum, ...] = ()
     if not constant and refine:
         x_lo, x_hi, y_lo, y_hi = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
-        census = _census(params, sid, source, bonds)
+        census = _census(sid, law, f)
         extrema = _sort_extrema([Extremum(x, y, value, kind) for x, y, value, _, kind in census
                                  if kind in (MIN, MAX) and x_lo <= x <= x_hi and y_lo <= y <= y_hi])
     return SurfaceGrid(

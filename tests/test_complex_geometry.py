@@ -19,7 +19,7 @@ from qcs.complex_geometry import (
     stereo_project,
     symmetric_point,
 )
-from qcs.errors import BadParams, DegenerateTriple, QcsError
+from qcs.errors import BadParams, DegenerateTriple, InfinitePoint, QcsError
 
 TOL = 1e-12
 
@@ -36,6 +36,22 @@ def test_point_equality_and_infinity():
     assert complex(ComplexPoint(3 - 4j)) == 3 - 4j
     with pytest.raises(ValueError):
         complex(INFINITY)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)])
+def test_non_finite_point_raises_typed_error(value):
+    """A non-finite component is InfinitePoint, a QcsError that is still the ValueError it was."""
+    with pytest.raises(InfinitePoint) as raised:
+        ComplexPoint(value)
+    assert isinstance(raised.value, QcsError) and isinstance(raised.value, ValueError)
+
+
+def test_infinity_value_raises_typed_error():
+    """The point at infinity has no finite value: `value`, `real`, `imag` and complex() raise InfinitePoint."""
+    for read in (lambda: INFINITY.value, lambda: INFINITY.real, lambda: INFINITY.imag, lambda: complex(INFINITY)):
+        with pytest.raises(InfinitePoint) as raised:
+            read()
+        assert isinstance(raised.value, QcsError) and isinstance(raised.value, ValueError)
 
 
 def test_point_isclose():

@@ -16,7 +16,7 @@ from qcs.cli import main
 from qcs.complex_geometry import INFINITY
 from qcs.entangled_basis import entangled_state
 from qcs.entanglement_measures import concurrence_det
-from qcs.errors import BadParams
+from qcs.errors import BadParams, DimensionMismatch, QcsError
 from qcs.evolution import (
     ALWAYS_ONE,
     FOUND,
@@ -46,10 +46,16 @@ def unit_label(theta):
 
 
 def test_time_series_guards():
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        TimeSeries(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    """Unequal shapes are DimensionMismatch and a time grid that is not increasing is BadParams: each a QcsError
+    that is still a ValueError."""
+    for t, values, error in ((np.array([0.0, 1.0]), np.array([1.0]), DimensionMismatch),
+                             (np.zeros((2, 2)), np.zeros((2, 2)), DimensionMismatch),
+                             (np.array([0.0, 0.0]), np.array([1.0, 1.0]), BadParams),
+                             (np.array([0.0, 2.0, 1.0]), np.zeros(3), BadParams),
+                             (np.array([0.0, math.nan]), np.zeros(2), BadParams)):
+        with pytest.raises(error) as raised:
+            TimeSeries(t, values)
+        assert isinstance(raised.value, QcsError) and isinstance(raised.value, ValueError)
 
 
 def test_exchange_hamiltonian_form():

@@ -497,15 +497,18 @@ XXZ = CouplingParams.xxz(j=1.0, jz=-2.0)
     ],
 )
 def test_refinement_matches_scalar_oracle(monkeypatch, params, sid, source, bonds, window, step):
-    """The census's extrema equal those that grid seeds refine to through the scalar oracle."""
+    """The census's extrema equal those that grid seeds refine to through the scalar oracle, matched by position:
+    the oracle's values carry rounding noise (-2.8e-17 on PG+ at a label where the census has 0.0), which can
+    order a mirror pair the other way."""
     kernel = energy_surface(params, sid, window, step, source, bonds)
     oracle = _oracle_kernel(params, sid, source, bonds)
-    monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
+    monkeypatch.setattr(sm, "_kernel", lambda *args: oracle)
     scalar = _seeded_extrema(params, sid, window, step, source, bonds)
     assert len(kernel.extrema) == len(scalar) >= 2
-    for e, o in zip(kernel.extrema, scalar):
+    for e in kernel.extrema:
+        (o,) = [o for o in scalar if math.hypot(e.x - o.x, e.y - o.y) <= 1e-7]
         assert e.kind == o.kind
-        assert math.hypot(e.x - o.x, e.y - o.y) <= 1e-7
+        assert abs(e.value - o.value) <= 1e-12 * (1.0 + abs(e.value))
         assert np.linalg.norm(_central_gradient(oracle, e.x, e.y)) <= 1e-6
 
 
@@ -517,7 +520,7 @@ def test_indefinite_seed_refines_to_saddle(monkeypatch):
     assert eigs[0] < 0.0 < eigs[1]
     kernel = sm.refine_extremum(GEN, "G+", seed_point)
     oracle = _oracle_kernel(GEN, "G+", "direct", "all-pairs")
-    monkeypatch.setattr(sm, "_surface_function", lambda *args: oracle)
+    monkeypatch.setattr(sm, "_kernel", lambda *args: oracle)
     scalar = _refine_classifying_afresh(GEN, "G+", seed_point)
     for e in (kernel, scalar):
         assert e.kind == sm.SADDLE
@@ -742,19 +745,40 @@ def test_derivatives_match_exact_rationals():
     assert random_labels == 468
 
 
-def test_merge_orders_last_bit_ties_by_position():
-    """Values equal to within 1e-12 (relative) are ordered by (x, y); values further apart by value."""
-    v = -2.0
-    w = math.nextafter(v, 0.0)
-    on_y = [sm.Extremum(1e-9, 1.0, v, sm.MAX), sm.Extremum(-1e-9, -1.0, w, sm.MAX)]
-    on_x = [sm.Extremum(1.0, -1e-9, w, sm.MIN), sm.Extremum(-1.0, 1e-9, v, sm.MIN)]
-    for pair, first in ((on_y, (-1e-9, -1.0)), (on_x, (-1.0, 1e-9))):
-        for ordered in (pair, pair[::-1]):
-            merged = sm._sort_extrema(list(ordered))
-            assert (merged[0].x, merged[0].y) == first
-    # Values that differ beyond rounding still order by value.
-    apart = [sm.Extremum(-1.0, 0.0, 1.0, sm.MAX), sm.Extremum(1.0, 0.0, 1.0 - 1e-9, sm.MAX)]
-    assert [e.x for e in sm._sort_extrema(apart)] == [1.0, -1.0]
+def _census(params, sid, source, bonds):
+    """`sm._census` of one surface, read at its own law and kernel."""
+    law = sm._law(params, sid, source, bonds)
+    return sm._census(sid, law, sm._kernel(params, sid, source, bonds, law))
+
+
+def test_mirror_census_values_are_equal_and_extrema_sort_by_value_then_position():
+    """Mirror labels (psi and -psi) carry census values equal to the bit, on every state, source and bond set at
+    random couplings: the law sees v only through squares, and every closed form is even in x and y.  So a plain
+    sort by (value, x, y) orders each symmetric pair by position, and `energy_surface` lists its rows so."""
+    rng = random.Random(31)
+    pairs = tied_rows = 0
+    for _ in range(40):
+        j, delta, jz = (rng.uniform(-2.0, 2.0) for _ in range(3))
+        hbar = 10.0 ** rng.uniform(-1.0, 1.0)
+        for params in (CouplingParams.xxx(j=j, hbar=hbar), CouplingParams.xxz(j=j, delta=delta, hbar=hbar),
+                       CouplingParams.xyz(jx=j, jy=delta, jz=jz)):
+            for sid in STATE_IDS:
+                for source in ("direct", "closed"):
+                    for bonds in sm.BOND_CHOICES:
+                        try:
+                            census = _census(params, sid, source, bonds)
+                        except FormulaUnavailable:
+                            continue
+                        values = {(x, y): value for x, y, value, _, _ in census}
+                        for (x, y), value in values.items():
+                            if (x, y) != (0.0, 0.0):
+                                assert repr(values[-x, -y]) == repr(value), (params, sid, source, bonds, x, y)
+                                pairs += 1
+                        rows = energy_surface(params, sid, (-1.5, 1.5, -1.5, 1.5), 0.5, source, bonds).extrema
+                        assert [(e.value, e.x, e.y) for e in rows] == sorted((e.value, e.x, e.y) for e in rows)
+                        tied_rows += sum(a.value == b.value for a, b in zip(rows, rows[1:]))
+    assert pairs == 40 * (3 * 40 + 48)  # direct: 40 labels off 0 per model over states and bonds; closed: 48
+    assert tied_rows >= 1000  # 1088 of 2752 rows on this draw
 
 
 # P- XYZ with jy close to jz: a nearly level landscape whose grid holds 26
@@ -770,7 +794,7 @@ def test_failed_refinement_keeps_other_extrema():
     the nearest label, whatever its kind."""
     grid = energy_surface(FLAT_P_MINUS, "P-", FLAT_P_MINUS_WINDOW, FLAT_P_MINUS_STEP, "closed")
     assert grid.extrema == ()
-    census = {(x, y): (value, kind) for x, y, value, _, kind in sm._census(FLAT_P_MINUS, "P-", "closed", "all-pairs")}
+    census = {(x, y): (value, kind) for x, y, value, _, kind in _census(FLAT_P_MINUS, "P-", "closed", "all-pairs")}
     dropped, kept = 0, set()
     seeds = _grid_seeds(grid.values)
     for i, j, _ in seeds:
@@ -1060,7 +1084,7 @@ def test_stencil_kinds_match_fresh_hessians_on_random_surfaces(source):
 
 def _spy_on_kernel_sizes(monkeypatch) -> list:
     """Make every surface kernel record the number of labels of each call in the returned list."""
-    kernel = sm._surface_function
+    kernel = sm._kernel
     sizes = []
 
     def spying_kernel(*key):
@@ -1072,13 +1096,13 @@ def _spy_on_kernel_sizes(monkeypatch) -> list:
 
         return spy
 
-    monkeypatch.setattr(sm, "_surface_function", spying_kernel)
+    monkeypatch.setattr(sm, "_kernel", spying_kernel)
     return sizes
 
 
 def test_seed_left_in_place_costs_one_kernel_call(monkeypatch):
     """A seed on a fixed label stays in place, and its value is what one single-label kernel call there returns,
-    bit for bit.  `refine_extremum` itself reads the census and calls no kernel."""
+    bit for bit.  `refine_extremum` itself calls the kernel once, at all of the state's fixed labels."""
     sizes = _spy_on_kernel_sizes(monkeypatch)
     cases = [
         (PG, "PG+", (1.0, 0.0), "direct", "chain", sm.MIN),
@@ -1089,9 +1113,10 @@ def test_seed_left_in_place_costs_one_kernel_call(monkeypatch):
         sizes.clear()
         e = sm.refine_extremum(params, sid, seed_point, source, bonds)
         assert (e.x, e.y, e.kind) == (*seed_point, kind)
-        assert sizes == []
+        labels = len(sm._FIXED_LABELS[sid])
+        assert sizes == [labels]
         assert repr(e.value) == repr(float(sm._surface_function(params, sid, source, bonds)(*seed_point)))
-        assert sizes == [1]
+        assert sizes == [labels, 1]
 
 
 def test_census_lists_the_max_the_grid_seeds_miss():
@@ -1102,15 +1127,15 @@ def test_census_lists_the_max_the_grid_seeds_miss():
     window, step = (-2.5, 2.5, -2.5, 2.5), 0.188
     rows = [(e.kind, e.x, e.y) for e in energy_surface(params, "G+", window, step).extrema]
     assert rows == [(MIN, 0.0, -1.0), (MIN, 0.0, 1.0), (sm.MAX, 0.0, 0.0)]
-    origin = next(row for row in sm._census(params, "G+", "direct", "all-pairs") if row[:2] == (0.0, 0.0))
+    origin = next(row for row in _census(params, "G+", "direct", "all-pairs") if row[:2] == (0.0, 0.0))
     assert origin[3] == pytest.approx((-19.552, -0.024), abs=1e-12)
     seeded = _seeded_extrema(params, "G+", window, step, "direct", "all-pairs")
     assert [(e.kind, e.x, e.y) for e in seeded] == rows[:2]
 
 
 def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
-    """`energy_surface` evaluates its grid once and takes its extrema from the census: no refinement and no kernel
-    call beyond the grid's blocks."""
+    """`energy_surface` evaluates its grid once and takes its extrema from the census: no refinement, and no kernel
+    call beyond the grid's blocks and one census call at the state's fixed labels."""
     passes = []
     evaluate = sm._evaluate_grid
     monkeypatch.setattr(sm, "_evaluate_grid", lambda *args: passes.append(args) or evaluate(*args))
@@ -1129,16 +1154,19 @@ def test_energy_surface_reads_extrema_from_one_grid_pass(monkeypatch):
         sizes.clear()
         grid = energy_surface(params, sid, window, step, source, bonds)
         assert len(passes) == 1 and len(grid.extrema) >= 2
-        assert sum(sizes) == grid.values.size
+        assert sizes[-1] == len(sm._FIXED_LABELS[sid])
+        assert sum(sizes[:-1]) == grid.values.size
 
 
-def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
+def test_census_matches_derivatives_exact_values_and_refinement_on_random_surfaces():
     """At every fixed label of 3000 random surfaces (every model, state, source and bond set; a fifth of them XYZ
     with |Jx - Jy| from 1e-7 to 1e-2), the census's eigenvalues are those of the exact Hessian from the float
-    reference `_derivatives` within 2e-15 (1 + n_bonds sum |K|), its value is the kernel's to the last bit and
-    the sign of zero, and `refine_extremum` seeded at the label returns the census's row.  The worst eigenvalue
-    gap measured is 1.59e-15 on this draw and 1.67e-15 on another like it: each side rounds by about 1e-15 of
-    that scale."""
+    reference `_derivatives` within 2e-15 (1 + n_bonds sum |K|), its value is within 2.1e-16 (1 + n_bonds sum |K|)
+    of exact rational arithmetic (`_exact_law` at the label's K on the direct source, `_exact_closed_form` on the
+    closed one; the bound of the pinned `extrema` rows), and `refine_extremum` seeded at the label returns the
+    census's row.  The worst eigenvalue gap measured is 1.59e-15 on this draw and 1.67e-15 on another like it:
+    each side rounds by about 1e-15 of that scale.  The worst value errors on this draw are 1.48e-16 (direct)
+    and 1.62e-16 (closed) of it."""
     rng = random.Random(97)
     surfaces = rows = 0
     while surfaces < 3000:
@@ -1152,20 +1180,22 @@ def test_census_matches_derivatives_kernel_and_refinement_on_random_surfaces():
                   "XYZ": lambda: CouplingParams.xyz(jx=j, jy=delta, jz=jz)}[model]()
         sid, source, bonds = rng.choice(STATE_IDS), rng.choice(("direct", "closed")), rng.choice(sm.BOND_CHOICES)
         try:
-            census = sm._census(params, sid, source, bonds)
+            census = _census(params, sid, source, bonds)
         except FormulaUnavailable:
             continue
-        f, jet = sm._surface_function(params, sid, source, bonds), _derivatives(params, sid, source, bonds)
+        jet = _derivatives(params, sid, source, bonds)
         k = sm._pauli_diagonal(params)
         if source == "closed" and model == "XXZ":
             k = [-hbar**2 * t for t in (params.j, params.j, params.jz)]
         n = 3 if sid.startswith("PG") else 2
         n_bonds = len(sm._bond_list(n, bonds)) if source == "direct" else n - 1
-        bound = 2e-15 * (1.0 + n_bonds * sum(map(abs, k)))
+        scale = 1.0 + n_bonds * sum(map(abs, k))
         for x, y, value, eigs, kind in census:
             want = _eigenvalues(jet(x, y)[1])
-            assert max(abs(a - b) for a, b in zip(eigs, want)) <= bound, (params, sid, source, bonds, x, y)
-            assert repr(value) == repr(float(f(x, y))), (params, sid, source, bonds, x, y)
+            assert max(abs(a - b) for a, b in zip(eigs, want)) <= 2e-15 * scale, (params, sid, source, bonds, x, y)
+            exact = _exact_law(k, sid, n_bonds, x, y) if source == "direct" else (
+                _exact_closed_form(params, sid, x, y).d[0])
+            assert abs(Fraction(value) - exact) <= 2.1e-16 * scale, (params, sid, source, bonds, x, y)
             e = sm.refine_extremum(params, sid, (x, y), source, bonds)
             assert (e.x, e.y, repr(e.value), e.kind) == (x, y, repr(value), kind)
             rows += 1
@@ -1179,7 +1209,7 @@ def test_refine_extremum_returns_the_census_row_nearest_the_seed():
     rng = random.Random(53)
     for sid in STATE_IDS:
         for source, bonds in (("direct", "all-pairs"), ("closed", "chain")):
-            census = sm._census(GEN, sid, source, bonds)
+            census = _census(GEN, sid, source, bonds)
             for _ in range(20):
                 x0, y0 = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
                 nearest = min(census, key=lambda row: math.hypot(row[0] - x0, row[1] - y0))
@@ -1221,29 +1251,17 @@ def test_step_that_does_not_divide_window_ends_at_nearest_node():
 def test_grid_blocks_match_one_kernel_call_per_row(monkeypatch):
     """Grids evaluated in blocks of whole rows equal, bit for bit, one kernel call per row."""
     block = 10
-    kernel = sm._surface_function
     calls = []
-
-    def spying_kernel(*key):
-        f = kernel(*key)
-
-        def spy(x, y):
-            calls.append((np.asarray(x), np.asarray(y)))
-            return f(x, y)
-
-        return spy
-
     monkeypatch.setattr(sm, "_GRID_BLOCK", block)
-    monkeypatch.setattr(sm, "_surface_function", spying_kernel)
     # 4 x 7 nodes: two rows per call, the last call one row; 13 x 3: rows wider than a block.
     for window in ((0.0, 0.3, 0.0, 0.6), (-0.6, 0.6, 0.0, 0.2)):
         xs, ys = sm._grid_axes(window, 0.1)
         for params, sid, bonds in ((GEN, "P+", "all-pairs"), (GEN, "G-", "all-pairs"), (PG, "PG-", "chain")):
             for source in ("direct", "closed"):
-                f = kernel(params, sid, source, bonds)
+                f = sm._surface_function(params, sid, source, bonds)
                 per_row = np.vstack([f(xs, y) for y in ys])
                 calls.clear()
-                values = sm._evaluate_grid(params, sid, source, bonds, xs, ys)
+                values = sm._evaluate_grid(lambda x, y: calls.append((np.asarray(x), np.asarray(y))) or f(x, y), xs, ys)
                 assert values.tobytes() == per_row.tobytes(), (window, sid, source)
                 for x, y in calls:
                     assert x.shape == (1, xs.size) and np.array_equal(x[0], xs)
@@ -1555,7 +1573,7 @@ def test_surface_raises_on_h_overflow_exactly_where_hamiltonian_does():
 
 def test_ordinary_couplings_build_no_hamiltonian_on_the_surface_path(monkeypatch):
     """Surfaces and `refine_extremum` build H only as an overflow gate, so couplings whose coefficients are all
-    below 2^1019 build none, on either source; from 2^1019 they build it."""
+    below 2^1019 build none, on either source; from 2^1019 each call builds it once, for its one kernel."""
     built = []
     real = sm.hamiltonian
     monkeypatch.setattr(sm, "hamiltonian", lambda *args: built.append(args) or real(*args))
@@ -1571,8 +1589,38 @@ def test_ordinary_couplings_build_no_hamiltonian_on_the_surface_path(monkeypatch
                         except FormulaUnavailable:
                             continue
     assert built == []
-    sm.refine_extremum(CouplingParams.xyz(jx=1.0, jy=1.0, jz=2.0**1020), "PG-", (0.0, 0.0))
-    assert built == [(CouplingParams.xyz(jx=1.0, jy=1.0, jz=2.0**1020), 3, "all-pairs")]
+    big = CouplingParams.xyz(jx=1.0, jy=1.0, jz=2.0**1020)
+    for call in (lambda: sm.refine_extremum(big, "PG-", (0.0, 0.0)),
+                 lambda: energy_surface(big, "PG-", (-1.0, 1.0, -1.0, 1.0), 0.5)):
+        built.clear()
+        call()
+        assert built == [(big, 3, "all-pairs")]
+
+
+def test_each_surface_call_reads_one_law_and_builds_one_kernel(monkeypatch):
+    """`energy_surface` and `refine_extremum` evaluate `_law` once per call and build one kernel from it: the
+    grid, the flatness spread and the census all read that one law."""
+    laws, kernels = [], []
+    law, kernel = sm._law, sm._kernel
+    monkeypatch.setattr(sm, "_law", lambda *args: laws.append(args) or law(*args))
+    monkeypatch.setattr(sm, "_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    calls = 0
+    for params in (GEN, PG, XXZ):
+        for sid in STATE_IDS:
+            for source in ("direct", "closed"):
+                for bonds in sm.BOND_CHOICES:
+                    for call in (lambda: energy_surface(params, sid, (-1.5, 1.5, -1.5, 1.5), 0.5, source, bonds),
+                                 lambda: sm.refine_extremum(params, sid, (0.3, -0.2), source, bonds)):
+                        laws.clear()
+                        kernels.clear()
+                        try:
+                            call()
+                        except FormulaUnavailable:
+                            continue
+                        assert len(laws) == 1 and len(kernels) == 1, (params, sid, source, bonds)
+                        assert kernels[0][-1] == law(*laws[0])
+                        calls += 1
+    assert calls == 2 * 2 * (2 * 12 + 7)  # two calls, two bond sets; XYZ has both sources' 12 states, XXZ 7
 
 
 @pytest.mark.parametrize("build", [
