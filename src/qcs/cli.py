@@ -2,7 +2,10 @@
 
 All numeric output uses 17 significant digits so CSV files round-trip to
 the exact in-memory doubles, and every command is deterministic for a
-fixed configuration.
+fixed configuration.  Every value is written as format(x, ".17g") writes
+it.  `evolve` rows get that text from exact integer arithmetic in NumPy
+(`_format_rows`), with `%` for the few cells outside fixed notation;
+`surface` formats each distinct double of a block with one `%`.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ BROKEN_PIPE = 141
 # not an option: no caller needs more, and a tiny --dt must fail before
 # anything is allocated.
 MAX_TIME_STEPS = 1_000_000
-# `_write_rows` formats this many rows, and `_write_grid` this many grid
-# nodes (or one grid row if longer), with one `%` and one write.
+# `_write_rows` formats this many rows (by `_format_rows`), and `_write_grid`
+# this many grid nodes (or one grid row if longer, by one `%`), per write, so
+# only one block's text and temporaries are alive at once.
 _ROW_BLOCK = 4096
 
 
@@ -50,16 +54,147 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _write_rows(out, columns) -> None:
-    """Write equal-size arrays as CSV columns, each value as _fmt writes it.
+    """Write equal-size arrays as CSV columns, each value as format(x, ".17g") writes it.
 
-    Rows are formatted _ROW_BLOCK at a time, by one `%` over the block and
-    one write, so only one block of text and Python floats is alive at once.
+    Rows are formatted _ROW_BLOCK at a time by `_format_rows`, in exact
+    integer arithmetic with `%` only for cells outside fixed notation, and
+    each block is one write.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
     table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
     for start in range(0, len(table), _ROW_BLOCK):
-        block = table[start:start + _ROW_BLOCK]
-        out.write((row * len(block)) % tuple(block.ravel().tolist()))
+        out.write(_format_rows(table[start:start + _ROW_BLOCK]))
+
+
+@functools.cache
+def _fixed_tables():
+    """The tables of `_format_rows`, built on its first call.
+
+    - 5^(20 - k) for k = E + 4 in [0, 20];
+    - the ASCII of each 4-digit group as one uint32: plain at 0..9999, and at
+      10000..19999 with its trailing zeros as NUL;
+    - 10^0 .. 10^17;
+    - per key 2k + (the cell has a fraction): which bytes of the 32-byte cell
+      it keeps from its integer row and from its fraction row, and its
+      constant bytes (the '.' and the zeros of "0.000"), each as one V32.
+    """
+    pow5 = 5 ** np.arange(20, -1, -1, dtype=np.uint64)
+    v = np.arange(10000, dtype=np.int32)[:, None]
+    quad = (v // 10 ** np.arange(3, -1, -1, dtype=np.int32) % 10 + ord("0")).astype(np.uint8)
+    trail = quad * (v % 10 ** np.arange(4, 0, -1, dtype=np.int32) != 0).astype(np.uint8)
+    quads = np.concatenate([quad, trail]).view(np.uint32).ravel()
+    e = np.arange(-4, 17)[:, None, None]
+    frac = np.arange(2)[:, None]
+    b = np.arange(32)
+    keep_int = (b == 0) | ((b >= 5) & (b <= e + 5)) | (b == 31)
+    keep_frac = (b >= np.maximum(e + 7, 6)) & (b <= 22)
+    const = np.where((b == e + 6) & ((frac == 1) | (e < 0)), ord("."), 0)
+    const = np.where((e < 0) & ((b == e + 5) | ((b >= e + 7) & (b <= 5))), ord("0"), const)
+    masks = [np.broadcast_to(t, (21, 2, 32)).astype(np.uint8).reshape(42, 32).view("V32").ravel()
+             for t in (keep_int * 255, keep_frac * 255, const)]
+    return pow5, quads, 10 ** np.arange(18, dtype=np.uint64), masks
+
+
+def _significand(m, bexp, k, pow5):
+    """floor(m 2^(bexp - 1084) 10^(20 - k)) and whether rounding it half to even adds 1, exactly.
+
+    m < 2^62 and 5^(20 - k) < 2^47, so their product is two uint64 limbs
+    (hi, lo) built from 32-bit partial products.  Where the quotient lies in
+    [10^15, 10^18), as it does while k is within one of its true value, the
+    shift r is in [2, 59], inside what C defines for a 64-bit shift.
+    """
+    f = pow5[k]
+    m_hi, m_lo, f_hi, f_lo = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
+    mid = m_hi * f_lo + m_lo * f_hi
+    low = m_lo * f_lo
+    lo = low + (mid << 32)
+    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
+    r = (k + 1064) - bexp
+    trunc = (hi << (64 - r)) | (lo >> r)
+    half = 1 << (r - 1)
+    rem = lo & ((half << 1) - 1)
+    return trunc, (rem + (trunc & 1)) > half
+
+
+def _digits17(cells: np.ndarray, pow5: np.ndarray):
+    """The 17 significant digits n and k = E + 4 of each cell in fixed notation, and which cells those are.
+
+    Fixed notation is 0 or 1e-4 <= |x| < 1e17; every other cell is worked
+    as 1.0.  With |x| = m 2^q and E = floor(log10 |x|), n = m 5^s 2^(q + s),
+    s = 16 - E, rounded half to even on the exact remainder, as the
+    correctly rounded `%` rounds.  E is estimated by log10 and corrected
+    until 10^16 <= n < 10^17 before rounding.  A zero has n = 0 and E = 0.
+    """
+    a = np.abs(cells)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    bits = np.where(fixed, a, 1.0).view(np.uint64)
+    m = ((bits & ((1 << 52) - 1)) | (1 << 52)) << 9
+    bexp = bits >> 52
+    k = np.minimum((np.log10(bits.view(np.float64)) + 4.0).astype(np.int64), 20).view(np.uint64)
+    trunc, up = _significand(m, bexp, k, pow5)
+    while (off := np.flatnonzero((trunc < 10**16) | (trunc >= 10**17))).size:
+        k[off] += trunc[off] >= 10**17
+        k[off] -= trunc[off] < 10**16
+        trunc[off], up[off] = _significand(m[off], bexp[off], k[off], pow5)
+    # n stays below 10^17: the largest double below 10^(E + 1) is at least 2^-54 of it away, relative,
+    # more than the half unit 5e-18 of a 17th digit, for E + 1 in [-3, 17].
+    n = trunc + up
+    zero = a == 0
+    n[zero] = 0  # worked as 1.0, so k is already 4
+    return n, k, fixed | zero
+
+
+def _digit_rows(n: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Two 32-byte rows per 17-digit n: its digits at bytes 5..21 of the first (the integer row), and at
+    bytes 6..22 of the second (the fraction row) with the trailing zeros of its last 16 digits as NUL."""
+    rows = np.zeros((2, n.size, 32), np.uint8)
+    lead = n // 10**16
+    rows[0, :, 5] = rows[1, :, 6] = lead + ord("0")
+    rest = n - lead * 10**16
+    groups = np.empty((n.size, 4), np.intp)
+    groups[:, 0], groups[:, 1] = rest // 10**12, rest // 10**8 % 10**4
+    groups[:, 2], groups[:, 3] = rest // 10**4 % 10**4, rest % 10**4
+    rows[0, :, 6:22] = np.take(quads, groups).view(np.uint8)
+    # A group whose later groups are all 0 is read from the half without trailing zeros.
+    later_zero = np.ones(n.size, bool)
+    for j in (3, 2, 1, 0):
+        zero = groups[:, j] == 0
+        groups[:, j] += later_zero * 10000
+        later_zero &= zero
+    rows[1, :, 7:23] = np.take(quads, groups).view(np.uint8)
+    return rows
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The CSV text of a (rows, columns) float block, each cell as format(x, ".17g") writes it.
+
+    Cells in fixed notation take exact integer arithmetic (`_digits17`) and
+    two digit rows (`_digit_rows`).  A mask per (E, has a fraction) keeps
+    the integer part from the first row and the fraction from the second,
+    one byte to its right, and adds the '.' and the zeros of "0.000".  Each
+    cell is 32 bytes (sign, text, NUL padding, separator), and the NULs are
+    compressed out.  The other cells (exponent notation, subnormals, inf
+    and nan) are formatted by `%`, those cells only.
+    """
+    cells = block.ravel()
+    pow5, quads, pow10, (keep_int, keep_frac, const) = _fixed_tables()
+    n, k, fast = _digits17(cells, pow5)
+    key = 2 * k.view(np.int64) + (n % pow10[np.minimum(20 - k, 17)] != 0)
+    rows = _digit_rows(n, quads)
+    text = rows[0]
+    text[:, 0] = np.signbit(cells).view(np.uint8) * np.uint8(ord("-"))
+    text[:, 31] = ord(",")
+    text[block.shape[1] - 1::block.shape[1], 31] = ord("\n")
+    words = rows.view("<u8").reshape(2, -1)
+    words[0] &= np.take(keep_int, key).view("<u8")
+    words[1] &= np.take(keep_frac, key).view("<u8")
+    words[0] |= words[1]
+    words[0] |= np.take(const, key).view("<u8")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # At most 24 characters: "-2.2250738585072014e-308".
+        text[slow, :24] = np.array(["%.17g" % x for x in cells[slow].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+    text = text.ravel()
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _write_grid(out, xs: np.ndarray, ys: np.ndarray, planes) -> None:
@@ -96,27 +231,31 @@ def _open_output(path: str):
             yield handle
 
 
+def _floats(flag: str, raw: str, form: str) -> list[float]:
+    """The comma-separated floats of an option whose value reads as `form`."""
+    parts = raw.split(",")
+    if len(parts) != form.count(",") + 1:
+        raise BadParams(f"{flag} expects {form!r}, got {raw!r}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise BadParams(str(exc)) from None
+
+
 def _parse_psi(args) -> complex:
     if args.theta is not None:
         return complex(math.cos(args.theta), math.sin(args.theta))
-    raw = args.psi or "0,0"
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--psi expects 're,im', got {raw!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(*_floats("--psi", args.psi or "0,0", "re,im"))
 
 
 def _parse_window(raw: str) -> tuple[float, float, float, float]:
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--window expects 'x_min,x_max,y_min,y_max', got {raw!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_floats("--window", raw, "x_min,x_max,y_min,y_max"))
 
 
 def _coupling_params(args) -> sm.CouplingParams:
     model = args.model.upper()
     if model in ("XXX", "XXZ") and args.j is None:
-        raise ValueError(f"{model} needs --j")
+        raise BadParams(f"{model} needs --j")
     if model == "XXX":
         return sm.CouplingParams.xxx(j=args.j, hbar=args.hbar)
     if model == "XXZ":
@@ -126,7 +265,7 @@ def _coupling_params(args) -> sm.CouplingParams:
             jx=args.jx, jy=args.jy, jz=args.jz or 0.0,
             j_plus=args.j_plus, j_minus=args.j_minus, hbar=args.hbar,
         )
-    raise ValueError(f"unknown model {args.model!r}")
+    raise BadParams(f"unknown model {args.model!r}")
 
 
 def _add_coupling_flags(parser: argparse.ArgumentParser):

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -18,6 +20,7 @@ from qcs import cli
 from qcs import evolution as ev
 from qcs import spin_models as sm
 from qcs.cli import main
+from qcs.errors import BadParams
 from qcs.spin_models import CouplingParams, energy_surface
 
 CLI = [sys.executable, "-m", "qcs"]
@@ -151,16 +154,64 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, 
 @pytest.mark.parametrize("n_rows", [1, len(SPECIAL_VALUES), cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 37])
 @pytest.mark.parametrize("n_cols", [3, 5])
 def test_write_rows_matches_per_row_format(n_rows, n_cols):
-    """Block formatting writes the bytes one `%` per row wrote: signed zeros, subnormals, +-1e300,
-    one row, and row counts on and off a multiple of the block size."""
+    """Block formatting writes the bytes one `%` per row wrote, one write per block: signed zeros,
+    subnormals, +-1e300, one row, and row counts on and off a multiple of the block size.  The first
+    n_cols columns span 10^(-320..300), where almost every cell takes `%`; two more are what `evolve`
+    writes, a time grid k dt and values in [0, 1], where every cell takes the integer route."""
     rng = np.random.default_rng(n_rows * n_cols)
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows) for _ in range(n_cols)]
     for k, column in enumerate(columns):
         m = min(n_rows, len(SPECIAL_VALUES))
         column[:m] = np.roll(SPECIAL_VALUES, k)[:m]
+    columns += [4.0 * math.pi / rng.uniform(0.3, 3.0) / 1256 * np.arange(n_rows), rng.uniform(0.0, 1.0, n_rows)]
+    writes = []
     out = io.StringIO()
+    out.write = lambda text: writes.append(text)
     cli._write_rows(out, columns)
-    assert out.getvalue() == _per_row_format(columns)
+    assert len(writes) == -(-n_rows // cli._ROW_BLOCK)
+    assert "".join(writes) == _per_row_format(columns)
+
+
+def _format_families(rng, n):
+    """6 n + 103 doubles across the families `_format_rows` must format exactly."""
+    edges = np.array([float(f"1e{k}") for k in range(-12, 18)] + [5e-324, 2.2250738585072014e-308])
+    # x = N / 2^j for odd N < 2^53 with 10^17 <= N 5^j < 10^18: exactly 18 significant digits, the last a
+    # 5, so rounding to 17 digits is an exact tie.  |x| runs from 1e-7 to 1e16.
+    j = rng.integers(2, 23, n)
+    lo = -(-(10**17) // 5**j)
+    hi = np.minimum(10**18 // 5**j, 2**53)
+    ties = (rng.integers(lo, hi - 1) | 1) / 2.0**j
+    return {
+        "uniform": rng.uniform(-2.0, 2.0, n),
+        "log-uniform 1e-14..1e19": np.exp(rng.uniform(math.log(1e-14), math.log(1e19), n)) * rng.choice([-1.0, 1.0], n),
+        "bit patterns": rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64),
+        "dyadic m / 2^k": rng.integers(-(2**53), 2**53, n) / 2.0 ** rng.integers(0, 64, n),
+        "ties": ties,
+        "t = k dt": rng.uniform(1e-3, 0.1) * np.arange(n),
+        "10^k and 1 ulp either side": np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]),
+        "zeros, subnormals, inf, nan, the largest": np.array([0.0, -0.0, 5e-324, 1e-310, np.inf, np.nan, 1.7976931348623157e308]),
+    }
+
+
+def test_format_rows_matches_format_on_every_route():
+    """`_format_rows` writes format(x, ".17g") for each of about 320k doubles: the integer route (fixed
+    notation: 0 and 1e-4 <= |x| < 1e17, exact ties, 10^k and its neighbours at both ends) and the `%`
+    route (exponent notation, subnormals, inf, nan, the largest double), negated as well."""
+    families = _format_families(np.random.default_rng(31), 26_000)
+    for v in families["ties"].tolist():
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, v
+    checked = 0
+    for name, values in families.items():
+        values = np.concatenate([values, -values])
+        for n_cols in (1, 3):
+            block = values[:len(values) // n_cols * n_cols].reshape(-1, n_cols)
+            expected = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in block.tolist())
+            # Lines first: a failure then names the first differing cell's row.
+            assert cli._format_rows(block).splitlines() == expected.splitlines(), name
+            assert cli._format_rows(block) == expected, name
+        checked += values.size
+    assert checked >= 300_000
 
 
 @pytest.mark.parametrize("ny, nx", [
@@ -213,6 +264,87 @@ def test_evolve_body_digests(argv, digest, tmp_path):
     assert main(["evolve", *argv, "--output", str(target)]) == 0
     body = "".join(line for line in target.read_text().splitlines(keepends=True) if not line.startswith("#"))
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def _evolve_errors_against_50_digits(argv, target):
+    """Per column of one pinned `evolve` run, the worst |value - reference| / scale and its row.
+
+    concurrence |A(2t)| and fidelity |A(t)|^2, A(t) = sum_k w_k e^{-i E_k t / hbar}, come from the
+    50-digit Bell energies and weights at the exact double inputs.  closed_form_F = 1 - sin^2(2 theta)
+    sin^2(phi) and closed_form_C = (1/4) sqrt(a^2 + 8 a sin^2(theta) cos(2 phi) + 16 sin^4(theta)),
+    a = 2 + 2 cos^2(2 theta), phi = J t / hbar, come from their formulas at the double theta the command
+    takes.  A phase carries a rounding error of order its size times an ulp, so each scale is 1 plus the
+    column's largest phase: max |E| t / hbar for the fidelity and twice that for the concurrence, |phi|
+    and 2 |phi| for the closed forms.
+    """
+    from test_evolution import _mp_bell_spectrum
+
+    args = cli.build_parser().parse_args(["evolve", *argv])
+    params, psi = cli._evolve_params(args), cli._parse_psi(args)
+    assert main(["evolve", *argv, "--output", str(target)]) == 0
+    lines = target.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:] if not line.startswith("#")]
+    worst = {name: (0.0, None) for name in header[1:]}
+
+    def record(name, value, ref, scale, k):
+        err = float(abs(value - ref) / scale)
+        if err > worst[name][0]:
+            worst[name] = (err, k)
+
+    with mpmath.workdps(50):
+        energies, weights = _mp_bell_spectrum(params, psi)
+        hbar = mpmath.mpf(params.hbar)
+        rate = max(abs(e) for e in energies) / hbar
+        # Energies E and -E share one cos_sin: (weight sum, weight difference) per rate |E| / hbar.
+        still, moving = sum(w for w, e in zip(weights, energies) if not e), {}
+        for w, e in zip(weights, energies):
+            if e:
+                plus, minus = moving.get(abs(e) / hbar, (0, 0))
+                moving[abs(e) / hbar] = (plus + w, minus + w) if e > 0 else (plus + w, minus - w)
+
+        def amplitudes(t):
+            """A(t) and A(2t) as (re, im) pairs, A(2t) by the double-angle formulas."""
+            cs = [(mpmath.cos_sin(r * t), total, diff) for r, (total, diff) in moving.items()]
+            at_t = (still + sum(total * c for (c, _), total, _ in cs), -sum(diff * s for (_, s), _, diff in cs))
+            at_2t = (still + sum(total * (c * c - s * s) for (c, s), total, _ in cs),
+                     -sum(2 * diff * s * c for (c, s), _, diff in cs))
+            return at_t, at_2t
+
+        closed = "closed_form_C" in header
+        if closed:
+            theta = mpmath.mpf(math.atan2(psi.imag, psi.real))
+            s2, c2 = mpmath.sin(theta) ** 2, mpmath.cos(2 * theta) ** 2
+            a = 2 + 2 * c2
+        for k, row in enumerate(rows):
+            # The time grid is dt k rounded once.
+            assert abs(Fraction(row[0]) - k * Fraction(args.dt)) <= 2.0**-53 * k * args.dt, (argv, k)
+            values = dict(zip(header, row))
+            t = mpmath.mpf(row[0])
+            (re, im), (re2, im2) = amplitudes(t)
+            record("fidelity", values["fidelity"], re * re + im * im, 1 + rate * t, k)
+            record("concurrence", values["concurrence"], mpmath.sqrt(re2 * re2 + im2 * im2), 1 + 2 * rate * t, k)
+            if closed:
+                phase = abs(mpmath.mpf(params.jx) * t / hbar)
+                cos2 = mpmath.cos(2 * phase)
+                record("closed_form_F", values["closed_form_F"], 1 - (1 - c2) * (1 - cos2) / 2, 1 + phase, k)
+                closed_c = mpmath.sqrt(a * a + 8 * a * s2 * cos2 + 16 * s2 * s2) / 4
+                record("closed_form_C", values["closed_form_C"], closed_c, 1 + 2 * phase, k)
+    return worst
+
+
+# Each bound is 4 times the worst measured over the four pins, per unit of the column's scale (see
+# `_evolve_errors_against_50_digits`): 4.44e-16 concurrence and 9.69e-16 fidelity, both within the first
+# rows of the generic XYZ pin, where the rounded weights' sum decides; 1.24e-16 and 9.71e-17 for the
+# closed forms.
+EVOLVE_ERROR_BOUNDS = {"concurrence": 1.8e-15, "fidelity": 3.9e-15, "closed_form_C": 5.0e-16, "closed_form_F": 3.9e-16}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in EVOLVE_BODY_SHA256])
+def test_evolve_pins_are_within_rounding_of_50_digit_references(argv, tmp_path):
+    """Every value of each `EVOLVE_BODY_SHA256` output is within its column's bound of a 50-digit reference."""
+    for name, (err, row) in _evolve_errors_against_50_digits(argv, tmp_path / "series.csv").items():
+        assert err <= EVOLVE_ERROR_BOUNDS[name], (name, err, row)
 
 
 # SHA-256 of `extrema` output: the six `extrema` rows of the benchmark's
@@ -606,6 +738,26 @@ def test_usage_errors_exit_two(capsys):
         assert capsys.readouterr().out == "", argv
     for bad in BAD_TIME_GRIDS:
         assert main(["evolve", "--model", "xyz", "--jx", "1", "--jy", "0.5", "--psi", "1,0", *bad]) == 2
+
+
+@pytest.mark.parametrize("parse, argv, message", [
+    (cli._parse_psi, ["state", "--state", "P+", "--psi", "1,2,3"], "--psi expects 're,im', got '1,2,3'"),
+    (lambda args: cli._parse_window(args.window), ["surface", "--state", "P+", "--jx", "1", "--window=0,1,0"],
+     "--window expects 'x_min,x_max,y_min,y_max', got '0,1,0'"),
+    (cli._parse_psi, ["evolve", "--j", "1", "--psi=1,i"], "could not convert string to float: 'i'"),
+    (lambda args: cli._parse_window(args.window), ["extrema", "--state", "P+", "--jx", "1", "--window=0,1,0,1e"],
+     "could not convert string to float: '1e'"),
+    (cli._coupling_params, ["surface", "--state", "P+", "--model", "xxx"], "XXX needs --j"),
+    (cli._coupling_params, ["extrema", "--state", "P+", "--model", "xxz", "--jz", "1"], "XXZ needs --j"),
+    (cli._evolve_params, ["evolve", "--model", "ising", "--j", "1", "--psi", "1,0"], "unknown model 'ising'"),
+])
+def test_parse_errors_are_bad_params(parse, argv, message, capsys):
+    """The CLI's own argument parsing raises BadParams, and `main` reports it as before: one line, exit 2."""
+    with pytest.raises(BadParams) as raised:
+        parse(cli._parser().parse_args(argv))
+    assert str(raised.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"qcs {argv[0]}: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,23 @@ def _scan_revival(params, psi, scipy_peak=False):
     return Revival(NO_REVIVAL if below.any() else ALWAYS_ONE)
 
 
+def _mp_bell_spectrum(params, psi):
+    """The Bell energies E_k and weights w_k = |<Bell_k|P+(psi)>|^2 at the working mpmath precision.
+
+    Both come from the formulas at the exact double inputs: the amplitudes of P+(psi) from the
+    normalized coherent-state factors, and E = (Jx - Jy + Jz, -Jx + Jy + Jz, Jx + Jy - Jz,
+    -Jx - Jy - Jz) in the Bell order (Phi+, Phi-, Psi+, Psi-).
+    """
+    z = mpmath.mpc(psi.real, psi.imag)
+    norm = mpmath.sqrt(1 + abs(z) ** 2)
+    k, a = (1 / norm, z / norm), (-mpmath.conj(z) / norm, 1 / norm)
+    amps = [(k[m] * k[n] + a[m] * a[n]) / mpmath.sqrt(2) for m in (0, 1) for n in (0, 1)]
+    bell = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+    w = [abs(sum(c * x for c, x in zip(row, amps))) ** 2 / 2 for row in bell]
+    jx, jy, jz = (mpmath.mpf(v) for v in (params.jx, params.jy, params.jz))
+    return (jx - jy + jz, -jx + jy + jz, jx + jy - jz, -jx - jy - jz), w
+
+
 def _mp_revival(params, psi):
     """The first upward crossing of 1 - 1e-9 by the 50-digit fidelity of P+(psi), as (t, q).
 
@@ -377,15 +394,9 @@ def _mp_revival(params, psi):
     closed form.  Returns None where F(pi/2), the minimum, is in the band.
     """
     with mpmath.workdps(50):
-        z = mpmath.mpc(psi.real, psi.imag)
-        norm = mpmath.sqrt(1 + abs(z) ** 2)
-        k, a = (1 / norm, z / norm), (-mpmath.conj(z) / norm, 1 / norm)
-        amps = [(k[m] * k[n] + a[m] * a[n]) / mpmath.sqrt(2) for m in (0, 1) for n in (0, 1)]
-        bell = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
-        w = [abs(sum(c * x for c, x in zip(row, amps))) ** 2 / 2 for row in bell]
-        jx, jy, jz, hbar = (mpmath.mpf(v) for v in (params.jx, params.jy, params.jz, params.hbar))
-        energies = (jx - jy + jz, -jx + jy + jz, jx + jy - jz, -jx - jy - jz)
-        unit = hbar / abs(jx)
+        energies, w = _mp_bell_spectrum(params, psi)
+        jx = mpmath.mpf(params.jx)
+        unit = mpmath.mpf(params.hbar) / abs(jx)
         threshold = 1 - mpmath.mpf(1e-9)
 
         def gap(tau):
