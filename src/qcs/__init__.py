@@ -11,179 +11,63 @@ Conventions used throughout:
 - hbar is an explicit parameter (default 1.0) everywhere it matters.
 """
 
-from .complex_geometry import (
-    INFINITY,
-    ComplexPoint,
-    MobiusMap,
-    SpherePoint,
-    SymmetryKind,
-    cross_ratio,
-    mobius_apply,
-    stereo_lift,
-    stereo_project,
-    symmetric_point,
-)
-from .coherent_states import (
-    PureState,
-    SpinJState,
-    amplitude_ratio,
-    canonical_phase,
-    coherent,
-    equal_up_to_phase,
-    expand_in_antipodal_basis,
-    from_bloch,
-    overlap,
-    spin_j_coherent,
-    spin_j_overlap,
-    spin_j_overlap_closed,
-    symmetric_state,
-)
-from .entangled_basis import (
-    STATE_IDS,
-    BellExpansion,
-    bell_states,
-    coherent_basis_2q,
-    entangled_basis_2q,
-    entangled_basis_3q,
-    entangled_state,
-    expand_in_entangled_basis,
-    ghz_state,
-    product_state,
-    reconstruct_from_expansion,
-    w_state,
-)
-from .entanglement_measures import (
-    DensityMatrix,
-    SpinSumAverages,
-    concurrence_det,
-    concurrence_from_expansion,
-    concurrence_rdm,
-    density,
-    partial_trace,
-    spin_sum_averages,
-)
-from .errors import (
-    BadParams,
-    BadSubsystem,
-    DegenerateTriple,
-    DimensionMismatch,
-    FormulaUnavailable,
-    InfinitePoint,
-    NoConvergence,
-    NotNormalized,
-    QcsError,
-)
-from .evolution import (
-    Revival,
-    TimeSeries,
-    closed_form_fidelity,
-    concurrence_series,
-    evolve,
-    exchange_hamiltonian,
-    fidelity_series,
-    revival_time,
-)
-from .gates import (
-    UnitaryGate,
-    coherent_generator,
-    coherent_hadamard_basis,
-    gate_cnot,
-    gate_hadamard,
-    gate_not,
-    gate_phase,
-    induced_mobius,
-)
-from .spin_models import (
-    CouplingParams,
-    Extremum,
-    SurfaceGrid,
-    energy_surface,
-    hamiltonian,
-    q_symbol_closed,
-    q_symbol_direct,
-    q_symbol_pair,
-)
-from .verify import format_report, run_suite
+import importlib
+
+# Each public name, by the module that defines it.  `import qcs` loads none
+# of them: `__getattr__` imports a name's module on its first access.
+_EXPORTS = {
+    "complex_geometry": (
+        "INFINITY", "ComplexPoint", "MobiusMap", "SpherePoint", "SymmetryKind", "cross_ratio",
+        "mobius_apply", "stereo_lift", "stereo_project", "symmetric_point",
+    ),
+    "coherent_states": (
+        "PureState", "SpinJState", "amplitude_ratio", "canonical_phase", "coherent",
+        "equal_up_to_phase", "expand_in_antipodal_basis", "from_bloch", "overlap",
+        "spin_j_coherent", "spin_j_overlap", "spin_j_overlap_closed", "symmetric_state",
+    ),
+    "entangled_basis": (
+        "STATE_IDS", "BellExpansion", "bell_states", "coherent_basis_2q", "entangled_basis_2q",
+        "entangled_basis_3q", "entangled_state", "expand_in_entangled_basis", "ghz_state",
+        "product_state", "reconstruct_from_expansion", "w_state",
+    ),
+    "entanglement_measures": (
+        "DensityMatrix", "SpinSumAverages", "concurrence_det", "concurrence_from_expansion",
+        "concurrence_rdm", "density", "partial_trace", "spin_sum_averages",
+    ),
+    "errors": (
+        "BadParams", "BadSubsystem", "DegenerateTriple", "DimensionMismatch", "FormulaUnavailable",
+        "InfinitePoint", "NoConvergence", "NotNormalized", "QcsError",
+    ),
+    "evolution": (
+        "Revival", "TimeSeries", "closed_form_fidelity", "concurrence_series", "evolve",
+        "exchange_hamiltonian", "fidelity_series", "revival_time",
+    ),
+    "gates": (
+        "UnitaryGate", "coherent_generator", "coherent_hadamard_basis", "gate_cnot",
+        "gate_hadamard", "gate_not", "gate_phase", "induced_mobius",
+    ),
+    "spin_models": (
+        "CouplingParams", "Extremum", "SurfaceGrid", "energy_surface", "hamiltonian",
+        "q_symbol_closed", "q_symbol_direct", "q_symbol_pair",
+    ),
+    "verify": (
+        "format_report", "run_suite",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadParams",
-    "BadSubsystem",
-    "BellExpansion",
-    "ComplexPoint",
-    "CouplingParams",
-    "DegenerateTriple",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "Extremum",
-    "FormulaUnavailable",
-    "INFINITY",
-    "InfinitePoint",
-    "MobiusMap",
-    "NoConvergence",
-    "NotNormalized",
-    "PureState",
-    "QcsError",
-    "Revival",
-    "STATE_IDS",
-    "SpherePoint",
-    "SpinJState",
-    "SpinSumAverages",
-    "SurfaceGrid",
-    "SymmetryKind",
-    "TimeSeries",
-    "UnitaryGate",
-    "amplitude_ratio",
-    "bell_states",
-    "canonical_phase",
-    "closed_form_fidelity",
-    "coherent",
-    "coherent_basis_2q",
-    "coherent_generator",
-    "coherent_hadamard_basis",
-    "concurrence_det",
-    "concurrence_from_expansion",
-    "concurrence_rdm",
-    "concurrence_series",
-    "cross_ratio",
-    "density",
-    "energy_surface",
-    "entangled_basis_2q",
-    "entangled_basis_3q",
-    "entangled_state",
-    "equal_up_to_phase",
-    "evolve",
-    "exchange_hamiltonian",
-    "expand_in_antipodal_basis",
-    "expand_in_entangled_basis",
-    "fidelity_series",
-    "format_report",
-    "from_bloch",
-    "gate_cnot",
-    "gate_hadamard",
-    "gate_not",
-    "gate_phase",
-    "ghz_state",
-    "hamiltonian",
-    "induced_mobius",
-    "mobius_apply",
-    "overlap",
-    "partial_trace",
-    "product_state",
-    "q_symbol_closed",
-    "q_symbol_direct",
-    "q_symbol_pair",
-    "reconstruct_from_expansion",
-    "revival_time",
-    "run_suite",
-    "spin_j_coherent",
-    "spin_j_overlap",
-    "spin_j_overlap_closed",
-    "spin_sum_averages",
-    "stereo_lift",
-    "stereo_project",
-    "symmetric_point",
-    "symmetric_state",
-    "w_state",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module on first access (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,9 +3,9 @@
 All numeric output uses 17 significant digits so CSV files round-trip to
 the exact in-memory doubles, and every command is deterministic for a
 fixed configuration.  Every value is written as format(x, ".17g") writes
-it.  `evolve` rows get that text from exact integer arithmetic in NumPy
-(`_format_rows`), with `%` for the few cells outside fixed notation;
-`surface` formats each distinct double of a block with one `%`.
+it, by exact integer arithmetic in NumPy (`_format_rows`), with `%` for
+the few cells outside fixed notation: `evolve` rows, and `surface` axes
+and each distinct double of a block.
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import evolution as ev
 from . import spin_models as sm
-from . import verify as vf
-from .entangled_basis import STATE_IDS, entangled_state, expand_in_entangled_basis
-from .entanglement_measures import (
-    concurrence_det,
-    concurrence_from_expansion,
-    concurrence_rdm,
-    spin_sum_averages,
-)
+from .entangled_basis import entangled_state, expand_in_entangled_basis
 from .errors import BadParams, QcsError
 
 USAGE_ERROR = 2
@@ -39,9 +31,9 @@ BROKEN_PIPE = 141
 # not an option: no caller needs more, and a tiny --dt must fail before
 # anything is allocated.
 MAX_TIME_STEPS = 1_000_000
-# `_write_rows` formats this many rows (by `_format_rows`), and `_write_grid`
-# this many grid nodes (or one grid row if longer, by one `%`), per write, so
-# only one block's text and temporaries are alive at once.
+# `_write_rows` formats this many rows, and `_write_grid` this many grid nodes
+# (or one grid row if longer), per `_format_rows` call and write, so only one
+# block's text and temporaries are alive at once.
 _ROW_BLOCK = 4096
 
 
@@ -67,159 +59,160 @@ def _write_rows(out, columns) -> None:
 
 @functools.cache
 def _fixed_tables():
-    """The tables of `_format_rows`, built on its first call.
-
-    - 5^(20 - k) for k = E + 4 in [0, 20];
-    - the ASCII of each 4-digit group as one uint32: plain at 0..9999, and at
-      10000..19999 with its trailing zeros as NUL;
-    - 10^0 .. 10^17;
-    - per key 2k + (the cell has a fraction): which bytes of the 32-byte cell
-      it keeps from its integer row and from its fraction row, and its
-      constant bytes (the '.' and the zeros of "0.000"), each as one V32.
-    """
-    pow5 = 5 ** np.arange(20, -1, -1, dtype=np.uint64)
-    v = np.arange(10000, dtype=np.int32)[:, None]
+    """The tables of `_format_rows`, built on its first call: 5^s 2^9 and 10^s (exact), s = 20 - k, for
+    k = E + 4 in [0, 20]; the ASCII of each 4-digit group as a uint32, plain at 0..9999 and with its
+    trailing zeros as NUL at 10000..19999; per key 4k + 2 (has a fraction) + (sign bit), three 32-byte
+    masks (the bytes kept from the integer row, those kept from the fraction row, and the sign, '.',
+    zeros of "0.000" and ','); and the kernel's scalars as 0-d arrays, which NumPy takes faster than
+    Python ints."""
+    s, v = np.arange(20, -1, -1), np.arange(10000, dtype=np.int32)[:, None]
     quad = (v // 10 ** np.arange(3, -1, -1, dtype=np.int32) % 10 + ord("0")).astype(np.uint8)
     trail = quad * (v % 10 ** np.arange(4, 0, -1, dtype=np.int32) != 0).astype(np.uint8)
-    quads = np.concatenate([quad, trail]).view(np.uint32).ravel()
-    e = np.arange(-4, 17)[:, None, None]
-    frac = np.arange(2)[:, None]
-    b = np.arange(32)
-    keep_int = (b == 0) | ((b >= 5) & (b <= e + 5)) | (b == 31)
-    keep_frac = (b >= np.maximum(e + 7, 6)) & (b <= 22)
-    const = np.where((b == e + 6) & ((frac == 1) | (e < 0)), ord("."), 0)
-    const = np.where((e < 0) & ((b == e + 5) | ((b >= e + 7) & (b <= 5))), ord("0"), const)
-    masks = [np.broadcast_to(t, (21, 2, 32)).astype(np.uint8).reshape(42, 32).view("V32").ravel()
-             for t in (keep_int * 255, keep_frac * 255, const)]
-    return pow5, quads, 10 ** np.arange(18, dtype=np.uint64), masks
+    # The integer row has its 17 digits at bytes 7..23 and the fraction row at 8..24, so the '.' goes at e + 8.
+    e, frac, sign, b = np.ogrid[-4:17, :2, :2, :32]
+    keep_int = (b >= 7) & (b <= e + 7)
+    keep_frac = (b >= np.maximum(e + 9, 8)) & (b <= 24)
+    const = np.select([(b == 0) & (sign == 1), b == 31, (b == e + 8) & ((frac == 1) | (e < 0)),
+                       (e < 0) & ((b == e + 7) | ((b >= e + 9) & (b <= 7)))], [ord("-"), ord(","), ord("."), ord("0")])
+    masks = np.stack(np.broadcast_arrays(keep_int * 255, keep_frac * 255, const)).astype(np.uint8)
+    lo, hi, one = np.array([1e-4, 1e17, 1.0]).view(np.uint64).tolist()
+    c = {name: np.array(value, np.uint64) for name, value in dict(
+        abs=2**63 - 1, fixed_lo=lo, fixed_span=hi - lo, one=one, frac_bits=2**52 - 1, implicit=2**52, zero=0, odd=1,
+        half=2**63, e16=10**16, span16=9 * 10**16, e8=10**8, e4=10**4, ascii=ord("0"), b8=8, b52=52, b56=56, b64=64,
+    ).items()}
+    c |= {name: np.array(value) for name, value in dict(bias=1064, i0=0, trail=10000, two=2, f4=4.0, f16=16.0).items()}
+    return (5 ** s.astype(np.uint64) << 9, 10.0 ** s, np.concatenate([quad, trail]).view(np.uint32).ravel(),
+            masks.reshape(3, 84, 32).view("V32")[..., 0], c)
 
 
-def _significand(m, bexp, k, pow5):
-    """floor(m 2^(bexp - 1084) 10^(20 - k)) and whether rounding it half to even adds 1, exactly.
+def _significand(x, m, bexp, k, pow5, pow10, c):
+    """floor(n) and whether rounding n half to even adds 1, for n = x 10^(20 - k) = m 5^(20 - k) 2^(bexp - 1055 - k).
 
-    m < 2^62 and 5^(20 - k) < 2^47, so their product is two uint64 limbs
-    (hi, lo) built from 32-bit partial products.  Where the quotient lies in
-    [10^15, 10^18), as it does while k is within one of its true value, the
-    shift r is in [2, 59], inside what C defines for a 64-bit shift.
+    p = m 5^(20 - k) 2^9 is exact modulo 2^64, and floor(n) = p >> r, r = k + 1064 - bexp.  y = fl(n) is
+    within 8 of n while n < 2^57, so floor(n) is y - 16 plus the low 64 - r bits of (p >> r) - (y - 16),
+    and r is in [2, 59] while k is within one of its true value, room for a gap below 32.  The remainder,
+    shifted to the top bits, rounds up past 2^63, or at 2^63 when floor(n) is odd.
     """
-    f = pow5[k]
-    m_hi, m_lo, f_hi, f_lo = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
-    mid = m_hi * f_lo + m_lo * f_hi
-    low = m_lo * f_lo
-    lo = low + (mid << 32)
-    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
-    r = (k + 1064) - bexp
-    trunc = (hi << (64 - r)) | (lo >> r)
-    half = 1 << (r - 1)
-    rem = lo & ((half << 1) - 1)
-    return trunc, (rem + (trunc & 1)) > half
+    p = m * pow5[k]
+    r = (k - bexp + c["bias"]).view(np.uint64)
+    est = (x * pow10[k] - c["f16"]).astype(np.uint64)
+    trunc = ((((p >> r) - est) << r) >> r) + est
+    p <<= c["b64"] - r
+    return trunc, p + (trunc & c["odd"]) > c["half"]
 
 
-def _digits17(cells: np.ndarray, pow5: np.ndarray):
-    """The 17 significant digits n and k = E + 4 of each cell in fixed notation, and which cells those are.
+def _digits17(cells: np.ndarray, pow5, pow10, c):
+    """The 17 significant digits n and the mask key of each cell in fixed notation, and which cells those are.
 
-    Fixed notation is 0 or 1e-4 <= |x| < 1e17; every other cell is worked
-    as 1.0.  With |x| = m 2^q and E = floor(log10 |x|), n = m 5^s 2^(q + s),
-    s = 16 - E, rounded half to even on the exact remainder, as the
-    correctly rounded `%` rounds.  E is estimated by log10 and corrected
-    until 10^16 <= n < 10^17 before rounding.  A zero has n = 0 and E = 0.
+    Fixed notation is 0 or 1e-4 <= |x| < 1e17; every other cell is worked as 1.0.  With |x| = m 2^q and
+    E = floor(log10 |x|), n = m 5^s 2^(q + s), s = 16 - E, rounded half to even on the exact remainder, as
+    the correctly rounded `%` rounds.  E is estimated by log10 and corrected until 10^16 <= n < 10^17
+    before rounding.  A zero has n = 0 and E = 0.  The key is 4 (E + 4) + 2 (has a fraction) + (sign bit).
+    A cell with E >= 0 has a fraction exactly when it is not an integer: 17 digits hold every integer
+    below 10^17, and any other double lies at least 2^-53 |x| from one, past the 5e-17 |x| rounding moves.
     """
-    a = np.abs(cells)
-    fixed = (a >= 1e-4) & (a < 1e17)
-    bits = np.where(fixed, a, 1.0).view(np.uint64)
-    m = ((bits & ((1 << 52) - 1)) | (1 << 52)) << 9
-    bexp = bits >> 52
-    k = np.minimum((np.log10(bits.view(np.float64)) + 4.0).astype(np.int64), 20).view(np.uint64)
-    trunc, up = _significand(m, bexp, k, pow5)
-    while (off := np.flatnonzero((trunc < 10**16) | (trunc >= 10**17))).size:
-        k[off] += trunc[off] >= 10**17
-        k[off] -= trunc[off] < 10**16
-        trunc[off], up[off] = _significand(m[off], bexp[off], k[off], pow5)
+    bits = cells.view(np.uint64) & c["abs"]
+    zero = bits == c["zero"]
+    fixed = bits - c["fixed_lo"] < c["fixed_span"]
+    bits = np.where(fixed, bits, c["one"])
+    x = bits.view(np.float64)
+    bexp = (bits >> c["b52"]).view(np.intp)
+    m = (bits & c["frac_bits"]) | c["implicit"]
+    k = (np.minimum(np.log10(x), c["f16"]) + c["f4"]).astype(np.intp)
+    trunc, up = _significand(x, m, bexp, k, pow5, pow10, c)
+    while (off := (trunc - c["e16"] >= c["span16"]).nonzero()[0]).size:
+        k[off] += np.where(trunc[off] < c["e16"], -1, 1)
+        trunc[off], up[off] = _significand(x[off], m[off], bexp[off], k[off], pow5, pow10, c)
     # n stays below 10^17: the largest double below 10^(E + 1) is at least 2^-54 of it away, relative,
     # more than the half unit 5e-18 of a 17th digit, for E + 1 in [-3, 17].
-    n = trunc + up
-    zero = a == 0
-    n[zero] = 0  # worked as 1.0, so k is already 4
-    return n, k, fixed | zero
+    trunc += up
+    trunc[zero] = 0  # worked as 1.0, so k is already 4 and it has no fraction
+    return trunc, (k * c["two"] + (np.trunc(x) != x)) * c["two"] + np.signbit(cells), fixed | zero
 
 
-def _digit_rows(n: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Two 32-byte rows per 17-digit n: its digits at bytes 5..21 of the first (the integer row), and at
-    bytes 6..22 of the second (the fraction row) with the trailing zeros of its last 16 digits as NUL."""
-    rows = np.zeros((2, n.size, 32), np.uint8)
-    lead = n // 10**16
-    rows[0, :, 5] = rows[1, :, 6] = lead + ord("0")
-    rest = n - lead * 10**16
-    groups = np.empty((n.size, 4), np.intp)
-    groups[:, 0], groups[:, 1] = rest // 10**12, rest // 10**8 % 10**4
-    groups[:, 2], groups[:, 3] = rest // 10**4 % 10**4, rest % 10**4
-    rows[0, :, 6:22] = np.take(quads, groups).view(np.uint8)
-    # A group whose later groups are all 0 is read from the half without trailing zeros.
-    later_zero = np.ones(n.size, bool)
-    for j in (3, 2, 1, 0):
-        zero = groups[:, j] == 0
-        groups[:, j] += later_zero * 10000
-        later_zero &= zero
-    rows[1, :, 7:23] = np.take(quads, groups).view(np.uint8)
-    return rows
+def _digit_rows(n: np.ndarray, quads: np.ndarray, c) -> np.ndarray:
+    """The integer row and the fraction row of 32-byte cells, as (2, 4 n.size) uint64: the 17 digits of n
+    at bytes 7..23 of the first, and at 8..24 of the second with its trailing zeros as NUL; other bytes
+    are left for the masks to drop.  n is its lead digit and two halves of two 4-digit groups, and one
+    gather puts a half's ASCII in a uint64, in the fraction row from the table's second half for each
+    group whose later groups are all 0."""
+    q = n // c["e8"]
+    half = np.empty((2, n.size), np.uint64)
+    np.subtract(n, q * c["e8"], out=half[1])
+    lead = q // c["e8"]
+    np.subtract(q, lead * c["e8"], out=half[0])
+    high = half // c["e4"]
+    index = np.empty((2, n.size, 2), np.intp)  # index[h, :, j]: digits 1 + 8h + 4j .. 4 + 8h + 4j
+    index[:, :, 0] = high
+    index[:, :, 1] = half - high * c["e4"]
+    # Every later group is 0: for [0, :, 1] where the second half is, and for [h, :, 0] where [h, :, 1] is too.
+    later_zero = np.empty((2, n.size, 2), bool)
+    np.equal(half[1], c["zero"], out=later_zero[0, :, 1])
+    later_zero[1, :, 1] = True
+    np.logical_and(later_zero[:, :, 1], index[:, :, 1] == c["i0"], out=later_zero[:, :, 0])
+    plain = quads[index].view(np.uint64)[..., 0]
+    index += later_zero * c["trail"]
+    trail = quads[index].view(np.uint64)[..., 0]
+    lead |= c["ascii"]
+    rows = np.empty((2, n.size, 4), np.uint64)
+    np.left_shift(lead, c["b56"], out=rows[0, :, 0])
+    rows[0, :, 1], rows[0, :, 2] = plain
+    np.left_shift(trail, c["b8"], out=rows[1, :, 1:3].T)
+    rows[1, :, 1] |= lead
+    rows[1, :, 2] |= trail[0] >> c["b56"]
+    np.right_shift(trail[1], c["b56"], out=rows[1, :, 3])
+    return rows.reshape(2, -1)
 
 
 def _format_rows(block: np.ndarray) -> str:
     """The CSV text of a (rows, columns) float block, each cell as format(x, ".17g") writes it.
 
-    Cells in fixed notation take exact integer arithmetic (`_digits17`) and
-    two digit rows (`_digit_rows`).  A mask per (E, has a fraction) keeps
-    the integer part from the first row and the fraction from the second,
-    one byte to its right, and adds the '.' and the zeros of "0.000".  Each
-    cell is 32 bytes (sign, text, NUL padding, separator), and the NULs are
-    compressed out.  The other cells (exponent notation, subnormals, inf
-    and nan) are formatted by `%`, those cells only.
+    Cells in fixed notation take exact integer arithmetic (`_digits17`) and two digit rows
+    (`_digit_rows`).  Masks per (E, has a fraction, sign) keep the integer part from the first row and
+    the fraction from the second, one byte to its right, and add the sign, the '.', the zeros of "0.000"
+    and the ','.  Each cell is 32 bytes (text, NUL padding, separator), and the NULs are compressed out.
+    The other cells (exponent notation, subnormals, inf and nan) are formatted by `%`, those cells only.
     """
     cells = block.ravel()
-    pow5, quads, pow10, (keep_int, keep_frac, const) = _fixed_tables()
-    n, k, fast = _digits17(cells, pow5)
-    key = 2 * k.view(np.int64) + (n % pow10[np.minimum(20 - k, 17)] != 0)
-    rows = _digit_rows(n, quads)
-    text = rows[0]
-    text[:, 0] = np.signbit(cells).view(np.uint8) * np.uint8(ord("-"))
-    text[:, 31] = ord(",")
+    pow5, pow10, quads, (keep_int, keep_frac, const), c = _fixed_tables()
+    n, key, fast = _digits17(cells, pow5, pow10, c)
+    text, fraction = _digit_rows(n, quads, c)
+    text &= keep_int.take(key).view(np.uint64)
+    fraction &= keep_frac.take(key).view(np.uint64)
+    text |= fraction
+    text |= const.take(key).view(np.uint64)
+    text = text.view(np.uint8).reshape(-1, 32)
     text[block.shape[1] - 1::block.shape[1], 31] = ord("\n")
-    words = rows.view("<u8").reshape(2, -1)
-    words[0] &= np.take(keep_int, key).view("<u8")
-    words[1] &= np.take(keep_frac, key).view("<u8")
-    words[0] |= words[1]
-    words[0] |= np.take(const, key).view("<u8")
-    slow = np.flatnonzero(~fast)
+    slow = (~fast).nonzero()[0]
     if slow.size:
         # At most 24 characters: "-2.2250738585072014e-308".
         text[slow, :24] = np.array(["%.17g" % x for x in cells[slow].tolist()], "S24").view(np.uint8).reshape(-1, 24)
     text = text.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text.astype(bool)].tobytes().decode("ascii")
 
 
 def _write_grid(out, xs: np.ndarray, ys: np.ndarray, planes) -> None:
     """Write `x,y,<planes>` CSV rows, y outer and x inner, each value as _fmt writes it.
 
-    planes are (ys.size, xs.size) arrays, taken as one (ny, nx, k) table and
-    written in blocks of whole rows of at most _ROW_BLOCK nodes (one row when
-    a row is longer).  Each axis value is formatted once.  In a block, each
-    distinct double (by bit pattern, so -0 stays apart from 0) is formatted
-    once and gathered into the cells, and the block is written by one `%`
-    over row templates that hold the x cells and the row's y cell, so only
-    one block of text and cells is alive at once.
+    planes are (ys.size, xs.size) arrays, taken as one (ny, nx, k) table and written in blocks of whole
+    rows of at most _ROW_BLOCK nodes (one row when a row is longer).  One `_format_rows` call per block
+    gives the text of the x axis, the block's y cells and each distinct double of the block (by bit
+    pattern, so -0 stays apart from 0).  The block is one bytes `%` (which copies the literal text
+    between its fields whole) over row templates that hold the x cells and the row's y cell, with the
+    distinct texts gathered into the cells.
     """
-    table = np.stack([np.asarray(p, dtype=float) for p in planes], axis=-1)
-    tail = "," + ",".join(["%s"] * len(planes)) + "\n"
-    x_cells = ["%.17g," % x for x in xs.tolist()]
-    # A y cell joined over seps is that row's template: `x,y,%s...` per node.
-    seps = x_cells[:1] + [tail + x for x in x_cells[1:]] + [tail]
-    y_cells = ["%.17g" % y for y in ys.tolist()]
-    rows = max(1, _ROW_BLOCK // len(x_cells))
-    for start in range(0, len(y_cells), rows):
+    table = np.asarray(planes, dtype=float).transpose(1, 2, 0)
+    tail = b"," + b",".join([b"%s"] * len(planes)) + b"\n"
+    rows = max(1, _ROW_BLOCK // xs.size)
+    for start in range(0, ys.size, rows):
         bits, index = np.unique(table[start:start + rows].view(np.int64), return_inverse=True)
-        text = ("%.17g\0" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\0")
-        cells = np.array(text, dtype=object)[index.ravel()]
-        out.write("".join([y.join(seps) for y in y_cells[start:start + rows]]) % tuple(cells.tolist()))
+        y = ys[start:start + rows]
+        text = _format_rows(np.concatenate([xs, y, bits.view(np.float64)])[:, None]).encode("ascii").split(b"\n")
+        x_cells, y_cells = text[:xs.size], text[xs.size:xs.size + y.size]
+        # A y cell joined over seps is that row's template: `x,y,%s...` per node.
+        seps = [x_cells[0] + b","] + [tail + x + b"," for x in x_cells[1:]] + [tail]
+        cells = np.array(text[xs.size + y.size:-1], dtype=object)[index.ravel()]
+        out.write((b"".join([y.join(seps) for y in y_cells]) % tuple(cells.tolist())).decode("ascii"))
 
 
 @contextmanager
@@ -336,6 +329,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_state(args) -> int:
+    from .entanglement_measures import concurrence_det, concurrence_from_expansion, concurrence_rdm, spin_sum_averages
     psi = _parse_psi(args)
     sid = args.state.upper()
     state = entangled_state(sid, psi)
@@ -404,6 +398,7 @@ def _evolve_params(args) -> sm.CouplingParams:
 
 
 def cmd_evolve(args) -> int:
+    from . import evolution as ev
     params = _evolve_params(args)
     psi = _parse_psi(args)
     xx_like = ev.is_xx_like(params)
@@ -446,6 +441,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
     results = vf.run_suite(seed=args.seed)
     report = vf.format_report(results, seed=args.seed)
     with _open_output(args.output) as out:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -214,6 +215,11 @@ def test_format_rows_matches_format_on_every_route():
     assert checked >= 300_000
 
 
+# The axes x_min + i step of the `surface` windows (half-width, step) of the cli-surface benchmark workload.
+CLI_SURFACE_AXES = [sm._grid_axes((-h, h, -h, h), step)[0] for h, step in
+                    ((2.5, 0.1), (1.5, 0.06), (1.02, 0.06), (2.0, 0.08), (1.25, 0.05))]
+
+
 @pytest.mark.parametrize("ny, nx", [
     (1, 1),
     (64, 64),  # exactly one block of rows
@@ -221,22 +227,37 @@ def test_format_rows_matches_format_on_every_route():
     (3, cli._ROW_BLOCK + 3),  # each row longer than a block: one row per write
 ])
 @pytest.mark.parametrize("n_planes", [1, 2])
-def test_write_grid_matches_per_value_format(ny, nx, n_planes):
-    """`_write_grid` writes each cell as format(v, ".17g"), one write per block of rows: signed
-    zeros, subnormals, +-1e300, and values repeated inside and across blocks."""
+def test_write_grid_matches_per_value_format(ny, nx, n_planes, monkeypatch):
+    """`_write_grid` writes each cell as format(v, ".17g"), with one `_format_rows` call and one write per
+    block of rows.  The axes start with signed zeros, subnormals and +-1e300 and go on as the grid axes
+    of the cli-surface windows; the cells mix those with values of 10^(-320..300), values in [0, 1),
+    exact 17-digit ties, 10^k and 1 ulp either side, and the axes, repeated inside and across blocks."""
     rng = np.random.default_rng(ny * nx + n_planes)
-    pool = np.concatenate([SPECIAL_VALUES, rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40)])
-    xs, ys = (np.concatenate([SPECIAL_VALUES, rng.choice(pool, n)])[:n] for n in (nx, ny))
+    families = _format_families(rng, 40)
+    pool = np.concatenate([SPECIAL_VALUES, rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40),
+                           rng.uniform(0.0, 1.0, 40), families["ties"], families["10^k and 1 ulp either side"],
+                           *CLI_SURFACE_AXES])
+    xs, ys = (np.concatenate([SPECIAL_VALUES, CLI_SURFACE_AXES[(n + n_planes) % 5], rng.choice(pool, n)])[:n]
+              for n in (nx, ny))
     planes = [rng.choice(pool, (ny, nx)) for _ in range(n_planes)]
     planes[0][0, :len(SPECIAL_VALUES)] = SPECIAL_VALUES[:nx]
 
-    writes = []
+    calls, writes = [], []
+    format_rows = cli._format_rows
+    monkeypatch.setattr(cli, "_format_rows", lambda block: calls.append(block.copy()) or format_rows(block))
     out = io.StringIO()
     out.write = lambda text: writes.append(text)
     cli._write_grid(out, xs, ys, planes)
 
     rows_per_block = max(1, cli._ROW_BLOCK // nx)
-    assert len(writes) == -(-ny // rows_per_block)
+    assert len(writes) == len(calls) == -(-ny // rows_per_block)
+    # Each call takes the x axis, the block's y cells and its distinct doubles; later blocks repeat earlier values.
+    for k, block in enumerate(calls):
+        assert block.shape[1] == 1 and np.array_equal(block[:nx, 0], xs)
+        assert np.array_equal(block[nx:nx + min(rows_per_block, ny - k * rows_per_block), 0],
+                              ys[k * rows_per_block:(k + 1) * rows_per_block])
+    if len(calls) > 1:
+        assert np.intersect1d(calls[0][nx + rows_per_block:], calls[1][nx + rows_per_block:]).size
     expected = [
         ",".join(format(v, ".17g") for v in (x, y, *(p[i, j] for p in planes))) + "\n"
         for i, y in enumerate(ys.tolist()) for j, x in enumerate(xs.tolist())
@@ -990,6 +1011,39 @@ def test_start_path_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", START_PATH], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+MODULE_PATH = """
+import json, os, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "qcs")
+import qcs.cli
+qcs.cli.build_parser()
+steps = {"import": loaded()}
+for argv in (
+    ["surface", "--state", "G+", "--jx", "1", "--jy", "0.5", "--jz", "0.2", "--step", "0.5"],
+    ["extrema", "--state", "P+", "--model", "xxz", "--j", "1", "--jz", "-2"],
+    ["state", "--state", "P+", "--theta", "0.5"],
+    ["evolve", "--j", "1", "--theta", "0.5"],
+    ["verify", "--seed", "0"],
+):
+    assert qcs.cli.main(argv + ["--output", os.devnull]) == 0, argv
+    steps[argv[0]] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """`import qcs.cli` loads the grid path's modules and nothing more; `state`, `evolve` and `verify` add
+    their own modules as they first run, in one process, in this order."""
+    proc = subprocess.run([sys.executable, "-c", MODULE_PATH], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    steps = {name: set(loaded) for name, loaded in json.loads(proc.stdout).items()}
+    grid_path = {f"qcs.{m}" for m in ("cli", "coherent_states", "complex_geometry", "entangled_basis", "errors",
+                                       "gates", "operators", "spin_models")} | {"qcs"}
+    assert steps["import"] == steps["surface"] == steps["extrema"] == grid_path
+    assert steps["state"] == grid_path | {"qcs.entanglement_measures"}
+    assert steps["evolve"] == steps["state"] | {"qcs.evolution"}
+    assert steps["verify"] == steps["evolve"] | {"qcs.verify"}
 
 
 # Edge values of the double range, and ordinary magnitudes in [0.25, 4]: a
