@@ -31,9 +31,10 @@ BROKEN_PIPE = 141
 # not an option: no caller needs more, and a tiny --dt must fail before
 # anything is allocated.
 MAX_TIME_STEPS = 1_000_000
-# `_write_rows` formats this many rows, and `_write_grid` this many grid nodes
-# (or one grid row if longer), per `_format_rows` call and write, so only one
-# block's text and temporaries are alive at once.
+# `_write_rows` formats this many cells, and `_write_grid` this many grid nodes,
+# in whole rows (or one row if longer) per `_format_rows` call and write, so only
+# one block's text and temporaries are alive at once, and they stay small enough
+# to reuse the same memory from block to block and op to op.
 _ROW_BLOCK = 4096
 
 
@@ -48,13 +49,14 @@ def _fmt_complex(z: complex) -> str:
 def _write_rows(out, columns) -> None:
     """Write equal-size arrays as CSV columns, each value as format(x, ".17g") writes it.
 
-    Rows are formatted _ROW_BLOCK at a time by `_format_rows`, in exact
-    integer arithmetic with `%` only for cells outside fixed notation, and
-    each block is one write.
+    Rows are formatted in blocks of about _ROW_BLOCK cells by `_format_rows`,
+    in exact integer arithmetic with `%` only for cells outside fixed
+    notation, and each block is one write.
     """
     table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
-    for start in range(0, len(table), _ROW_BLOCK):
-        out.write(_format_rows(table[start:start + _ROW_BLOCK]))
+    rows = max(1, _ROW_BLOCK // table.shape[1])
+    for start in range(0, len(table), rows):
+        out.write(_format_rows(table[start:start + rows]))
 
 
 @functools.cache
@@ -357,18 +359,14 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _surface(args, source: str, refine: bool) -> sm.SurfaceGrid:
-    params, window = _coupling_params(args), _parse_window(args.window)
-    return sm.energy_surface(
-        params, args.state, window, args.step, source=source, bonds=args.bonds, refine=refine
-    )
-
-
 def cmd_surface(args) -> int:
-    grid = _surface(args, args.source, refine=False)
+    params = _coupling_params(args)
+    grid = sm.energy_surface(params, args.state, _parse_window(args.window), args.step,
+                             source=args.source, bonds=args.bonds, refine=False)
     planes = [grid.values]
     if args.source == "closed":
-        planes.append(grid.values - _surface(args, "direct", refine=False).values)
+        direct = sm._surface_function(params, args.state, "direct", args.bonds)
+        planes.append(grid.values - sm._evaluate_grid(direct, grid.xs, grid.ys))
     with _open_output(args.output) as out:
         out.write("x,y,energy" + (",closed_minus_direct" if len(planes) > 1 else "") + "\n")
         _write_grid(out, grid.xs, grid.ys, planes)
@@ -378,13 +376,18 @@ def cmd_surface(args) -> int:
 
 
 def cmd_extrema(args) -> int:
-    grid = _surface(args, args.source, refine=True)
+    """The census rows of `energy_surface` with no grid: its checks in its order, and one kernel call at the
+    first node for a CONSTANT marker, so the cost does not grow with the window."""
+    params, window = _coupling_params(args), _parse_window(args.window)
+    _, sid, xs, ys, law, f = sm._surface_parts(params, args.state, window, args.step, args.source, args.bonds)
+    extrema, constant = sm._window_extrema(sid, law, f, xs, ys)
+    corner = float(sm._evaluate_grid(f, xs[:1], ys[:1])[0, 0]) if constant else None
     with _open_output(args.output) as out:
         out.write("x,y,value,kind\n")
-        for e in grid.extrema:
+        for e in extrema:
             out.write(f"{_fmt(e.x)},{_fmt(e.y)},{_fmt(e.value)},{e.kind}\n")
-        if grid.constant:
-            out.write(f"# CONSTANT value={_fmt(float(grid.values[0, 0]))}\n")
+        if constant:
+            out.write(f"# CONSTANT value={_fmt(corner)}\n")
     return 0
 
 

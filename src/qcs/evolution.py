@@ -156,8 +156,15 @@ def _p_plus_sums(params: CouplingParams, p: PointLike, t_grid, scale: float):
     e_max, t_max = float(np.max(np.abs(energies))), float(np.max(np.abs(ts), initial=0.0))
     if not math.isfinite(e_max * (2.0 * t_max) / params.hbar):
         raise BadParams(f"phases E t / hbar must be finite, got |E| up to {e_max!r}, |t| up to {t_max!r}")
-    phi = np.multiply.outer(energies, scale * ts) / params.hbar
-    return ts, weights @ np.cos(phi), weights @ np.sin(phi)
+    # Trig only where it can matter: a row of energy 0 has cos = 1 and sin = 0 exactly, and any other row of
+    # weight 0 (P+'s singlet row always) is left 0, which can change only the sign of a zero sum; hypot and
+    # squares drop that sign.
+    cos, sin = np.zeros((2, energies.size, *ts.shape))
+    cos[energies == 0.0] = 1.0
+    live = (weights != 0.0) & (energies != 0.0)
+    phi = np.multiply.outer(energies[live], scale * ts) / params.hbar
+    cos[live], sin[live] = np.cos(phi), np.sin(phi)
+    return ts, weights @ cos, weights @ sin
 
 
 def concurrence_series(params: CouplingParams, p: PointLike, t_grid) -> TimeSeries:

@@ -57,9 +57,9 @@ MAX = "MAX"
 SADDLE = "SADDLE"
 CONSTANT = "CONSTANT"
 
-# A surface is flagged constant when its spread over the whole plane, read from K, is below this relative floor.
+# A surface is flagged constant when its spread over the whole plane, read from K, is at most this share of its
+# largest magnitude there.
 FLATNESS_REL = 1e-10
-_CURVATURE_FLOOR = 1e-5
 # Largest grid a surface may sample (about 32 MB of float64 values).
 MAX_GRID_NODES = 4_000_000
 # Labels per kernel call on a grid, in whole rows (one row when a row is longer).
@@ -425,7 +425,7 @@ class SurfaceGrid:
     values[i, j] is the energy at (xs[j], ys[i]); extrema are the MIN and
     MAX fixed labels of the surface's census inside the node span, sorted
     by (value, x, y), and `constant` flags surfaces whose spread over the
-    whole plane is below the flatness floor.
+    whole plane is at most FLATNESS_REL of their largest magnitude there.
     """
 
     window: tuple[float, float, float, float]
@@ -542,12 +542,12 @@ def _evaluate_grid(f: Callable, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _kind(eigs) -> str:
-    """MIN, MAX, SADDLE or CONSTANT from ascending Hessian eigenvalues."""
-    if eigs[0] > _CURVATURE_FLOOR:
+    """MIN, MAX, SADDLE or CONSTANT from the signs of ascending Hessian eigenvalues: CONSTANT where either is 0."""
+    if eigs[0] > 0.0:
         return MIN
-    if eigs[1] < -_CURVATURE_FLOOR:
+    if eigs[1] < 0.0:
         return MAX
-    if eigs[0] < -_CURVATURE_FLOOR < _CURVATURE_FLOOR < eigs[1]:
+    if eigs[0] < 0.0 < eigs[1]:
         return SADDLE
     return CONSTANT
 
@@ -573,8 +573,10 @@ def _census(sid: str, law: tuple, f: Callable) -> list[tuple]:
 
     The values are one call of f at the labels, so they are the grid's to
     the bit.  The ascending eigenvalues are the table in K: computed at
-    K 2^-e and scaled back, +-inf where that overflows, so that `_kind`
-    still reads the sign of a curvature beyond the double range.
+    K 2^-e and scaled back, +-inf where that overflows.  The kind is read
+    from their signs at K 2^-e, which are exact: a float difference is 0
+    only where K_a = K_b, and the factor 2 n_bonds s lambda is 0 or at
+    least 2 in size.  So the kinds do not change when K is scaled.
     BadParams where a value overflows (the closed kernel raises it itself).
     """
     n_bonds, _, s, _, k, e = law
@@ -584,8 +586,8 @@ def _census(sid: str, law: tuple, f: Callable) -> list[tuple]:
     for (x, y, a, lam), value in zip(labels, values.tolist()):
         if math.isinf(value):
             raise BadParams(f"the energy at ({x}, {y}) overflows; couplings this large are beyond the double range")
-        eigs = sorted(_unscaled(2.0 * n_bonds * s * lam * (k[b] - k[a]), e) for b in range(3) if b != a)
-        rows.append((x, y, value, tuple(eigs), _kind(eigs)))
+        eigs = sorted(2.0 * n_bonds * s * lam * (k[b] - k[a]) for b in range(3) if b != a)
+        rows.append((x, y, value, tuple(_unscaled(ev, e) for ev in eigs), _kind(eigs)))
     return rows
 
 
@@ -630,6 +632,38 @@ def _sort_extrema(extrema: list[Extremum]) -> tuple[Extremum, ...]:
     return tuple(sorted(extrema, key=lambda e: (e.value, e.x, e.y)))
 
 
+def _surface_parts(params: CouplingParams, state_id: str, window, step: float, source: str, bonds: str):
+    """(source, sid, xs, ys, law, kernel) of one surface, checked in the order every surface route rejects in:
+    the source, the window and step (`_grid_axes`, before anything is allocated), the state, the bonds and a
+    closed pair with no form (`_law`), and an overflowing Hamiltonian (`_kernel`)."""
+    source = _source(source)
+    xs, ys = _grid_axes(window, step)
+    sid = _state_id(state_id)
+    law = _law(params, sid, source, bonds)
+    return source, sid, xs, ys, law, _kernel(params, sid, source, bonds, law)
+
+
+def _window_extrema(sid: str, law: tuple, f: Callable, xs: np.ndarray, ys: np.ndarray,
+                    refine: bool = True) -> tuple[tuple[Extremum, ...], bool]:
+    """(extrema, constant) of one surface from its `_law`, its kernel f and the node span [xs[0], xs[-1]] x
+    [ys[0], ys[-1]]; no grid value enters.
+
+    The surface is constant when its spread over the whole plane, |s| (max K - min K) by the law, is at most
+    FLATNESS_REL of its largest magnitude there, max_a |c tr K + s K_a| (v^T K v sweeps [min K, max K], so
+    the extremes lie at v = e_a).  Both sides are taken at K 2^-e, where nothing overflows, and `<=` keeps
+    all-zero couplings constant; so, like the kinds, the flag does not change when K is scaled.  A constant
+    surface, or refine=False, lists no extrema; otherwise they are the MIN and MAX rows of its `_census`
+    inside the span, sorted by (value, x, y).
+    """
+    _, c, s, _, k, _ = law
+    constant = abs(s) * (max(k) - min(k)) <= FLATNESS_REL * max(abs(c * sum(k) + s * ka) for ka in k)
+    if constant or not refine:
+        return (), constant
+    x_lo, x_hi, y_lo, y_hi = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
+    return _sort_extrema([Extremum(x, y, value, kind) for x, y, value, _, kind in _census(sid, law, f)
+                          if kind in (MIN, MAX) and x_lo <= x <= x_hi and y_lo <= y <= y_hi]), False
+
+
 def energy_surface(
     params: CouplingParams,
     state_id: str,
@@ -652,29 +686,15 @@ def energy_surface(
     inside the node span [xs[0], xs[-1]] x [ys[0], ys[-1]], sorted by
     (value, x, y); the grid takes no part in finding them, and saddles
     are not listed.  refine=False lists none.  One `_law` serves the grid's
-    kernel, the census and the constant flag.  A surface is
-    flagged constant, and carries no extrema, when its spread over the
-    whole plane, n_bonds |s| (max K - min K) by the law, is below
-    1e-10 * (1 + |max|) of the grid's values: a window whose few nodes
-    tie by symmetry is not mistaken for a flat surface.  A grid energy,
-    or an extremum's energy, beyond the double range raises BadParams.
+    kernel, the census and the constant flag, which reads K alone
+    (`_window_extrema`); a constant surface carries no extrema.  So
+    scaling the couplings by lambda > 0 keeps every kind, position and the
+    flag, and scales every value by lambda.  A grid energy, or an
+    extremum's energy, beyond the double range raises BadParams.
     """
-    source = _source(source)
-    xs, ys = _grid_axes(window, step)
-    sid = _state_id(state_id)
-    law = _law(params, sid, source, bonds)
-    f = _kernel(params, sid, source, bonds, law)
+    source, sid, xs, ys, law, f = _surface_parts(params, state_id, window, step, source, bonds)
     values = _evaluate_grid(f, xs, ys)
-
-    n_bonds, _, s, _, k, e = law
-    spread = _unscaled(n_bonds * abs(s) * (max(k) - min(k)), e)
-    constant = spread < FLATNESS_REL * (1.0 + abs(float(values.max())))
-    extrema: tuple[Extremum, ...] = ()
-    if not constant and refine:
-        x_lo, x_hi, y_lo, y_hi = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
-        census = _census(sid, law, f)
-        extrema = _sort_extrema([Extremum(x, y, value, kind) for x, y, value, _, kind in census
-                                 if kind in (MIN, MAX) and x_lo <= x <= x_hi and y_lo <= y <= y_hi])
+    extrema, constant = _window_extrema(sid, law, f, xs, ys, refine)
     return SurfaceGrid(
         window=tuple(float(w) for w in window),
         step=float(step),

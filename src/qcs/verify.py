@@ -421,7 +421,9 @@ def _check_xxz_symmetry(rng) -> float:
 
 def _oracle_deviation(f: Callable[[complex], float], e: sm.Extremum) -> float:
     """How far a printed extremum is from the scalar oracle f: its value, its central-difference gradient
-    (h = 1e-5), and inf where the kind of a central-difference Hessian (h = 1e-4) is not its own."""
+    (h = 1e-5), and inf where the kind of a central-difference Hessian (h = 1e-4) is not its own.  The kind
+    reads the Hessian's signs with no floor: the extrema checked here have curvatures of 2 to 12, and the
+    difference's rounding noise, about 4 eps max|f| / h^2, is below 2e-7."""
     at = lambda dx, dy: f(complex(e.x + dx, e.y + dy))
     h = 1e-5
     grad = math.hypot((at(h, 0.0) - at(-h, 0.0)) / (2.0 * h), (at(0.0, h) - at(0.0, -h)) / (2.0 * h))

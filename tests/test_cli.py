@@ -155,8 +155,8 @@ SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, 
 @pytest.mark.parametrize("n_rows", [1, len(SPECIAL_VALUES), cli._ROW_BLOCK, 2 * cli._ROW_BLOCK + 37])
 @pytest.mark.parametrize("n_cols", [3, 5])
 def test_write_rows_matches_per_row_format(n_rows, n_cols):
-    """Block formatting writes the bytes one `%` per row wrote, one write per block: signed zeros,
-    subnormals, +-1e300, one row, and row counts on and off a multiple of the block size.  The first
+    """Block formatting writes the bytes one `%` per row wrote, one write per block of _ROW_BLOCK cells in whole
+    rows: signed zeros, subnormals, +-1e300, one row, and row counts on and off a multiple of the block.  The first
     n_cols columns span 10^(-320..300), where almost every cell takes `%`; two more are what `evolve`
     writes, a time grid k dt and values in [0, 1], where every cell takes the integer route."""
     rng = np.random.default_rng(n_rows * n_cols)
@@ -169,7 +169,7 @@ def test_write_rows_matches_per_row_format(n_rows, n_cols):
     out = io.StringIO()
     out.write = lambda text: writes.append(text)
     cli._write_rows(out, columns)
-    assert len(writes) == -(-n_rows // cli._ROW_BLOCK)
+    assert len(writes) == -(-n_rows // (cli._ROW_BLOCK // len(columns)))
     assert "".join(writes) == _per_row_format(columns)
 
 
@@ -839,6 +839,58 @@ def test_extrema_of_couplings_whose_curvature_overflows(capsys):
     assert err == ""
     assert out.splitlines() == ["x,y,value,kind", "-1,0,-8.4999999999999997e+307,MIN",
                                 "1,0,-8.4999999999999997e+307,MIN", "0,0,8.4999999999999997e+307,MAX"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    # Small couplings: an absolute curvature floor read every label flat and listed nothing.
+    (["--state", "G+", "--jx=1.1e-6", "--jy=-4e-7", "--jz=9e-7", "--step", "0.5"],
+     ["-1,0,-3.0000000000000009e-07,MIN", "1,0,-3.0000000000000009e-07,MIN",
+      "0,-1,1.1999999999999999e-06,MAX", "0,1,1.1999999999999999e-06,MAX"]),
+    # K' = -hbar^2 (J, J, Jz) is small at a small hbar.
+    (["--state", "P+", "--model", "xxz", "--j", "1", "--jz=-2", "--source", "closed", "--hbar", "1e-4"],
+     ["0,-1,-4.0000000000000001e-08,MIN", "0,1,-4.0000000000000001e-08,MIN"]),
+    # A 1-ulp gap K_y - K_x: the MINs at +-i are flat to rounding, but their curvatures are exactly positive.
+    (["--state", "G+", "--jx", "1", "--jy", "1.0000000000000002", "--jz", "0.5"],
+     ["0,-1,0.24999999999999978,MIN", "0,1,0.24999999999999978,MIN", "0,0,0.75,MAX"]),
+    # Windows whose grid overflows while no fixed label does: `extrema` evaluates no grid, so it lists the rows.
+    (["--state", "P+", "--jx", "1.78e308", "--jy=-1.6e308", "--jz=-1.78e308", "--window=-100,100,-100,100",
+      "--step", "1"], ["0,-1,9.8000000000000014e+307,MAX", "0,1,9.8000000000000014e+307,MAX"]),
+    (["--state", "G+", "--source", "closed", *GEN_FLAGS, "--window=-1e100,1e100,-1e100,1e100", "--step", "1e99"],
+     ["-1,0,-0.29999999999999999,MIN", "1,0,-0.29999999999999999,MIN", "0,-1,1.2,MAX", "0,1,1.2,MAX"]),
+])
+def test_extrema_lists_the_census_rows(argv, rows, capsys):
+    """Kinds read exact signs and flatness is relative to the surface's own size, so these surfaces list their
+    extrema, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extrema", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == ["x,y,value,kind", *rows]
+
+
+def test_extrema_evaluates_no_grid(monkeypatch, tmp_path):
+    """At 2000 x 2000 nodes (MAX_GRID_NODES) `extrema` calls the kernel on no more labels than the state's fixed
+    labels, and one label for a CONSTANT marker, and prints what a 7 x 7 grid of the same span prints."""
+    kernel = sm._kernel
+    sizes = []
+
+    def spying_kernel(*key):
+        f = kernel(*key)
+        return lambda x, y: sizes.append(np.broadcast(x, y).size) or f(x, y)
+
+    monkeypatch.setattr(sm, "_kernel", spying_kernel)
+    for sid, source in (("G+", "direct"), ("PG-", "closed"), ("P+", "closed"), ("G-", "direct")):
+        texts = []
+        for step in ("0.0015008", "0.5"):
+            sizes.clear()
+            target = tmp_path / f"{sid}-{step}.csv"
+            argv = ["extrema", "--state", sid, *GEN_FLAGS, "--window=-1.5,1.5,-1.5,1.5", "--step", step,
+                    "--source", source, "--bonds", "chain", "--output", str(target)]
+            assert main(argv) == 0
+            assert sizes == [1 if sid == "G-" else len(sm._FIXED_LABELS[sid])], (sid, step)
+            texts.append(target.read_text())
+        assert texts[0] == texts[1] and ("# CONSTANT" in texts[0]) == (sid == "G-")
 
 
 CLOSED_G = ["surface", "--state", "G+", "--source", "closed"]
